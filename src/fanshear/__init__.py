@@ -38,6 +38,7 @@ from .errors import (
     DimensionMismatch,
     FanError,
     InconsistentRelations,
+    InternalError,
     NoContainingCone,
     NonPrimitiveRay,
     NotAPrimitiveCollection,

@@ -340,7 +340,9 @@ def main(argv=None) -> int:
         report.add("error", str(exc))
         report.emit(args.json)
         return INPUT_ERROR
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
+        # ValueError: a user-facing precondition, such as a splitting or
+        # deformation asked of an incomplete fan, or a negative k.
         report.add("error", str(exc))
         report.emit(args.json)
         return INPUT_ERROR

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
 from . import lattice
+from .errors import InternalError
 from .fan import Fan, is_complete, primitive_relations
 
 
@@ -62,18 +62,24 @@ def _require_complete(fan: Fan, what: str) -> None:
         raise ValueError(f"{what} requires a complete fan")
 
 
-@lru_cache(maxsize=None)
 def class_group(fan: Fan) -> DivisorClassData:
-    """Divisor class group presentation of a smooth complete fan."""
+    """Divisor class group presentation of a smooth complete fan.
+
+    Cached per fan.
+    """
+    return fan._class_group
+
+
+def _class_group(fan: Fan) -> DivisorClassData:
     _require_complete(fan, "class_group")
     names = fan.ray_names()
     rows = [list(fan.generator(n)) for n in names]
     transform, echelon, pivots = lattice.row_echelon(rows)
     if len(pivots) != fan.dimension:
         raise ValueError("ray generators do not span the lattice")
-    for i, c in enumerate(pivots):
-        # Smooth complete fans have free class groups, so every pivot is a unit.
-        assert echelon[i][c] == 1, "internal error: torsion in the class group"
+    # Smooth complete fans have free class groups, so every pivot is a unit.
+    if any(echelon[i][c] != 1 for i, c in enumerate(pivots)):
+        raise InternalError("torsion in the class group of a smooth complete fan")
     rank = len(names) - fan.dimension
     classes = {
         name: tuple(transform[fan.dimension + i][j] for i in range(rank))
@@ -131,14 +137,17 @@ def nef_ample_status(fan: Fan, divisor: Mapping[str, int]) -> NefAmpleStatus:
     return NefAmpleStatus.NEF_NOT_AMPLE if saw_equality else NefAmpleStatus.AMPLE
 
 
-@lru_cache(maxsize=None)
 def classify_fano(fan: Fan) -> FanoReport:
     """Classify the anticanonical divisor, cross-checking two criteria.
 
     The support-function test on -K and the primitive-relation degree
     criterion are computed independently and must agree; a disagreement is
-    an internal error, not a user-facing condition.
+    an InternalError, not a user-facing condition.  Cached per fan.
     """
+    return fan._fano_report
+
+
+def _classify_fano(fan: Fan) -> FanoReport:
     _require_complete(fan, "classify_fano")
     status = nef_ample_status(fan, anticanonical(fan))
     by_support = {
@@ -153,8 +162,9 @@ def classify_fano(fan: Fan) -> FanoReport:
         by_degree = FanoClass.WEAK_FANO_NOT_FANO
     else:
         by_degree = FanoClass.NOT_WEAK_FANO
-    assert by_support == by_degree, (
-        f"internal error: support-function test says {by_support}, "
-        f"degree criterion says {by_degree}"
-    )
+    if by_support != by_degree:
+        raise InternalError(
+            f"support-function test says {by_support.value}, "
+            f"degree criterion says {by_degree.value}"
+        )
     return FanoReport(by_support, degrees)

@@ -2,7 +2,7 @@
 
 Everything mathematical derives from FanError so callers (notably the CLI)
 can distinguish "a check failed" from malformed input (ParseError) and from
-plain programming errors.
+failed internal cross-checks (InternalError).
 """
 
 
@@ -68,6 +68,14 @@ class PreconditionViolated(FanError):
 
 class UnknownName(FanError):
     """No catalog entry under the requested name."""
+
+
+class InternalError(Exception):
+    """An internal cross-check failed, such as the two Fano criteria disagreeing.
+
+    Signals a bug in the library, never a property of the input, so it is
+    not a FanError.  Raised explicitly, so it also fires under python -O.
+    """
 
 
 class ParseError(Exception):

@@ -10,11 +10,10 @@ legitimate values too.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, cached_property
+from functools import cached_property
 from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import lattice
 from .errors import (
@@ -31,6 +30,9 @@ from .errors import (
     UnderdeterminedRelations,
 )
 from .lattice import UnimodularMap, Vector
+
+if TYPE_CHECKING:
+    from .divisor import DivisorClassData, FanoReport
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,46 @@ class Fan:
             )
         return table
 
+    @cached_property
+    def _cone_masks(self) -> tuple[int, ...]:
+        """Each maximal cone as a bitmask over the rays, bit i for ray i."""
+        order = self._order
+        return tuple(
+            sum(1 << order[n] for n in c.ray_names) for c in self.max_cones
+        )
+
+    @cached_property
+    def _cones_of_ray(self) -> dict[str, int]:
+        """Per ray, the bitmask of the maximal cones (bit j for cone j) holding it."""
+        table = dict.fromkeys(self._order, 0)
+        for j, cone in enumerate(self.max_cones):
+            for n in cone.ray_names:
+                table[n] |= 1 << j
+        return table
+
+    # Per-fan caches behind is_complete, primitive_collections,
+    # divisor.class_group and divisor.classify_fano: they live and die with
+    # the fan, and only the results are kept.
+    @cached_property
+    def _is_complete(self) -> bool:
+        return _facets_pair_up(self)
+
+    @cached_property
+    def _primitive_collections(self) -> tuple[frozenset[str], ...]:
+        return _minimal_non_faces(self)
+
+    @cached_property
+    def _class_group(self) -> DivisorClassData:
+        from . import divisor  # imported here: divisor imports this module
+
+        return divisor._class_group(self)
+
+    @cached_property
+    def _fano_report(self) -> FanoReport:
+        from . import divisor
+
+        return divisor._classify_fano(self)
+
     def generator(self, name: str) -> Vector:
         return self._gen_by_name[name]
 
@@ -108,8 +150,11 @@ class Fan:
 
     def spans_cone(self, names: Iterable[str]) -> bool:
         """Whether the named rays together span a cone of the fan."""
-        wanted = frozenset(names)
-        return any(wanted <= cs for cs in self.cone_sets)
+        cones = (1 << len(self.max_cones)) - 1
+        table = self._cones_of_ray
+        for n in names:
+            cones &= table.get(n, 0)
+        return cones != 0
 
     def cone_coefficients(self, cone_set: frozenset[str], vector: Vector) -> dict[str, int]:
         """Coordinates of vector in the basis of the given maximal cone."""
@@ -215,53 +260,86 @@ def make_fan(
     return fan
 
 
-@lru_cache(maxsize=None)
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first, each as a one-bit mask."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def is_complete(fan: Fan) -> bool:
     """Whether the fan's support is all of R^d.
 
     Decided combinatorially: every facet of a maximal cone must lie in
     exactly two maximal cones and the facet-adjacency graph must be
     connected.  Valid for fans, whose supports are closed cone complexes.
+    Cached per fan.
     """
-    facet_count: Counter[frozenset[str]] = Counter()
-    adjacency: dict[frozenset[str], list[int]] = {}
-    for idx, cs in enumerate(fan.cone_sets):
-        for name in cs:
-            facet = cs - {name}
-            facet_count[facet] += 1
-            adjacency.setdefault(facet, []).append(idx)
-    if any(count != 2 for count in facet_count.values()):
+    return fan._is_complete
+
+
+def _facets_pair_up(fan: Fan) -> bool:
+    cones = fan._cone_masks
+    adjacency: dict[int, list[int]] = {}
+    for idx, mask in enumerate(cones):
+        for b in _bits(mask):
+            adjacency.setdefault(mask ^ b, []).append(idx)
+    if any(len(pair) != 2 for pair in adjacency.values()):
         return False
     seen = {0}
     queue = [0]
     while queue:
         i = queue.pop()
-        for facet in (fan.cone_sets[i] - {n} for n in fan.cone_sets[i]):
-            for j in adjacency[facet]:
+        for b in _bits(cones[i]):
+            for j in adjacency[cones[i] ^ b]:
                 if j not in seen:
                     seen.add(j)
                     queue.append(j)
-    return len(seen) == len(fan.cone_sets)
+    return len(seen) == len(cones)
 
 
-@lru_cache(maxsize=None)
 def primitive_collections(fan: Fan) -> tuple[frozenset[str], ...]:
-    """All minimal ray sets spanning no cone, ordered by size then ray order."""
+    """All minimal ray sets spanning no cone, ordered by size then ray order.
+
+    These are the minimal non-faces of the fan (Batyrev's primitive
+    collections), so each has at most d+1 rays.  Cached per fan.
+    """
+    return fan._primitive_collections
+
+
+def _minimal_non_faces(fan: Fan) -> tuple[frozenset[str], ...]:
+    """Minimal non-faces, from the faces of the fan as ray bitmasks.
+
+    A minimal non-face c is f | x for the face f = c minus its highest ray
+    x, and every c ^ b with b in f is a face too.  So one pass over the
+    faces, extending each by the rays above its highest one, finds every
+    collection exactly once.  The face set is local: it can hold C * 2^d
+    masks and is dropped once the collections are known.
+    """
+    faces: set[int] = set()
+    for cone in fan._cone_masks:
+        sub = cone
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & cone
+    faces.add(0)
+    ray_bits = [1 << i for i in range(len(fan.rays))]
+    found = []
+    for face in faces:
+        for x in ray_bits:
+            if x <= face:
+                continue
+            candidate = face | x
+            if candidate not in faces and all(
+                candidate ^ b in faces for b in _bits(face)
+            ):
+                found.append(candidate)
+    found.sort(key=lambda m: (m.bit_count(), [b.bit_length() for b in _bits(m)]))
     names = fan.ray_names()
-    collections = []
-    for size in range(2, len(names) + 1):
-        for subset in combinations(names, size):
-            fs = frozenset(subset)
-            if fan.spans_cone(fs):
-                continue
-            if any(known <= fs for known in collections):
-                continue
-            # minimality: every proper subset must span a cone
-            if all(fan.spans_cone(fs - {n}) for n in fs):
-                collections.append(fs)
-    order = fan._order
-    collections.sort(key=lambda fs: (len(fs), sorted(order[n] for n in fs)))
-    return tuple(collections)
+    return tuple(
+        frozenset(names[b.bit_length() - 1] for b in _bits(m)) for m in found
+    )
 
 
 def primitive_relation(fan: Fan, collection: Iterable[str]) -> PrimitiveRelation:
@@ -329,12 +407,14 @@ def fan_isomorphism(f1: Fan, f2: Fan) -> Optional[UnimodularMap]:
 def _candidate_cones(
     names: Sequence[str], dimension: int, collections: Sequence[frozenset[str]]
 ) -> list[tuple[str, ...]]:
+    """The d-subsets of names, in combinations order, containing no collection."""
+    order = {n: i for i, n in enumerate(names)}
+    masks = [sum(1 << order[n] for n in c) for c in collections]
     out = []
-    for subset in combinations(names, dimension):
-        fs = frozenset(subset)
-        if any(c <= fs for c in collections):
-            continue
-        out.append(subset)
+    for subset in combinations(range(len(names)), dimension):
+        mask = sum(1 << i for i in subset)
+        if not any(c & mask == c for c in masks):
+            out.append(tuple(names[i] for i in subset))
     return out
 
 

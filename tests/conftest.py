@@ -3,10 +3,12 @@
 The oracles here deliberately avoid the library's own linear algebra:
 ranks and cone membership are recomputed with Fraction-based Gaussian
 elimination so the tests cross-check the integer row-reduction paths.
+Primitive collections are recomputed by plain subset enumeration, which
+is exponential in the ray count and meant for fans of up to ~14 rays.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -61,6 +63,26 @@ def direction_in_fan(fan, vector):
         if coeffs is not None and all(c >= 0 for c in coeffs):
             return True
     return False
+
+
+def brute_collections(fan):
+    """Subset-enumeration oracle: minimal ray sets lying in no maximal cone.
+
+    Ordered by size, then by ray order, as primitive_collections is.
+    """
+    names = fan.ray_names()
+    cone_sets = [set(c.ray_names) for c in fan.max_cones]
+
+    def is_face(s):
+        return any(s <= cs for cs in cone_sets)
+
+    out = []
+    for size in range(1, len(names) + 1):
+        for sub in combinations(names, size):
+            s = set(sub)
+            if not is_face(s) and all(is_face(s - {n}) for n in s):
+                out.append(frozenset(s))
+    return tuple(out)
 
 
 def support_functional(fan, cone, divisor):

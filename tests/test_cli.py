@@ -156,6 +156,37 @@ def test_deform_without_any_splitting_fails(tmp_path, capsys):
     assert "conditions: violated" in out
 
 
+HALF_FAN = "dim 2\nray x 1 0\nray y 0 1\ncone x y\n"
+
+
+@pytest.mark.parametrize("command", [["split"], ["deform", "--k", "1"]])
+def test_incomplete_fan_precondition_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "half.fan"
+    path.write_text(HALF_FAN)
+    argv = [command[0], str(path), *command[1:]]
+    if command[0] == "deform":
+        argv += ["--out", str(tmp_path / "o.fan")]
+    status, out = run(capsys, *argv)
+    assert status == 2
+    assert "error: find_splittings requires a complete fan" in out
+    assert not (tmp_path / "o.fan").exists()
+
+
+def test_dimension_zero_fan_exits_two(tmp_path, capsys):
+    path = tmp_path / "zero.fan"
+    path.write_text("dim 0\nray x\ncone x\n")
+    status, out = run(capsys, "check", str(path))
+    assert status == 2
+    assert "error: dimension must be positive" in out
+
+
+def test_negative_k_exits_two(fan_file, tmp_path, capsys):
+    path = fan_file("x.fan", "X3_0")
+    status, out = run(capsys, "deform", path, "--k", "-1", "--out", str(tmp_path / "o.fan"))
+    assert status == 2
+    assert "error: k must be nonnegative" in out
+
+
 def test_iso_negative(fan_file, capsys):
     f0 = fan_file("F0.fan", "hirzebruch(0)")
     f1 = fan_file("F1.fan", "hirzebruch(1)")

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from conftest import fraction_rank, support_functional
@@ -185,3 +189,49 @@ def test_degree_and_support_criteria_agree(corpus):
         else:
             expected = NefAmpleStatus.NOT_NEF
         assert status is expected
+
+
+# --- internal cross-checks survive python -O ----------------------------------
+
+FORCED_DISAGREEMENTS = {
+    "classify_fano": """
+import fanshear.divisor as dv
+from fanshear import builtin
+dv.nef_ample_status = lambda fan, divisor: dv.NefAmpleStatus.NOT_NEF
+dv.classify_fano(builtin("hirzebruch(0)"))
+""",
+    "class_group": """
+import fanshear.divisor as dv
+from fanshear import builtin
+fan = builtin("hirzebruch(0)")
+real = dv.lattice.row_echelon
+def doubled_pivot(rows):
+    transform, echelon, pivots = real(rows)
+    echelon[0][pivots[0]] *= 2
+    return transform, echelon, pivots
+dv.lattice.row_echelon = doubled_pivot
+dv.class_group(fan)
+""",
+}
+
+
+@pytest.mark.parametrize("check", sorted(FORCED_DISAGREEMENTS))
+def test_internal_checks_raise_under_optimize(check):
+    code = (
+        "import sys\n"
+        "assert False, 'asserts must be stripped'\n"
+        "from fanshear.errors import FanError, InternalError\n"
+        "assert not issubclass(InternalError, FanError)\n"
+        "try:\n"
+        + "".join(f"    {line}\n" for line in FORCED_DISAGREEMENTS[check].strip().splitlines())
+        + "except InternalError as exc:\n"
+        "    print('InternalError:', exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InternalError:")

@@ -1,10 +1,14 @@
-from itertools import combinations
+import gc
+import random
+import weakref
 
 import pytest
 
-from conftest import direction_in_fan, fraction_rank
+from conftest import brute_collections, direction_in_fan, fraction_rank
 
 from fanshear import builtin
+from fanshear.deform import find_splittings
+from fanshear.divisor import class_group, classify_fano
 from fanshear.errors import (
     BadFaceStructure,
     DanglingRay,
@@ -140,19 +144,6 @@ def test_half_fan_not_complete():
 
 # --- primitive collections and relations ------------------------------------
 
-def brute_collections(fan):
-    """Independent enumeration: minimal subsets lying in no maximal cone."""
-    names = fan.ray_names()
-    cone_sets = [set(c.ray_names) for c in fan.max_cones]
-    non_faces = []
-    for size in range(1, len(names) + 1):
-        for sub in combinations(names, size):
-            s = set(sub)
-            if not any(s <= cs for cs in cone_sets):
-                non_faces.append(frozenset(s))
-    return {s for s in non_faces if not any(t < s for t in non_faces)}
-
-
 def test_p2_collections():
     fan = p2_fan()
     assert primitive_collections(fan) == (frozenset({"e1", "e2", "a1"}),)
@@ -163,7 +154,7 @@ def test_hirzebruch_collections(a):
     fan = hirzebruch_fan(a)
     got = set(primitive_collections(fan))
     assert got == {frozenset({"e1", "a1"}), frozenset({"b1", "c1"})}
-    assert got == brute_collections(fan)
+    assert primitive_collections(fan) == brute_collections(fan)
 
 
 def test_x30_collections():
@@ -174,7 +165,57 @@ def test_x30_collections():
         frozenset({"e2", "a2"}),
         frozenset({"b1", "c1"}),
     }
-    assert got == brute_collections(fan)
+    assert primitive_collections(fan) == brute_collections(fan)
+
+
+def test_collections_match_oracle_on_corpus(corpus):
+    for name, fan in corpus.items():
+        assert primitive_collections(fan) == brute_collections(fan), name
+
+
+def half_fans():
+    """Incomplete fans: a plane half-fan, one cone, and X3_0's two halves."""
+    plane = make_fan(
+        2,
+        [("e1", (1, 0)), ("a1", (-1, 0)), ("b1", (0, 1))],
+        [("e1", "b1"), ("b1", "a1")],
+    )
+    cone = make_fan(3, [("x", (1, 0, 0)), ("y", (0, 1, 0)), ("z", (0, 0, 1))], [("x", "y", "z")])
+    split = find_splittings(builtin("X3_0"))[0]
+    return [plane, cone, split.upper, split.lower]
+
+
+def test_collections_match_oracle_on_half_fans():
+    for fan in half_fans():
+        assert not is_complete(fan)
+        assert primitive_collections(fan) == brute_collections(fan)
+
+
+def test_spans_cone_matches_subset_test(corpus):
+    rng = random.Random(11)
+    for fan in list(corpus.values()) + half_fans():
+        names = fan.ray_names()
+        for _ in range(40):
+            subset = set(rng.sample(names, rng.randint(0, len(names))))
+            expected = any(subset <= cs for cs in fan.cone_sets)
+            assert fan.spans_cone(subset) is expected
+        assert not fan.spans_cone({names[0], "no-such-ray"})
+
+
+def test_per_fan_caches_do_not_keep_the_fan_alive():
+    fan = make_fan(
+        2,
+        [("e1", (1, 0)), ("a1", (-1, 0)), ("b1", (0, 1)), ("c1", (2, -1))],
+        [("e1", "b1"), ("b1", "a1"), ("a1", "c1"), ("c1", "e1")],
+    )
+    assert is_complete(fan)
+    assert len(primitive_collections(fan)) == 2
+    assert class_group(fan).picard_rank == 2
+    assert classify_fano(fan).relation_degrees == (2, 0)
+    ref = weakref.ref(fan)
+    del fan
+    gc.collect()
+    assert ref() is None
 
 
 def test_x30_relations():

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import direction_in_fan
+from conftest import brute_collections, direction_in_fan
 
 from fanshear import builtin
 from fanshear.deform import FiberKind, endpoint, endpoint_conditions, fiber_type, find_splittings
@@ -19,6 +19,7 @@ from fanshear.fan import (
     fan_isomorphism,
     is_complete,
     make_fan,
+    primitive_collections,
     primitive_relations,
 )
 from fanshear.lattice import UnimodularMap, shear_map
@@ -91,6 +92,46 @@ def test_subdivided_fans_validate(seed, name, insertions):
         assert status is NefAmpleStatus.NEF_NOT_AMPLE
     else:
         assert status is NefAmpleStatus.NOT_NEF
+
+
+# Star subdivisions of the three benchmark bases, grown to 13-14 rays.
+LARGE_SUBDIVIDED_CASES = [
+    (seed, name, 14 - rays)
+    for seed, (name, rays) in enumerate(
+        [("X3_0", 6), ("W4_1", 7), ("bundle(4;1,0,2)", 6)] * 2
+    )
+] + [(6, "W4_1", 6), (7, "bundle(3;2,1)", 9)]
+
+
+@pytest.mark.parametrize("seed,insertions", PLANE_CASES)
+def test_plane_fan_collections_match_oracle(seed, insertions):
+    fan = random_plane_fan(seed, insertions)
+    assert primitive_collections(fan) == brute_collections(fan)
+
+
+@pytest.mark.parametrize(
+    "seed,name,insertions", SUBDIVIDED_CASES + LARGE_SUBDIVIDED_CASES
+)
+def test_subdivided_fan_collections_match_oracle(seed, name, insertions):
+    fan = random_subdivided_fan(seed, name, insertions)
+    assert len(fan.rays) <= 14
+    assert primitive_collections(fan) == brute_collections(fan)
+
+
+def test_collections_of_a_large_subdivision_are_minimal_non_faces():
+    # 26 rays: far beyond subset enumeration, which would test 2^26 subsets
+    fan = random_subdivided_fan(3, "X3_0", 20)
+    cone_sets = fan.cone_sets
+
+    def is_face(s):
+        return any(s <= cs for cs in cone_sets)
+
+    collections = primitive_collections(fan)
+    assert collections
+    for c in collections:
+        assert len(c) <= fan.dimension + 1
+        assert not is_face(c)
+        assert all(is_face(c - {n}) for n in c)
 
 
 @pytest.mark.parametrize("seed,insertions", PLANE_CASES[:8])
