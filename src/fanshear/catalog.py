@@ -27,7 +27,7 @@ from .fan import (
     primitive_collections,
     primitive_relations,
 )
-from .fileformats import format_relation
+from .fileformats import format_relation, parse_relation
 from .scroll import BundleSpec
 
 
@@ -49,102 +49,85 @@ class CatalogEntry:
     expected: ExpectedOutcome
 
 
-def _rel(lhs: str, rhs: str) -> FormalRelation:
-    members = tuple(lhs.split("+"))
-    terms = []
-    if rhs.strip() != "0":
-        for part in rhs.split("+"):
-            part = part.strip()
-            if "*" in part:
-                k, name = part.split("*")
-                terms.append((int(k), name.strip()))
-            else:
-                terms.append((1, part))
-    return FormalRelation(members, tuple(terms))
-
-
-_WEAKENED = ExpectedOutcome(FanoClass.WEAK_FANO_NOT_FANO, 1, True)
-
-
 def _entry(name, dim, gens, rels, basis=None, label=None):
     return CatalogEntry(
         name=name,
         dimension=dim,
         generator_names=tuple(gens.split()),
-        relations=tuple(_rel(lhs, rhs) for lhs, rhs in rels),
+        relations=tuple(parse_relation(r) for r in rels),
         basis=tuple(basis.split()) if basis else None,
         expected=ExpectedOutcome(FanoClass.WEAK_FANO_NOT_FANO, 1, True, label),
     )
 
 
 _PENTAGON = [
-    ("x5+x6", "0"),
-    ("x3+x7", "0"),
-    ("x2+x3", "x5"),
-    ("x5+x7", "x2"),
-    ("x2+x6", "x7"),
+    "x5+x6 = 0",
+    "x3+x7 = 0",
+    "x2+x3 = x5",
+    "x5+x7 = x2",
+    "x2+x6 = x7",
 ]
 
 FIXED_ENTRIES: tuple[CatalogEntry, ...] = (
     _entry(
         "X3_0", 3, "e1 e2 a1 a2 b1 c1",
-        [("e1+a1", "e2"), ("e2+a2", "0"), ("b1+c1", "2*e1")],
+        ["e1+a1 = e2", "e2+a2 = 0", "b1+c1 = 2*e1"],
         basis="e1 e2 b1",
     ),
     _entry(
         "W4_1", 4, "x1 x2 x3 x4 x5 x6 x7",
-        [("x1+x4", "x2"), ("x2+x3+x5", "0"), ("x6+x7", "2*x1")],
+        ["x1+x4 = x2", "x2+x3+x5 = 0", "x6+x7 = 2*x1"],
         label="D7",
     ),
     _entry(
         "W4_2", 4, "x1 x2 x3 x4 x5 x6 x7 x8",
-        [("x1+x4", "x2"), ("x2+x6", "0"), ("x3+x5", "x2"), ("x7+x8", "2*x1")],
+        ["x1+x4 = x2", "x2+x6 = 0", "x3+x5 = x2", "x7+x8 = 2*x1"],
         label="L1",
     ),
     _entry(
         "W4_3", 4, "x1 x2 x3 x4 x5 x6 x7 x8",
-        [("x1+x4", "x2"), ("x2+x6", "0"), ("x3+x5", "x6"), ("x7+x8", "2*x1")],
+        ["x1+x4 = x2", "x2+x6 = 0", "x3+x5 = x6", "x7+x8 = 2*x1"],
         label="L13",
     ),
     _entry(
         "W4_4", 4, "x1 x2 x3 x4 x5 x6 x7 x8",
-        [("x1+x4", "x2"), ("x2+x5", "x3"), ("x3+x6", "0"), ("x7+x8", "2*x1")],
+        ["x1+x4 = x2", "x2+x5 = x3", "x3+x6 = 0", "x7+x8 = 2*x1"],
         label="L2",
     ),
     _entry(
         "W4_5", 4, "x1 x2 x3 x4 x5 x6 x7 x8 x9",
-        _PENTAGON + [("x1+x4", "x2"), ("x8+x9", "2*x1")],
+        _PENTAGON + ["x1+x4 = x2", "x8+x9 = 2*x1"],
         label="Q1",
     ),
     _entry(
         "W4_6", 4, "x1 x2 x3 x4 x5 x6 x7 x8 x9",
-        _PENTAGON + [("x1+x4", "x3"), ("x8+x9", "2*x1")],
+        _PENTAGON + ["x1+x4 = x3", "x8+x9 = 2*x1"],
         label="Q13",
     ),
     _entry(
         "W4_7", 4, "x1 x2 x3 x4 x5 x6 x7 x8 x9",
-        _PENTAGON + [("x1+x4", "x5"), ("x8+x9", "2*x1")],
+        _PENTAGON + ["x1+x4 = x5", "x8+x9 = 2*x1"],
         label="Q8",
     ),
     _entry(
         "W4_8", 4, "x1 x2 x3 x4 x5 x6 x7 x8 x9",
-        _PENTAGON + [("x1+x4", "0"), ("x8+x9", "2*x1")],
+        _PENTAGON + ["x1+x4 = 0", "x8+x9 = 2*x1"],
         label="Q11",
     ),
     _entry(
         "W4_9", 4, "x1 x2 x3 x4 x5 x6 x7 x8 x9 x10",
         [
-            ("x5+x8", "0"),
-            ("x2+x5", "x3"),
-            ("x3+x8", "x2"),
-            ("x3+x6", "x5"),
-            ("x3+x7", "0"),
-            ("x2+x6", "0"),
-            ("x6+x8", "x7"),
-            ("x2+x7", "x8"),
-            ("x5+x7", "x6"),
-            ("x1+x4", "x2"),
-            ("x9+x10", "2*x1"),
+            "x5+x8 = 0",
+            "x2+x5 = x3",
+            "x3+x8 = x2",
+            "x3+x6 = x5",
+            "x3+x7 = 0",
+            "x2+x6 = 0",
+            "x6+x8 = x7",
+            "x2+x7 = x8",
+            "x5+x7 = x6",
+            "x1+x4 = x2",
+            "x9+x10 = 2*x1",
         ],
         label="U1",
     ),
@@ -172,18 +155,13 @@ def _bundle_expected(spec: BundleSpec) -> ExpectedOutcome:
 
 
 def _bundle_entry(name: str, spec: BundleSpec) -> CatalogEntry:
-    d = spec.dimension
-    gens = scroll.bundle_ray_names(d)
-    fiber = FormalRelation(tuple(gens[: d - 1]) + ("a1",), ())
-    twist = FormalRelation(
-        ("b1", "c1"), tuple((p, f"e{i + 1}") for i, p in enumerate(spec.twists) if p)
-    )
+    gens, relations, basis = scroll.bundle_presentation(spec)
     return CatalogEntry(
         name=name,
-        dimension=d,
-        generator_names=tuple(gens),
-        relations=(fiber, twist),
-        basis=tuple(gens[: d - 1]) + ("b1",),
+        dimension=spec.dimension,
+        generator_names=gens,
+        relations=relations,
+        basis=basis,
         expected=_bundle_expected(spec),
     )
 
@@ -282,11 +260,10 @@ def verify_weakened(item: CatalogEntry) -> WeakenedReport:
         return WeakenedReport(item.name, tuple(stages), (), extras, False)
 
     k = item.expected.endpoint_k if item.expected.endpoint_k is not None else 1
-    chosen = None
+    chosen = kind = None
     for split in deform.find_splittings(fan):
-        if deform.fiber_type(split).kind is FiberKind.OTHER:
-            continue
-        if deform.endpoint_conditions(split, k):
+        kind = deform.fiber_type(split).kind
+        if kind is not FiberKind.OTHER and deform.endpoint_conditions(split, k):
             chosen = split
             break
     stages.append(
@@ -295,7 +272,7 @@ def verify_weakened(item: CatalogEntry) -> WeakenedReport:
             chosen is not None,
             "" if chosen is None else
             f"pivot {chosen.pivot_name}, partner {chosen.partner_name}, "
-            f"fiber {deform.fiber_type(chosen).kind.value}",
+            f"fiber {kind.value}",
         )
     )
     if chosen is None:

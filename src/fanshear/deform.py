@@ -10,6 +10,16 @@ produces a new complete fan; for q = (2k, -k*a_2, ..., -k*a_{d-1}), with a
 the designated fiber partner of the pivot ray, the result is the general
 fiber of a one-parameter degeneration of the original variety, provided
 the inequality conditions checked by endpoint_conditions hold.
+
+One test decides whether (up, down) is an oriented fibration axis: {up,
+down} is a primitive collection and an integral functional h vanishes
+off it with h(up) = 1 and h(down) = -1; every maximal cone then holds
+exactly one of the two.  find_splittings (for the fan's axes and for the
+fibration pairs it designates on each equator), split_with_frame and the
+bundle case of fiber_type all use it.  Each splitting computes its normal-form
+transform once and reads the base fan, both half-fans and the equator
+off it.  The equator is never revalidated: it is made of faces of the
+validated input fan, and it is smooth and complete (see _splitting).
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from typing import Optional, Sequence
 
 from . import lattice
 from .divisor import class_group
-from .errors import ConditionsNotSatisfied, FanError, ResultNotAFan
+from .errors import ConditionsNotSatisfied, FanError, InternalError, ResultNotAFan
 from .fan import (
     Cone,
     Fan,
@@ -64,8 +74,9 @@ class Splitting:
     one is the pivot the deformation twists), rest_names the remaining
     equator rays (the first one, when a fiber pair exists, is the pivot's
     designated partner), upper_names the rays with positive last
-    coordinate (the first is the unit vector), lower_names the rays with
-    negative last coordinate (the first has last coordinate -1).
+    coordinate and lower_names those with negative last coordinate.  The
+    fibration functional vanishes off the axis, so each is a 1-tuple: the
+    unit vector e_d above and a ray with last coordinate -1 below.
     """
 
     fan: Fan
@@ -119,11 +130,6 @@ def _is_projective_space(fan: Fan, ray_count: int) -> bool:
     return len(cols) == 1 and cols[0] == frozenset(fan.ray_names())
 
 
-def _classes_equal(fan: Fan, a: str, b: str) -> bool:
-    data = class_group(fan)
-    return data.class_of_ray[a] == data.class_of_ray[b]
-
-
 def star_equivalent(fan: Fan, a: str, b: str) -> bool:
     """Whether a unimodular map carries the star of ray a onto the star of b.
 
@@ -154,33 +160,24 @@ def star_equivalent(fan: Fan, a: str, b: str) -> bool:
     return False
 
 
-def _equator_structure(fan: Fan, up: str, down: str):
-    """Equator ray names and ordered equator cone sets for the (up, down) axis."""
+def _axis(fan: Fan, up: str, down: str):
+    """Equator ray names and ordered equator cone sets of the axis (up, down), or None.
+
+    (up, down) is an oriented fibration axis of the complete fan when {up,
+    down} is a primitive collection and an integral functional h vanishes
+    off it with h(up) = 1 and h(down) = -1.  Then every maximal cone holds
+    exactly one of up and down: not both, as a collection is no face, and
+    not neither, as d rays in ker h span no full cone.  Each equator cone,
+    a maximal cone minus its axis ray, spans ker h, so by completeness it
+    is a facet of exactly one cone on each side of ker h: one with up and
+    one with down.
+    """
+    if frozenset({up, down}) not in primitive_collections(fan):
+        return None
+    if _fibration_functional(fan, up, down) is None:
+        return None
     eq_names = tuple(n for n in fan.ray_names() if n not in (up, down))
-    cone_sets = []
-    for cs in fan.cone_sets:
-        has_up, has_down = up in cs, down in cs
-        if has_up == has_down:
-            return None  # a maximal cone misses or straddles the axis
-        reduced = cs - {up, down}
-        if reduced not in cone_sets:
-            cone_sets.append(reduced)
-    for cs in cone_sets:
-        if not (fan.spans_cone(cs | {up}) and fan.spans_cone(cs | {down})):
-            return None
-    return eq_names, tuple(cone_sets)
-
-
-def _project_equator(
-    fan: Fan, transform: UnimodularMap, eq_names: Sequence[str], cone_sets: Sequence[frozenset[str]]
-) -> Fan:
-    rays = []
-    for n in eq_names:
-        g = transform.apply(fan.generator(n))
-        assert g[-1] == 0, "equator ray left the hyperplane"
-        rays.append(Ray(n, g[:-1]))
-    cones = tuple(Cone(fan.sort_names(cs)) for cs in cone_sets)
-    return Fan(fan.dimension - 1, tuple(rays), cones)
+    return eq_names, tuple(dict.fromkeys(cs - {up, down} for cs in fan.cone_sets))
 
 
 def _designations(equator: Fan, ambient_dim: int, support: Sequence[tuple[str, int]]):
@@ -191,7 +188,8 @@ def _designations(equator: Fan, ambient_dim: int, support: Sequence[tuple[str, i
     the basis cone is chosen and is reported as None here).  Bundle
     equators get one designation per ordered fibration pair.  When neither
     applies, a single fully canonical labeling is emitted so callers can
-    still classify the fiber as Other.
+    still classify the fiber as Other.  Only frame-independent data is
+    read, so the equator may be given in any normal form of the axis.
     """
     if _is_projective_space(equator, ambient_dim):
         if support:
@@ -204,9 +202,7 @@ def _designations(equator: Fan, ambient_dim: int, support: Sequence[tuple[str, i
         if len(collection) != 2:
             continue
         x, y = equator.sort_names(collection)
-        for p, q in ((x, y), (y, x)):
-            if _fibration_functional(equator, p, q) is not None:
-                pairs.append((p, q))
+        pairs.extend((p, q) for p, q in ((x, y), (y, x)) if _axis(equator, p, q) is not None)
     if pairs:
         return pairs
     return [(None, None)]
@@ -229,35 +225,7 @@ def _basis_cone(
     return cone_sets[0]
 
 
-def _validated_equator(
-    fan: Fan,
-    up: str,
-    eq_names: tuple[str, ...],
-    eq_cone_sets: tuple[frozenset[str], ...],
-    tau: frozenset[str],
-) -> Optional[Fan]:
-    """Build and validate the equator as a standalone fan, or None."""
-    basis = fan.sort_names(tau)
-    columns = [fan.generator(n) for n in basis] + [fan.generator(up)]
-    transform = UnimodularMap.from_columns(columns).inverse()
-    rays = []
-    for n in eq_names:
-        g = transform.apply(fan.generator(n))
-        if g[-1] != 0:
-            return None
-        rays.append(Ray(n, g[:-1]))
-    try:
-        equator = make_fan(
-            fan.dimension - 1, rays, [fan.sort_names(cs) for cs in eq_cone_sets]
-        )
-    except FanError:
-        return None
-    if not is_complete(equator):
-        return None
-    return equator
-
-
-def _assemble_splitting(
+def _splitting(
     fan: Fan,
     up: str,
     down: str,
@@ -266,6 +234,20 @@ def _assemble_splitting(
     basis_names: tuple[str, ...],
     rest_names: tuple[str, ...],
 ) -> Splitting:
+    """The splitting of the axis (up, down) in the frame basis_names + (up,).
+
+    The one normal-form transform T sends basis_names + (up,) to the
+    standard basis; the base fan, both half-fans and the equator are all
+    read off it.  The last coordinate of T v is h(v) for the fibration
+    functional h, since both vanish on the basis and take 1 on up.
+
+    The equator is not revalidated with make_fan.  Its cones are faces of
+    the validated input fan that lie in ker h, and T maps ker h ∩ Z^d onto
+    Z^{d-1} x {0}, so dropping the last coordinate keeps the faces
+    unimodular and their rays primitive and distinct.  It is complete:
+    a vector with h = 0 in a maximal cone has coefficient 0 on that cone's
+    up or down ray, so it lies in an equator cone.
+    """
     columns = [fan.generator(n) for n in basis_names] + [fan.generator(up)]
     transform = UnimodularMap.from_columns(columns).inverse()
     new_rays = tuple(Ray(r.name, transform.apply(r.generator)) for r in fan.rays)
@@ -274,7 +256,11 @@ def _assemble_splitting(
     lower_cones = tuple(c for c in fan.max_cones if down in c.ray_names)
     upper = Fan(fan.dimension, tuple(r for r in new_rays if r.name != down), upper_cones)
     lower = Fan(fan.dimension, tuple(r for r in new_rays if r.name != up), lower_cones)
-    equator = _project_equator(fan, transform, eq_names, eq_cone_sets)
+    equator = Fan(
+        fan.dimension - 1,
+        tuple(Ray(n, base.generator(n)[:-1]) for n in eq_names),
+        tuple(Cone(fan.sort_names(cs)) for cs in eq_cone_sets),
+    )
     split = Splitting(
         fan=base,
         upper=upper,
@@ -291,18 +277,23 @@ def _assemble_splitting(
 
 
 def _check_invariants(split: Splitting) -> None:
+    """Cross-check the normal-form coordinates; raised, so they run under python -O too."""
     d = split.dimension
     fan = split.fan
+    up, down = split.upper_names[0], split.lower_names[0]
     for i, name in enumerate(split.basis_names):
-        expected = tuple(1 if j == i else 0 for j in range(d))
-        assert fan.generator(name) == expected, "basis ray not in standard position"
-    assert fan.generator(split.upper_names[0]) == tuple([0] * (d - 1) + [1])
-    assert fan.generator(split.lower_names[0])[-1] == -1
+        if fan.generator(name) != tuple(1 if j == i else 0 for j in range(d)):
+            raise InternalError(f"basis ray {name} is not in standard position")
+    if fan.generator(up) != tuple([0] * (d - 1) + [1]):
+        raise InternalError(f"upper ray {up} is not the last unit vector")
+    if fan.generator(down)[-1] != -1:
+        raise InternalError(f"lower ray {down} does not have last coordinate -1")
     for name in split.rest_names:
-        assert fan.generator(name)[-1] == 0, "equator ray with nonzero last coordinate"
-    assert fan.spans_cone(set(split.basis_names) | {split.upper_names[0]})
-    assert fan.spans_cone(set(split.basis_names) | {split.lower_names[0]})
-    assert is_complete(split.equator), "equator fan is not complete"
+        if fan.generator(name)[-1] != 0:
+            raise InternalError(f"equator ray {name} has nonzero last coordinate")
+    basis = set(split.basis_names)
+    if not (fan.spans_cone(basis | {up}) and fan.spans_cone(basis | {down})):
+        raise InternalError("basis does not span a cone with both axis rays")
 
 
 def find_splittings(fan: Fan) -> tuple[Splitting, ...]:
@@ -311,8 +302,10 @@ def find_splittings(fan: Fan) -> tuple[Splitting, ...]:
     Searches the two-element primitive collections {u, v} whose complement
     rays span the kernel hyperplane of an integral functional taking +1 on
     u; each orientation of each such axis yields splittings, one per
-    candidate fiber-pair designation.  Empty when the fan admits no such
-    fibration.
+    candidate fiber-pair designation.  The designations are read off the
+    equator of one splitting in the support cone's frame, which is reused
+    when a designation asks for that same frame.  Empty when the fan admits
+    no such fibration.
     """
     if not is_complete(fan):
         raise ValueError("find_splittings requires a complete fan")
@@ -326,20 +319,18 @@ def find_splittings(fan: Fan) -> tuple[Splitting, ...]:
         relation = primitive_relation(fan, collection)
         support_names = frozenset(n for n, _ in relation.support)
         for up, down in ((first, second), (second, first)):
-            if _fibration_functional(fan, up, down) is None:
+            axis = _axis(fan, up, down)
+            if axis is None:
                 continue
-            structure = _equator_structure(fan, up, down)
-            if structure is None:
-                continue
-            eq_names, eq_cone_sets = structure
-            # Preliminary coordinates just to inspect the equator's type.
-            prelim_equator = _validated_equator(
-                fan, up, eq_names, eq_cone_sets,
-                _basis_cone(eq_cone_sets, None, support_names),
+            eq_names, eq_cone_sets = axis
+            support_cone = _basis_cone(eq_cone_sets, None, support_names)
+            support_split = _splitting(
+                fan, up, down, eq_names, eq_cone_sets, fan.sort_names(support_cone),
+                tuple(n for n in eq_names if n not in support_cone),
             )
-            if prelim_equator is None:
-                continue
-            for pivot, partner in _designations(prelim_equator, fan.dimension, relation.support):
+            for pivot, partner in _designations(
+                support_split.equator, fan.dimension, relation.support
+            ):
                 tau = _basis_cone(eq_cone_sets, pivot, support_names)
                 if pivot is None:
                     pivot = fan.sort_names(tau)[0]
@@ -353,11 +344,14 @@ def find_splittings(fan: Fan) -> tuple[Splitting, ...]:
                     if partner in tau:
                         continue
                     rest_names = (partner, *[n for n in rest if n != partner])
-                out.append(
-                    _assemble_splitting(
+                if (basis_names, rest_names) == (
+                    support_split.basis_names, support_split.rest_names
+                ):
+                    out.append(support_split)
+                else:
+                    out.append(_splitting(
                         fan, up, down, eq_names, eq_cone_sets, basis_names, rest_names
-                    )
-                )
+                    ))
     return tuple(out)
 
 
@@ -376,14 +370,10 @@ def split_with_frame(
     """
     if not is_complete(fan):
         raise ValueError("split_with_frame requires a complete fan")
-    if frozenset({upper, lower}) not in primitive_collections(fan):
-        raise ValueError(f"{{{upper}, {lower}}} is not a primitive collection")
-    if _fibration_functional(fan, upper, lower) is None:
-        raise ValueError(f"no fibration functional for ({upper}, {lower})")
-    structure = _equator_structure(fan, upper, lower)
-    if structure is None:
-        raise ValueError("fan does not split along this axis")
-    eq_names, eq_cone_sets = structure
+    axis = _axis(fan, upper, lower)
+    if axis is None:
+        raise ValueError(f"({upper}, {lower}) is not a fibration axis of the fan")
+    eq_names, eq_cone_sets = axis
     basis = tuple(basis)
     if frozenset(basis) not in eq_cone_sets:
         raise ValueError(f"{basis} is not an equator cone")
@@ -394,9 +384,7 @@ def split_with_frame(
         rest_names = (partner, *[n for n in rest if n != partner])
     else:
         rest_names = tuple(rest)
-    return _assemble_splitting(
-        fan, upper, lower, eq_names, eq_cone_sets, basis, rest_names
-    )
+    return _splitting(fan, upper, lower, eq_names, eq_cone_sets, basis, rest_names)
 
 
 def fiber_type(split: Splitting) -> FiberType:
@@ -404,9 +392,10 @@ def fiber_type(split: Splitting) -> FiberType:
 
     ProjectiveSpace when the equator is a projective-space fan (the sum of
     all its rays vanishes and they form its only primitive collection);
-    BundleOverP1 when the equator itself splits over the line with the
-    designated pair as its poles, the pair's divisor classes agree, and
-    the stars of the two rays are equivalent; Other otherwise.
+    BundleOverP1 when (pivot, partner) is a fibration axis of the equator,
+    so that it splits over the line with the designated pair as its poles;
+    in both cases the pair's divisor classes must agree and the stars of
+    the two rays must be equivalent.  Other otherwise.
     """
     pivot = split.pivot_name
     partner = split.partner_name
@@ -414,16 +403,14 @@ def fiber_type(split: Splitting) -> FiberType:
         return FiberType(FiberKind.OTHER, None)
     equator = split.equator
     if _is_projective_space(equator, split.dimension):
-        if _classes_equal(equator, pivot, partner) and star_equivalent(equator, pivot, partner):
-            return FiberType(FiberKind.PROJECTIVE_SPACE, (pivot, partner))
-        return FiberType(FiberKind.OTHER, None)
-    for sub in find_splittings(equator):
-        if sub.upper_names == (pivot,) and sub.lower_names == (partner,):
-            break
+        kind = FiberKind.PROJECTIVE_SPACE
+    elif _axis(equator, pivot, partner) is not None:
+        kind = FiberKind.BUNDLE_OVER_P1
     else:
         return FiberType(FiberKind.OTHER, None)
-    if _classes_equal(equator, pivot, partner) and star_equivalent(equator, pivot, partner):
-        return FiberType(FiberKind.BUNDLE_OVER_P1, (pivot, partner))
+    classes = class_group(equator).class_of_ray
+    if classes[pivot] == classes[partner] and star_equivalent(equator, pivot, partner):
+        return FiberType(kind, (pivot, partner))
     return FiberType(FiberKind.OTHER, None)
 
 
@@ -480,29 +467,22 @@ def shear_lower(split: Splitting, q: Sequence[int]) -> Fan:
 
 
 def endpoint_conditions(split: Splitting, k: int) -> ConditionsReport:
-    """The two inequality families gating the endpoint identification.
+    """The inequality gating the endpoint identification.
 
-    Every upper ray beyond the first must have vanishing pivot coordinate,
-    and every lower ray c must satisfy k*c_d + c_1 >= 0.
+    The lower ray c must satisfy k*c_d + c_1 >= 0.  The fibration functional
+    vanishes off the axis, so the splitting has exactly one upper and one
+    lower ray, and no condition falls on the upper side.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     d = split.dimension
-    violations = []
-    for name in split.upper_names[1:]:
-        g = split.fan.generator(name)
-        if g[0] != 0:
-            violations.append(
-                f"upper ray {name} has pivot coordinate {g[0]}, expected 0"
-            )
-    for name in split.lower_names:
-        g = split.fan.generator(name)
-        value = k * g[d - 1] + g[0]
-        if value < 0:
-            violations.append(
-                f"{k}*{name}[{d}] + {name}[1] = {k}*({g[d - 1]}) + ({g[0]}) = {value} < 0"
-            )
-    return ConditionsReport(not violations, tuple(violations))
+    name = split.lower_names[0]
+    g = split.fan.generator(name)
+    value = k * g[d - 1] + g[0]
+    if value < 0:
+        violation = f"{k}*{name}[{d}] + {name}[1] = {k}*({g[d - 1]}) + ({g[0]}) = {value} < 0"
+        return ConditionsReport(False, (violation,))
+    return ConditionsReport(True, ())
 
 
 def endpoint(split: Splitting, k: int) -> Fan:

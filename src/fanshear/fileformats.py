@@ -104,6 +104,24 @@ def _parse_term(token: str, lineno: int) -> tuple[int, str]:
     return 1, token
 
 
+def parse_relation(text: str, lineno: Optional[int] = None) -> FormalRelation:
+    """Parse one `lhs = rhs` relation; lineno only labels a ParseError.
+
+    >>> parse_relation("b1+c1 = 2*e1")
+    FormalRelation(lhs=('b1', 'c1'), rhs=((2, 'e1'),))
+    """
+    if "=" not in text:
+        raise ParseError("relation needs an '='", lineno)
+    lhs_text, rhs_text = text.split("=", 1)
+    lhs = tuple(t.strip() for t in lhs_text.split("+"))
+    if not all(lhs):
+        raise ParseError("empty term on the left-hand side", lineno)
+    rhs_text = rhs_text.strip()
+    if rhs_text == "0":
+        return FormalRelation(lhs, ())
+    return FormalRelation(lhs, tuple(_parse_term(t, lineno) for t in rhs_text.split("+")))
+
+
 def parse_relation_presentation(
     text: str,
 ) -> tuple[int, tuple[str, ...], tuple[FormalRelation, ...], Optional[tuple[str, ...]]]:
@@ -127,21 +145,11 @@ def parse_relation_presentation(
         elif keyword == "rel":
             if gens is None:
                 raise ParseError("rel before gens", lineno)
-            if "=" not in rest:
-                raise ParseError("relation needs an '='", lineno)
-            lhs_text, rhs_text = rest.split("=", 1)
-            lhs = tuple(t.strip() for t in lhs_text.split("+"))
-            if not all(lhs):
-                raise ParseError("empty term on the left-hand side", lineno)
-            rhs_text = rhs_text.strip()
-            if rhs_text == "0":
-                rhs: tuple[tuple[int, str], ...] = ()
-            else:
-                rhs = tuple(_parse_term(t, lineno) for t in rhs_text.split("+"))
-            for n in lhs + tuple(n for _, n in rhs):
+            relation = parse_relation(rest, lineno)
+            for n in relation.lhs + tuple(n for _, n in relation.rhs):
                 if n not in gens:
                     raise ParseError(f"relation uses unknown generator {n!r}", lineno)
-            relations.append(FormalRelation(lhs, rhs))
+            relations.append(relation)
         else:
             raise ParseError(f"unknown keyword {keyword!r}", lineno)
     if dimension is None:

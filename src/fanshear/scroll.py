@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .deform import endpoint, find_splittings
-from .errors import DimensionMismatch, PreconditionViolated
+from .errors import DimensionMismatch, InternalError, PreconditionViolated
 from .fan import Fan, FormalRelation, PrimitiveRelation, fan_from_relations, primitive_relation
 
 
@@ -55,17 +55,29 @@ def bundle_ray_names(dimension: int) -> list[str]:
     return [f"e{i}" for i in range(1, dimension)] + ["a1", "b1", "c1"]
 
 
-@lru_cache(maxsize=None)
-def _bundle_fan_cached(twists: tuple[int, ...]) -> Fan:
-    d = len(twists) + 1
-    names = bundle_ray_names(d)
-    fiber = FormalRelation(tuple(names[: d - 1]) + ("a1",), ())
+def bundle_presentation(
+    spec: BundleSpec,
+) -> tuple[tuple[str, ...], tuple[FormalRelation, FormalRelation], tuple[str, ...]]:
+    """Generator names, the (fiber, twist) relations and the basis of a bundle fan.
+
+    >>> names, (fiber, twist), basis = bundle_presentation(BundleSpec((2, 0)))
+    >>> twist
+    FormalRelation(lhs=('b1', 'c1'), rhs=((2, 'e1'),))
+    """
+    d = spec.dimension
+    names = tuple(bundle_ray_names(d))
+    fiber = FormalRelation(names[: d - 1] + ("a1",), ())
     twist = FormalRelation(
         ("b1", "c1"),
-        tuple((p, f"e{i + 1}") for i, p in enumerate(twists) if p),
+        tuple((p, f"e{i + 1}") for i, p in enumerate(spec.twists) if p),
     )
-    basis = tuple(names[: d - 1]) + ("b1",)
-    return fan_from_relations(d, names, [fiber, twist], basis)
+    return names, (fiber, twist), names[: d - 1] + ("b1",)
+
+
+@lru_cache(maxsize=None)
+def _bundle_fan_cached(spec: BundleSpec) -> Fan:
+    names, relations, basis = bundle_presentation(spec)
+    return fan_from_relations(spec.dimension, names, relations, basis)
 
 
 def bundle_fan(spec: BundleSpec) -> Fan:
@@ -74,12 +86,11 @@ def bundle_fan(spec: BundleSpec) -> Fan:
     >>> len(bundle_fan(BundleSpec((0, 0))).rays)
     5
     """
-    return _bundle_fan_cached(spec.twists)
+    return _bundle_fan_cached(spec)
 
 
 @lru_cache(maxsize=None)
-def _reduce_step_cached(twists: tuple[int, ...]) -> ReduceStep:
-    spec = BundleSpec(twists)
+def _reduce_step_cached(spec: BundleSpec) -> ReduceStep:
     fan = bundle_fan(spec)
     split = next(
         s
@@ -96,7 +107,8 @@ def _reduce_step_cached(twists: tuple[int, ...]) -> ReduceStep:
     support = dict(relation.support)
     fiber_names = bundle_ray_names(spec.dimension)[: spec.dimension]
     coefficients = sorted((support.get(n, 0) for n in fiber_names), reverse=True)
-    assert coefficients[-1] == 0, "twist relation support covers every fiber ray"
+    if coefficients[-1] != 0:
+        raise InternalError("twist relation support covers every fiber ray")
     renormalized = BundleSpec(tuple(coefficients[:-1]))
     return ReduceStep(spec, relation, sheared, renormalized)
 
@@ -110,7 +122,7 @@ def reduce_step(spec: BundleSpec) -> ReduceStep:
     """
     if max(spec.twists) < 2:
         raise PreconditionViolated("a reduction step needs some twist >= 2")
-    return _reduce_step_cached(spec.sorted().twists)
+    return _reduce_step_cached(spec.sorted())
 
 
 @dataclass(frozen=True)
@@ -144,7 +156,8 @@ def deformation_chain(start: BundleSpec, end: BundleSpec) -> Optional[Deformatio
         return None
     down = _descend(start)
     up = _descend(end)
-    assert down[-1] == up[-1], "congruent twist sums reached different normal forms"
+    if down[-1] != up[-1]:
+        raise InternalError("congruent twist sums reached different normal forms")
     while len(down) > 1 and len(up) > 1 and down[-2] == up[-2]:
         down.pop()
         up.pop()

@@ -5,6 +5,8 @@ ranks and cone membership are recomputed with Fraction-based Gaussian
 elimination so the tests cross-check the integer row-reduction paths.
 Primitive collections are recomputed by plain subset enumeration, which
 is exponential in the ray count and meant for fans of up to ~14 rays.
+Fiber types are recomputed by a full splitting search of the equator, and
+equators are revalidated from scratch with make_fan.
 """
 
 from fractions import Fraction
@@ -13,6 +15,9 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from fanshear import builtin, bundle_fan
+from fanshear.deform import FiberKind, FiberType, fiber_type, find_splittings, star_equivalent
+from fanshear.divisor import class_group
+from fanshear.fan import Ray, is_complete, make_fan, primitive_collections
 from fanshear.scroll import BundleSpec
 
 
@@ -83,6 +88,67 @@ def brute_collections(fan):
             if not is_face(s) and all(is_face(s - {n}) for n in s):
                 out.append(frozenset(s))
     return tuple(out)
+
+
+def fiber_type_by_search(split):
+    """fiber_type with its bundle case decided by searching all splittings.
+
+    The equator is a bundle over the line with the designated pair as its
+    poles when some splitting of the equator has the pivot as upper ray
+    and the partner as lower ray.
+    """
+    pivot, partner = split.pivot_name, split.partner_name
+    other = FiberType(FiberKind.OTHER, None)
+    if partner is None:
+        return other
+    equator = split.equator
+    names = equator.ray_names()
+    if (
+        len(names) == split.dimension
+        and not any(map(sum, zip(*(r.generator for r in equator.rays))))
+        and primitive_collections(equator) == (frozenset(names),)
+    ):
+        kind = FiberKind.PROJECTIVE_SPACE
+    elif any(
+        sub.upper_names == (pivot,) and sub.lower_names == (partner,)
+        for sub in find_splittings(equator)
+    ):
+        kind = FiberKind.BUNDLE_OVER_P1
+    else:
+        return other
+    classes = class_group(equator).class_of_ray
+    if classes[pivot] == classes[partner] and star_equivalent(equator, pivot, partner):
+        return FiberType(kind, (pivot, partner))
+    return other
+
+
+def check_splittings_against_oracles(fan):
+    """Check every splitting of the fan against the oracles; return their number.
+
+    Each splitting has one upper and one lower ray, every maximal cone
+    holds exactly one of them, and the cones through either one minus that
+    ray are the equator cones.  fiber_type agrees with fiber_type_by_search,
+    and the equator is the normal-form fan's equator rays with the last
+    coordinate dropped, which make_fan accepts as a complete fan.
+    """
+    splits = find_splittings(fan)
+    for split in splits:
+        # Splitting keeps the ray names as tuples; each holds exactly one ray
+        (up,), (down,) = split.upper_names, split.lower_names
+        assert fiber_type(split) == fiber_type_by_search(split)
+        axis = {up, down}
+        equator = split.equator
+        assert all(len(cs & axis) == 1 for cs in split.fan.cone_sets)
+        facets = {ray: {cs - {ray} for cs in split.fan.cone_sets if ray in cs} for ray in axis}
+        assert facets[up] == facets[down] == set(equator.cone_sets)
+        assert equator.dimension == split.dimension - 1
+        assert equator.rays == tuple(
+            Ray(r.name, r.generator[:-1]) for r in split.fan.rays if r.name not in axis
+        )
+        rebuilt = make_fan(equator.dimension, equator.rays, equator.max_cones)
+        assert rebuilt == equator
+        assert is_complete(rebuilt)
+    return len(splits)
 
 
 def support_functional(fan, cone, divisor):

@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import check_splittings_against_oracles, fiber_type_by_search
+
 from fanshear import builtin
 from fanshear.deform import (
     FiberKind,
@@ -88,6 +90,69 @@ def test_splitting_normal_form_coordinates():
     original = builtin("X3_0")
     for ray in original.rays:
         assert split.to_normal_form.apply(ray.generator) == split.fan.generator(ray.name)
+
+
+def test_splittings_match_oracles_on_corpus(corpus):
+    # one upper and one lower ray, fiber_type against a full splitting
+    # search of the equator, and the equator against make_fan and
+    # is_complete from scratch
+    assert sum(check_splittings_against_oracles(fan) for fan in corpus.values()) > 200
+
+
+@pytest.mark.parametrize(
+    "upper,lower,basis,partner,message",
+    [
+        ("e1", "e2", ("a2", "b1"), None, "not a fibration axis"),  # a cone, no collection
+        ("e1", "a1", ("e2", "b1"), None, "not a fibration axis"),  # no fibration functional
+        ("b1", "c1", ("e1", "a1"), None, "not an equator cone"),
+        ("b1", "c1", ("e1", "e2"), "e2", "not an available equator ray"),
+        ("b1", "c1", ("e1", "e2"), "c1", "not an available equator ray"),
+    ],
+)
+def test_split_with_frame_rejects_bad_frames(upper, lower, basis, partner, message):
+    with pytest.raises(ValueError, match=message):
+        split_with_frame(builtin("X3_0"), upper, lower, basis, partner)
+
+
+def plane_times_two_lines():
+    """P2 x P1 x P1: its (b1, c1) equator P2 x P1 has equivalent P2 rays on a common cone."""
+    plane = [("e1", (1, 0)), ("e2", (0, 1)), ("a1", (-1, -1))]
+    rays = [(n, g + (0, 0)) for n, g in plane] + [
+        ("f", (0, 0, 1, 0)), ("g", (0, 0, -1, 0)),
+        ("b1", (0, 0, 0, 1)), ("c1", (0, 0, 0, -1)),
+    ]
+    return make_fan(
+        4,
+        rays,
+        [
+            (x, y, z, w)
+            for x, y in (("e1", "e2"), ("e2", "a1"), ("a1", "e1"))
+            for z in ("f", "g")
+            for w in ("b1", "c1")
+        ],
+    )
+
+
+def test_fiber_pair_on_a_common_cone_is_other():
+    # equal classes and equivalent stars, but {e1, a1} is a face of the
+    # equator, not an axis, so the fiber is no bundle with these poles
+    fan = plane_times_two_lines()
+    split = split_with_frame(fan, "b1", "c1", ("e1", "e2", "f"), "a1")
+    classes = class_group(split.equator).class_of_ray
+    assert classes["e1"] == classes["a1"]
+    assert star_equivalent(split.equator, "e1", "a1")
+    assert fiber_type(split) == fiber_type_by_search(split)
+    assert fiber_type(split).kind is FiberKind.OTHER
+    assert check_splittings_against_oracles(fan) > 0
+
+
+def test_split_with_frame_rebuilds_found_splittings():
+    fan = builtin("X3_0")
+    for s in find_splittings(fan):
+        rebuilt = split_with_frame(
+            fan, s.upper_names[0], s.lower_names[0], s.basis_names, s.partner_name
+        )
+        assert rebuilt == s
 
 
 # --- fiber_type ------------------------------------------------------------------

@@ -212,6 +212,29 @@ def doubled_pivot(rows):
 dv.lattice.row_echelon = doubled_pivot
 dv.class_group(fan)
 """,
+    "deform_normal_form": """
+import fanshear.deform as dm
+from fanshear import builtin
+fan = builtin("X3_0")
+real = dm.UnimodularMap.inverse
+def sheared_inverse(m):
+    return dm.lattice.shear_map((1,) * (m.dimension - 1)).compose(real(m))
+dm.UnimodularMap.inverse = sheared_inverse
+dm.find_splittings(fan)
+""",
+    "scroll_renormalize": """
+import fanshear.scroll as sc
+from fanshear.fan import PrimitiveRelation
+def covering(fan, collection):
+    return PrimitiveRelation(("b1", "c'1"), (("e1", 1), ("e2", 1), ("a1", 1)), -1)
+sc.primitive_relation = covering
+sc.reduce_step(sc.BundleSpec((2, 0)))
+""",
+    "scroll_chain": """
+import fanshear.scroll as sc
+sc._descend = lambda spec: [spec]
+sc.deformation_chain(sc.BundleSpec((3, 0)), sc.BundleSpec((0, 0)))
+""",
 }
 
 

@@ -7,10 +7,11 @@ validators, the two Fano criteria, and the shear machinery.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
-from conftest import brute_collections, direction_in_fan
+from conftest import brute_collections, check_splittings_against_oracles, direction_in_fan
 
 from fanshear import builtin
 from fanshear.deform import FiberKind, endpoint, endpoint_conditions, fiber_type, find_splittings
@@ -57,6 +58,40 @@ def random_subdivided_fan(seed, base_name, insertions):
         for drop in old:
             cones.append([n if n != drop else new_name for n in old])
     return make_fan(fan.dimension, rays, cones)
+
+
+def random_face_subdivided_fan(seed, base_name, insertions):
+    """Random star subdivisions of 2-faces off the first splitting axis.
+
+    The new ray x + y of a face {x, y} avoiding the axis (up, down) is in
+    the kernel of the fibration functional, so the axis survives and its
+    equator is blown up along the face.
+    """
+    rng = random.Random(seed)
+    fan = builtin(base_name)
+    split = find_splittings(fan)[0]
+    axis = set(split.upper_names + split.lower_names)
+    gen = {r.name: r.generator for r in fan.rays}
+    cones = [list(c.ray_names) for c in fan.max_cones]
+    for step in range(insertions):
+        faces = sorted({
+            tuple(sorted(pair))
+            for c in cones
+            for pair in combinations(c, 2)
+            if not axis & set(pair)
+        })
+        x, y = rng.choice(faces)
+        new_name = f"t{step}"
+        gen[new_name] = tuple(a + b for a, b in zip(gen[x], gen[y]))
+        subdivided = []
+        for c in cones:
+            if x in c and y in c:
+                subdivided.append([new_name if n == x else n for n in c])
+                subdivided.append([new_name if n == y else n for n in c])
+            else:
+                subdivided.append(c)
+        cones = subdivided
+    return make_fan(fan.dimension, list(gen.items()), cones)
 
 
 PLANE_CASES = [(seed, seed % 5 + 1) for seed in range(12)]
@@ -132,6 +167,20 @@ def test_collections_of_a_large_subdivision_are_minimal_non_faces():
         assert len(c) <= fan.dimension + 1
         assert not is_face(c)
         assert all(is_face(c - {n}) for n in c)
+
+
+def test_subdivided_fan_splittings_match_oracles():
+    # A star subdivision of a maximal cone leaves a cone holding neither
+    # ray of any old axis, so these fans have no splittings to check; the
+    # 2-face subdivisions keep the axis they avoid.
+    for seed, name, insertions in SUBDIVIDED_CASES:
+        assert check_splittings_against_oracles(random_subdivided_fan(seed, name, insertions)) == 0
+    kinds = set()
+    for seed, name, insertions in SUBDIVIDED_CASES:
+        fan = random_face_subdivided_fan(seed, name, insertions)
+        assert check_splittings_against_oracles(fan)
+        kinds |= {fiber_type(split).kind for split in find_splittings(fan)}
+    assert kinds == {FiberKind.BUNDLE_OVER_P1, FiberKind.OTHER}
 
 
 @pytest.mark.parametrize("seed,insertions", PLANE_CASES[:8])
