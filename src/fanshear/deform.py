@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -37,6 +38,7 @@ from .fan import (
     Cone,
     Fan,
     Ray,
+    _frame_search,
     is_complete,
     make_fan,
     primitive_collections,
@@ -101,6 +103,11 @@ class Splitting:
     def partner_name(self) -> Optional[str]:
         return self.rest_names[0] if self.rest_names else None
 
+    @cached_property
+    def _fiber_type(self) -> FiberType:
+        """The cache behind fiber_type: it lives and dies with the splitting."""
+        return _classify_fiber(self)
+
 
 def _fibration_functional(fan: Fan, up: str, down: str) -> Optional[Vector]:
     """Integral functional vanishing off {up, down}, +1 on up, -1 on down."""
@@ -140,24 +147,9 @@ def star_equivalent(fan: Fan, a: str, b: str) -> bool:
     star_b = [cs for cs in fan.cone_sets if b in cs]
     if len(star_a) != len(star_b):
         return False
-    if a == b:
-        return True
-    gens_a = {frozenset(fan.generator(n) for n in cs) for cs in star_a}
-    gens_b = {frozenset(fan.generator(n) for n in cs) for cs in star_b}
-    anchor = [fan.generator(a)] + [
-        fan.generator(n) for n in fan.sort_names(star_a[0] - {a})
-    ]
-    for cs in star_b:
-        rest = fan.sort_names(cs - {b})
-        for perm in permutations(rest):
-            dst = [fan.generator(b)] + [fan.generator(n) for n in perm]
-            carry = lattice.change_of_basis(anchor, dst)
-            image = {
-                frozenset(carry.apply(g) for g in cone_gens) for cone_gens in gens_a
-            }
-            if image == gens_b:
-                return True
-    return False
+    anchor = (a, *fan.sort_names(star_a[0] - {a}))
+    frames = ((b, *p) for cs in star_b for p in permutations(fan.sort_names(cs - {b})))
+    return _frame_search(fan, anchor, star_a, fan, frames, star_b) is not None
 
 
 def _axis(fan: Fan, up: str, down: str):
@@ -393,25 +385,31 @@ def fiber_type(split: Splitting) -> FiberType:
     ProjectiveSpace when the equator is a projective-space fan (the sum of
     all its rays vanishes and they form its only primitive collection);
     BundleOverP1 when (pivot, partner) is a fibration axis of the equator,
-    so that it splits over the line with the designated pair as its poles;
-    in both cases the pair's divisor classes must agree and the stars of
-    the two rays must be equivalent.  Other otherwise.
+    so that it splits over the line with the designated pair as its poles
+    and the pair's divisor classes agree and the stars of the two rays are
+    equivalent.  Other otherwise.  A projective-space equator needs neither
+    check: the lattice automorphisms of P^n permute its n + 1 rays freely
+    (any n of them form a basis and all n + 1 sum to zero), so every pair
+    of rays has one class and equivalent stars.  Cached per splitting.
     """
+    return split._fiber_type
+
+
+def _classify_fiber(split: Splitting) -> FiberType:
     pivot = split.pivot_name
     partner = split.partner_name
+    other = FiberType(FiberKind.OTHER, None)
     if partner is None:
-        return FiberType(FiberKind.OTHER, None)
+        return other
     equator = split.equator
     if _is_projective_space(equator, split.dimension):
-        kind = FiberKind.PROJECTIVE_SPACE
-    elif _axis(equator, pivot, partner) is not None:
-        kind = FiberKind.BUNDLE_OVER_P1
-    else:
-        return FiberType(FiberKind.OTHER, None)
+        return FiberType(FiberKind.PROJECTIVE_SPACE, (pivot, partner))
+    if _axis(equator, pivot, partner) is None:
+        return other
     classes = class_group(equator).class_of_ray
     if classes[pivot] == classes[partner] and star_equivalent(equator, pivot, partner):
-        return FiberType(kind, (pivot, partner))
-    return FiberType(FiberKind.OTHER, None)
+        return FiberType(FiberKind.BUNDLE_OVER_P1, (pivot, partner))
+    return other
 
 
 def _prime_name(name: str, taken: set[str]) -> str:

@@ -370,38 +370,54 @@ def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     return tuple(primitive_relation(fan, c) for c in primitive_collections(fan))
 
 
+def _frame_search(
+    src: Fan, anchor: Sequence[str], src_cones: Iterable[frozenset[str]],
+    dst: Fan, frames: Iterable[Sequence[str]], dst_cones: Iterable[frozenset[str]],
+) -> Optional[tuple[str, ...]]:
+    """The first frame whose map from anchor carries src_cones onto dst_cones, or None.
+
+    anchor and every frame are ordered maximal cones of src and dst.  The
+    map sending anchor[i] to frame[i] takes a ray with coordinates c over
+    the anchor (computed once, from one inverse) to sum(c_i * frame_i); no
+    cone set is compared until every ray's image is a ray of dst.
+    """
+    src_cones, dst_cones = set(src_cones), set(dst_cones)
+    inv = lattice.matrix_inverse([src.generator(n) for n in anchor])
+    coords = [
+        (n, [lattice.dot(row, src.generator(n)) for row in inv])
+        for n in src.sort_names(set().union(*src_cones))
+    ]
+    name_of = {r.generator: r.name for r in dst.rays}
+    for frame in frames:
+        rows = list(zip(*(dst.generator(n) for n in frame)))
+        image = {}
+        for n, c in coords:
+            image[n] = name_of.get(tuple(lattice.dot(row, c) for row in rows))
+            if image[n] is None:
+                break
+        else:
+            if {frozenset(image[n] for n in cs) for cs in src_cones} == dst_cones:
+                return tuple(frame)
+    return None
+
+
 def fan_isomorphism(f1: Fan, f2: Fan) -> Optional[UnimodularMap]:
     """A unimodular map carrying f1 onto f2, or None.
 
     Exhausts the maps pinned down by sending a fixed maximal cone of f1 to
     every ordered maximal cone of f2; sound because any isomorphism must do
-    exactly that to some cone.
+    exactly that to some cone.  Only the map that is found gets built.
     """
     if f1.dimension != f2.dimension:
         raise DimensionMismatch("fans live in different dimensions")
     if len(f1.rays) != len(f2.rays) or len(f1.max_cones) != len(f2.max_cones):
         return None
-    anchor_cols = [f1.generator(n) for n in f1.max_cones[0].ray_names]
-    f1_gens = [r.generator for r in f1.rays]
-    f1_cones = set(f1.cone_sets)
-    target_names = {r.generator: r.name for r in f2.rays}
-    f2_cones = set(f2.cone_sets)
-    for cone in f2.max_cones:
-        for perm in permutations(cone.ray_names):
-            candidate = lattice.change_of_basis(
-                anchor_cols, [f2.generator(n) for n in perm]
-            )
-            name_map = {}
-            for ray, gen in zip(f1.rays, f1_gens):
-                mapped = target_names.get(candidate.apply(gen))
-                if mapped is None:
-                    break
-                name_map[ray.name] = mapped
-            else:
-                mapped_cones = {frozenset(name_map[n] for n in cs) for cs in f1_cones}
-                if mapped_cones == f2_cones:
-                    return candidate
-    return None
+    anchor = f1.max_cones[0].ray_names
+    frames = (p for cone in f2.max_cones for p in permutations(cone.ray_names))
+    frame = _frame_search(f1, anchor, f1.cone_sets, f2, frames, f2.cone_sets)
+    return None if frame is None else lattice.change_of_basis(
+        [f1.generator(n) for n in anchor], [f2.generator(n) for n in frame]
+    )
 
 
 def _candidate_cones(

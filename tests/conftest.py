@@ -6,18 +6,21 @@ elimination so the tests cross-check the integer row-reduction paths.
 Primitive collections are recomputed by plain subset enumeration, which
 is exponential in the ray count and meant for fans of up to ~14 rays.
 Fiber types are recomputed by a full splitting search of the equator, and
-equators are revalidated from scratch with make_fan.
+equators are revalidated with make_fan.  Fan isomorphism and
+star equivalence are recomputed by building the full change-of-basis map
+of every candidate frame.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
 from fanshear import builtin, bundle_fan
-from fanshear.deform import FiberKind, FiberType, fiber_type, find_splittings, star_equivalent
+from fanshear.deform import FiberKind, FiberType, fiber_type, find_splittings
 from fanshear.divisor import class_group
 from fanshear.fan import Ray, is_complete, make_fan, primitive_collections
+from fanshear.lattice import change_of_basis
 from fanshear.scroll import BundleSpec
 
 
@@ -90,6 +93,52 @@ def brute_collections(fan):
     return tuple(out)
 
 
+def fan_isomorphism_by_frames(f1, f2):
+    """fan_isomorphism by building the map of every candidate frame.
+
+    Tries the ordered maximal cones of f2 in the same order as
+    fan_isomorphism, as images of f1's first maximal cone, and returns the
+    first map carrying every ray of f1 to a ray of f2 and the cones onto
+    the cones; None if there is none.
+    """
+    if len(f1.rays) != len(f2.rays) or len(f1.max_cones) != len(f2.max_cones):
+        return None
+    anchor_cols = [f1.generator(n) for n in f1.max_cones[0].ray_names]
+    target_names = {r.generator: r.name for r in f2.rays}
+    f2_cones = set(f2.cone_sets)
+    for cone in f2.max_cones:
+        for perm in permutations(cone.ray_names):
+            candidate = change_of_basis(anchor_cols, [f2.generator(n) for n in perm])
+            name_map = {r.name: target_names.get(candidate.apply(r.generator)) for r in f1.rays}
+            if None in name_map.values():
+                continue
+            if {frozenset(name_map[n] for n in cs) for cs in f1.cone_sets} == f2_cones:
+                return candidate
+    return None
+
+
+def star_equivalent_by_frames(fan, a, b):
+    """star_equivalent by building the map of every candidate frame.
+
+    Sends an ordered cone of a's star, a first, to every ordered cone of
+    b's star, b first, and compares the images of the star's cones as
+    sets of generators.
+    """
+    star_a = [cs for cs in fan.cone_sets if a in cs]
+    star_b = [cs for cs in fan.cone_sets if b in cs]
+    if len(star_a) != len(star_b):
+        return False
+    gens_a = {frozenset(fan.generator(n) for n in cs) for cs in star_a}
+    gens_b = {frozenset(fan.generator(n) for n in cs) for cs in star_b}
+    anchor = [fan.generator(n) for n in (a, *fan.sort_names(star_a[0] - {a}))]
+    for cs in star_b:
+        for perm in permutations(fan.sort_names(cs - {b})):
+            carry = change_of_basis(anchor, [fan.generator(n) for n in (b, *perm)])
+            if {frozenset(map(carry.apply, cone)) for cone in gens_a} == gens_b:
+                return True
+    return False
+
+
 def fiber_type_by_search(split):
     """fiber_type with its bundle case decided by searching all splittings.
 
@@ -117,7 +166,7 @@ def fiber_type_by_search(split):
     else:
         return other
     classes = class_group(equator).class_of_ray
-    if classes[pivot] == classes[partner] and star_equivalent(equator, pivot, partner):
+    if classes[pivot] == classes[partner] and star_equivalent_by_frames(equator, pivot, partner):
         return FiberType(kind, (pivot, partner))
     return other
 

@@ -5,10 +5,14 @@ criteria execute.  Budgets are enforced with perf_counter around the
 computational core of each criterion.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +231,17 @@ def test_criterion_7_round_trips():
             )
             assert fan_isomorphism(rebuilt, fan) is not None, name
             assert parse_fan(serialize_fan(fan)) == fan, name
+
+
+def test_acceptance_suite_passes_under_python_O():
+    """The criteria above again, in a python -O child that deselects this test."""
+    here = Path(__file__)
+    node = f"{here.parent.name}/{here.name}::test_acceptance_suite_passes_under_python_O"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{here.parent.name}/{here.name}", "--deselect", node],
+        capture_output=True, text=True, env=env, cwd=here.parent.parent, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "7 passed, 1 deselected" in proc.stdout

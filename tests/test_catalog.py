@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
-from fanshear import builtin
+from fanshear import builtin, deform
 from fanshear.catalog import entry, names, reconstruct, verify_weakened
+from fanshear.cli import main
 from fanshear.deform import find_splittings
 from fanshear.divisor import FanoClass, classify_fano
 from fanshear.errors import UnknownName
@@ -69,10 +72,58 @@ def test_verify_hirzebruch_two():
 
 
 def test_verify_fails_honestly_on_fano_input():
-    report = verify_weakened(entry("hirzebruch(1)"))
+    # hirzebruch(1) is Fano; held to a weak-Fano expectation it must fail
+    item = entry("hirzebruch(1)")
+    wrong = replace(item, expected=replace(
+        item.expected, classification=FanoClass.WEAK_FANO_NOT_FANO,
+        endpoint_k=1, endpoint_is_fano=True,
+    ))
+    report = verify_weakened(wrong)
     assert not report.ok
     failing = [s for s in report.stages if not s.ok]
     assert failing and failing[0].name == "classification"
+    assert failing[0].detail.endswith("expected WeakFanoNotFano")
+
+
+@pytest.mark.parametrize(
+    "name,classification",
+    [
+        ("hirzebruch(0)", FanoClass.FANO),
+        ("hirzebruch(1)", FanoClass.FANO),
+        ("hirzebruch(5)", FanoClass.NOT_WEAK_FANO),
+        ("bundle(3;1,0)", FanoClass.FANO),
+        ("bundle(4;2,1,0)", FanoClass.NOT_WEAK_FANO),
+    ],
+)
+def test_verify_holds_each_entry_to_its_own_expectation(name, classification):
+    item = entry(name)
+    assert item.expected.classification is classification
+    assert item.expected.endpoint_k is None
+    report = verify_weakened(item)
+    assert report.ok
+    # no endpoint is expected, so the splitting and endpoint stages do not run
+    assert [s.name for s in report.stages][-1] == "classification"
+    assert report.endpoint_relations == ()
+
+
+def test_verify_checks_the_expected_endpoint_fano_status():
+    item = entry("hirzebruch(2)")
+    assert verify_weakened(item).ok
+    report = verify_weakened(replace(item, expected=replace(item.expected, endpoint_is_fano=False)))
+    assert not report.ok
+    assert [s.name for s in report.stages if not s.ok] == ["endpoint_fano"]
+
+
+def test_verify_all_classifies_each_splitting_once(monkeypatch, capsys):
+    asked, computed = [], []
+    real_ask, real_compute = deform.fiber_type, deform._classify_fiber
+    monkeypatch.setattr(deform, "fiber_type", lambda s: asked.append(s) or real_ask(s))
+    monkeypatch.setattr(deform, "_classify_fiber", lambda s: computed.append(s) or real_compute(s))
+    assert main(["catalog", "verify", "all"]) == 0
+    capsys.readouterr()
+    # asked and computed hold the splittings, so no id below is reused
+    assert len(computed) == len({id(s) for s in computed}) == len({id(s) for s in asked})
+    assert len(asked) > len(computed)  # endpoint asks again and hits the cache
 
 
 def test_presented_collections_are_exhaustive():

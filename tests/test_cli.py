@@ -243,6 +243,24 @@ def test_catalog_verify_single(capsys):
     assert "verified: true" in out
 
 
+@pytest.mark.parametrize("name", ["bundle(3;1,0)", "hirzebruch(0)", "hirzebruch(5)"])
+def test_catalog_verify_bundle_without_endpoint(capsys, name):
+    # held to their own expected outcome: a classification and no endpoint
+    status, out = run(capsys, "catalog", "verify", name)
+    assert status == 0
+    assert "stage_classification: pass" in out
+    assert "stage_splitting" not in out and "stage_endpoint_fano" not in out
+    assert "verified: true" in out
+
+
+def test_catalog_verify_hirzebruch_two_runs_the_endpoint_stage(capsys):
+    status, out = run(capsys, "catalog", "verify", "hirzebruch(2)")
+    assert status == 0
+    assert "stage_splitting: pass" in out
+    assert "stage_endpoint_fano: pass (Fano)" in out
+    assert "verified: true" in out
+
+
 def test_catalog_verify_unknown(capsys):
     status, out = run(capsys, "catalog", "verify", "nope")
     assert status == 1

@@ -4,10 +4,15 @@ import weakref
 
 import pytest
 
-from conftest import brute_collections, direction_in_fan, fraction_rank
+from conftest import (
+    brute_collections,
+    direction_in_fan,
+    fan_isomorphism_by_frames,
+    fraction_rank,
+)
 
-from fanshear import builtin
-from fanshear.deform import find_splittings
+from fanshear import builtin, lattice
+from fanshear.deform import find_splittings, star_equivalent
 from fanshear.divisor import class_group, classify_fano
 from fanshear.errors import (
     BadFaceStructure,
@@ -30,7 +35,7 @@ from fanshear.fan import (
     primitive_relation,
     primitive_relations,
 )
-from fanshear.lattice import UnimodularMap
+from fanshear.lattice import UnimodularMap, shear_map
 
 
 def p1_fan():
@@ -322,6 +327,95 @@ def test_isomorphism_preserves_invariants(corpus):
     assert sorted(r.degree for r in primitive_relations(f0)) == sorted(
         r.degree for r in primitive_relations(partner)
     )
+
+
+def carries_cones(iso, f1, f2):
+    """Whether iso maps the generator set of each cone of f1 onto one of f2."""
+    image = {frozenset(iso.apply(f1.generator(n)) for n in cs) for cs in f1.cone_sets}
+    return image == {frozenset(f2.generator(n) for n in cs) for cs in f2.cone_sets}
+
+
+def relabelled_image(fan, seed):
+    """fan under a random unimodular map, with its rays, cones and cone orders shuffled."""
+    rng = random.Random(seed)
+    d = fan.dimension
+    carry = UnimodularMap.identity(d)
+    for _ in range(3):
+        order = rng.sample(range(d), d)
+        permute = UnimodularMap(tuple(tuple(int(j == k) for j in range(d)) for k in order))
+        shear = shear_map([rng.randint(-2, 2) for _ in range(d - 1)])
+        carry = shear.compose(permute).compose(carry)
+    rays = list(fan.rays)
+    rng.shuffle(rays)
+    new_name = {r.name: f"m{i}" for i, r in enumerate(rays)}
+    cones = [rng.sample(c.ray_names, d) for c in fan.max_cones]
+    rng.shuffle(cones)
+    return make_fan(
+        d,
+        [(new_name[r.name], carry.apply(r.generator)) for r in rays],
+        [[new_name[n] for n in c] for c in cones],
+    )
+
+
+def test_isomorphism_matches_frame_oracle_on_relabelled_corpus(corpus):
+    for seed, fan in enumerate(corpus.values()):
+        moved = relabelled_image(fan, seed)
+        iso = fan_isomorphism(fan, moved)
+        assert iso is not None and carries_cones(iso, fan, moved)
+        assert iso == fan_isomorphism_by_frames(fan, moved)
+
+
+def test_isomorphism_matches_frame_oracle_between_corpus_fans(corpus):
+    # every pair with equal ray and cone counts, except that in the two
+    # large groups (the d = 3 and d = 4 bundles) each fan meets the next one
+    groups = {}
+    for fan in corpus.values():
+        groups.setdefault((fan.dimension, len(fan.rays), len(fan.max_cones)), []).append(fan)
+    found = 0
+    for group in groups.values():
+        for i, f1 in enumerate(group):
+            for f2 in group[i + 1:i + 2] if len(group) > 20 else group[i + 1:]:
+                iso = fan_isomorphism(f1, f2)
+                assert iso == fan_isomorphism_by_frames(f1, f2)
+                if iso is not None:
+                    found += 1
+                    assert carries_cones(iso, f1, f2)
+    assert found == 9  # hirzebruch(a) and bundle(2, a) for a = 0..8
+
+
+def test_isomorphism_compares_cones_once_all_rays_match():
+    # b1 + c1 = e1 + e2 in bundle(3;1,1), so the square on e1, b1, e2, c1
+    # can be cut along either diagonal: the flopped fan has the same rays,
+    # and a frame mapping every ray to a ray can still miss the cones
+    fan = builtin("bundle(3;1,1)")
+    flip = {frozenset({"e1", "e2", "b1"}), frozenset({"e1", "e2", "c1"})}
+    kept = [c.ray_names for c in fan.max_cones if frozenset(c.ray_names) not in flip]
+    flopped = make_fan(3, fan.rays, kept + [("e1", "b1", "c1"), ("e2", "b1", "c1")])
+    assert flopped.cone_sets != fan.cone_sets
+    for f1, f2 in ((fan, flopped), (flopped, fan)):
+        iso = fan_isomorphism(f1, f2)
+        assert iso is not None and carries_cones(iso, f1, f2)
+        assert iso == fan_isomorphism_by_frames(f1, f2)
+
+
+def test_frame_search_builds_at_most_one_map(monkeypatch):
+    built = []
+    real = lattice.change_of_basis
+
+    def counting(src, dst):
+        built.append(dst)
+        return real(src, dst)
+
+    monkeypatch.setattr(lattice, "change_of_basis", counting)
+    fan = builtin("W4_5")
+    assert fan_isomorphism(fan, relabelled_image(fan, 1)) is not None
+    assert len(built) == 1
+    assert fan_isomorphism(builtin("W4_5"), builtin("W4_6")) is None
+    assert len(built) == 1
+    equator = find_splittings(builtin("X3_0"))[0].equator
+    names = equator.ray_names()
+    assert any(star_equivalent(equator, a, b) for a in names for b in names if a != b)
+    assert len(built) == 1
 
 
 # --- reconstruction from relations -------------------------------------------

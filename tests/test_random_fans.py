@@ -11,10 +11,22 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_collections, check_splittings_against_oracles, direction_in_fan
+from conftest import (
+    brute_collections,
+    check_splittings_against_oracles,
+    direction_in_fan,
+    star_equivalent_by_frames,
+)
 
 from fanshear import builtin
-from fanshear.deform import FiberKind, endpoint, endpoint_conditions, fiber_type, find_splittings
+from fanshear.deform import (
+    FiberKind,
+    endpoint,
+    endpoint_conditions,
+    fiber_type,
+    find_splittings,
+    star_equivalent,
+)
 from fanshear.divisor import NefAmpleStatus, anticanonical, nef_ample_status
 from fanshear.fan import (
     fan_isomorphism,
@@ -181,6 +193,23 @@ def test_subdivided_fan_splittings_match_oracles():
         assert check_splittings_against_oracles(fan)
         kinds |= {fiber_type(split).kind for split in find_splittings(fan)}
     assert kinds == {FiberKind.BUNDLE_OVER_P1, FiberKind.OTHER}
+
+
+def test_star_equivalence_matches_frame_oracle_on_equators(corpus):
+    fans = list(corpus.values()) + [
+        random_face_subdivided_fan(seed, name, insertions)
+        for seed, name, insertions in SUBDIVIDED_CASES
+    ]
+    equators = {split.equator for fan in fans for split in find_splittings(fan)}
+    verdicts = set()
+    for equator in equators:
+        names = equator.ray_names()
+        for a in names:
+            for b in names:
+                verdict = star_equivalent(equator, a, b)
+                assert verdict == star_equivalent_by_frames(equator, a, b), (equator, a, b)
+                verdicts.add((verdict, a == b))
+    assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 @pytest.mark.parametrize("seed,insertions", PLANE_CASES[:8])

@@ -6,7 +6,8 @@ from fanshear.deform import endpoint_conditions, find_splittings
 from fanshear.errors import DimensionMismatch, PreconditionViolated
 from fanshear.fan import fan_isomorphism, primitive_relations
 from fanshear.scroll import BundleSpec, bundle_fan, deformation_chain, reduce_step
-from fanshear import builtin
+from fanshear import builtin, divisor, scroll
+from fanshear.cli import main
 
 
 def expected_reduction_support(twists):
@@ -156,3 +157,17 @@ def test_chain_fans_are_bundle_fans():
     chain = deformation_chain(BundleSpec((3, 0)), BundleSpec((0, 0)))
     for spec, fan in zip(chain.specs, chain.fans):
         assert fan_isomorphism(fan, bundle_fan(spec)) is not None
+
+
+def test_d7_chain_computes_no_class_group(monkeypatch, capsys):
+    # every equator of a bundle is a projective space, whose fiber pair
+    # needs neither divisor classes nor a star comparison
+    scroll._bundle_fan_cached.cache_clear()
+    scroll._reduce_step_cached.cache_clear()
+    calls = []
+    real = divisor._class_group
+    monkeypatch.setattr(divisor, "_class_group", lambda fan: calls.append(fan) or real(fan))
+    status = main(["chain", "--dim", "7", "--from", "9,5,3,2,1,0", "--to", "1,1,1,1,1,1"])
+    assert status == 0
+    assert "steps: 8" in capsys.readouterr().out
+    assert calls == []
