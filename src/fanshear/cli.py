@@ -340,7 +340,9 @@ def main(argv=None) -> int:
         report.add("error", str(exc))
         report.emit(args.json)
         return INPUT_ERROR
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
+        # OSError: a path that cannot be read or written, such as a missing
+        # file, a directory given as a file or a file given as --out-dir.
         # ValueError: a user-facing precondition, such as a splitting or
         # deformation asked of an incomplete fan, or a negative k.
         report.add("error", str(exc))

@@ -4,8 +4,11 @@ A Fan is an immutable value: named primitive ray generators plus the ray
 sets of its full-dimensional cones.  make_fan is the only validating
 constructor; everything downstream may assume its invariants (primitive
 rays, unimodular cones, pairwise intersection in a common face, no
-dangling rays).  Completeness is a separate query because half-fans are
-legitimate values too.
+dangling rays).  A complete fan is accepted in O(C*d) by a certificate:
+its facets pair up on opposite sides and one point is covered once.  Any
+other input, half-fans included, falls back to a Fourier-Motzkin test of
+every pair of cones.  Completeness is a separate query because half-fans
+are legitimate values too.
 """
 
 from __future__ import annotations
@@ -108,6 +111,20 @@ class Fan:
         )
 
     @cached_property
+    def _facets(self) -> dict[int, list[tuple[int, int]]]:
+        """Per facet mask (a cone mask minus one ray bit), the maximal cones holding it.
+
+        Each cone j is listed as (j, i), where i is the position in
+        max_cones[j].ray_names of the ray that the facet leaves out.
+        """
+        order = self._order
+        table: dict[int, list[tuple[int, int]]] = {}
+        for j, (cone, mask) in enumerate(zip(self.max_cones, self._cone_masks)):
+            for i, n in enumerate(cone.ray_names):
+                table.setdefault(mask ^ (1 << order[n]), []).append((j, i))
+        return table
+
+    @cached_property
     def _cones_of_ray(self) -> dict[str, int]:
         """Per ray, the bitmask of the maximal cones (bit j for cone j) holding it."""
         table = dict.fromkeys(self._order, 0)
@@ -195,6 +212,11 @@ def make_fan(
 ) -> Fan:
     """Validate and build a smooth fan.
 
+    After the per-ray and per-cone checks, a complete fan is accepted by
+    the certificate of _certified_complete, with no Fourier-Motzkin call,
+    and is recorded as complete.  Any other input falls back to testing
+    every pair of cones with _validate_face_pair.
+
     Raises NonPrimitiveRay, SingularCone, BadFaceStructure or DanglingRay
     when the data violates the fan invariants.
     """
@@ -252,6 +274,9 @@ def make_fan(
             raise DanglingRay(f"ray {n} belongs to no maximal cone")
 
     fan = Fan(dimension, tuple(ray_objs), tuple(cone_objs))
+    if _certified_complete(fan):
+        fan.__dict__["_is_complete"] = True  # the cached_property's slot
+        return fan
     for a, b in combinations(fan.cone_sets, 2):
         if not (_validate_face_pair(fan, a, b) and _validate_face_pair(fan, b, a)):
             raise BadFaceStructure(
@@ -268,35 +293,90 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _certified_complete(fan: Fan) -> bool:
+    """Whether the cones form a complete fan, shown in O(C*d) dot products.
+
+    The certificate has two parts, each checked with the cached cone
+    inverses (row i of a cone's inverse is the coordinate of its i-th ray):
+
+    - Facet pairing: every facet F lies in exactly two maximal cones F+a
+      and F+b, on opposite sides of it: row a of the first cone's inverse
+      is negative at b.  (Both cones are unimodular, so the test is
+      symmetric.)
+    - Degree one: the sum of the rays of the first maximal cone lies in no
+      other closed maximal cone.
+
+    Soundness (Ewald, Combinatorial Convexity and Algebraic Geometry,
+    Ch. III).  Let N(x) count the maximal cones holding a point x off
+    every facet.  Along a path that avoids the codimension-2 faces, N can
+    change only where the path crosses facets, and each facet holding the
+    crossing point swaps one cone on one side for one cone on the other;
+    so N is constant.  The first cone's ray sum has a neighbourhood met by
+    no other closed cone, so N = 1: the cones cover R^d and their
+    interiors are disjoint.  For each face G, the cones holding G, taken
+    modulo the span of G, again pair their facets on opposite sides, so
+    their covering number is constant too; near a point x of the relative
+    interior of G they cover each generic point that often, so it is 1.
+    Hence the star of G covers a neighbourhood of x, and no cone without G
+    contains x.  Two cones s and t therefore meet in the cone on their
+    common rays: a relative interior point of s & t lies in the relative
+    interior of some face G of s, so t holds G, and s & t lies in G.
+    Returns False for every other input, half-fans included.
+    """
+    return _facets_pair_opposite(fan) and _covered_once(fan)
+
+
+def _facets_pair_opposite(fan: Fan) -> bool:
+    """Whether each facet lies in exactly two maximal cones, on opposite sides."""
+    inverse = fan._cone_inverse
+    cones = fan.max_cones
+    for pair in fan._facets.values():
+        if len(pair) != 2:
+            return False
+        (j, i), (k, l) = pair
+        row = inverse[fan.cone_sets[j]][1][i]
+        if lattice.dot(row, fan.generator(cones[k].ray_names[l])) >= 0:
+            return False
+    return True
+
+
+def _covered_once(fan: Fan) -> bool:
+    """Whether the ray sum of the first maximal cone lies in no other closed one."""
+    point = tuple(map(sum, zip(*(fan.generator(n) for n in fan.max_cones[0].ray_names))))
+    return not any(
+        all(lattice.dot(row, point) >= 0 for row in fan._cone_inverse[cs][1])
+        for cs in fan.cone_sets[1:]
+    )
+
+
 def is_complete(fan: Fan) -> bool:
     """Whether the fan's support is all of R^d.
 
     Decided combinatorially: every facet of a maximal cone must lie in
     exactly two maximal cones and the facet-adjacency graph must be
     connected.  Valid for fans, whose supports are closed cone complexes.
-    Cached per fan.
+    A fan that make_fan accepted by its completeness certificate is known
+    to be complete and is not tested again.  Cached per fan.
     """
     return fan._is_complete
 
 
 def _facets_pair_up(fan: Fan) -> bool:
-    cones = fan._cone_masks
-    adjacency: dict[int, list[int]] = {}
-    for idx, mask in enumerate(cones):
-        for b in _bits(mask):
-            adjacency.setdefault(mask ^ b, []).append(idx)
-    if any(len(pair) != 2 for pair in adjacency.values()):
+    facets = fan._facets
+    if any(len(pair) != 2 for pair in facets.values()):
         return False
+    adjacent: list[list[int]] = [[] for _ in fan.max_cones]
+    for (j, _), (k, _) in facets.values():
+        adjacent[j].append(k)
+        adjacent[k].append(j)
     seen = {0}
     queue = [0]
     while queue:
-        i = queue.pop()
-        for b in _bits(cones[i]):
-            for j in adjacency[cones[i] ^ b]:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-    return len(seen) == len(cones)
+        for j in adjacent[queue.pop()]:
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return len(seen) == len(fan.max_cones)
 
 
 def primitive_collections(fan: Fan) -> tuple[frozenset[str], ...]:
@@ -351,8 +431,13 @@ def primitive_relation(fan: Fan, collection: Iterable[str]) -> PrimitiveRelation
         sum(fan.generator(n)[i] for n in fs) for i in range(fan.dimension)
     )
     for cs in fan.cone_sets:
-        coeffs = fan.cone_coefficients(cs, total)
-        if all(v >= 0 for v in coeffs.values()):
+        names, inv = fan._cone_inverse[cs]
+        coeffs = {}
+        for n, row in zip(names, inv):
+            coeffs[n] = lattice.dot(row, total)
+            if coeffs[n] < 0:
+                break
+        else:
             support = tuple(
                 (n, coeffs[n]) for n in fan.sort_names(cs) if coeffs[n] > 0
             )

@@ -8,18 +8,28 @@ is exponential in the ray count and meant for fans of up to ~14 rays.
 Fiber types are recomputed by a full splitting search of the equator, and
 equators are revalidated with make_fan.  Fan isomorphism and
 star equivalence are recomputed by building the full change-of-basis map
-of every candidate frame.
+of every candidate frame.  The gluing of a fan's cones is rechecked pair
+by pair with Fourier-Motzkin, the check make_fan falls back on when its
+completeness certificate fails.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
-from fanshear import builtin, bundle_fan
+from fanshear import builtin, bundle_fan, lattice
 from fanshear.deform import FiberKind, FiberType, fiber_type, find_splittings
 from fanshear.divisor import class_group
-from fanshear.fan import Ray, is_complete, make_fan, primitive_collections
+from fanshear.errors import BadFaceStructure
+from fanshear.fan import (
+    Ray,
+    _certified_complete,
+    is_complete,
+    make_fan,
+    primitive_collections,
+)
 from fanshear.lattice import change_of_basis
 from fanshear.scroll import BundleSpec
 
@@ -91,6 +101,63 @@ def brute_collections(fan):
             if not is_face(s) and all(is_face(s - {n}) for n in s):
                 out.append(frozenset(s))
     return tuple(out)
+
+
+def _glued_from(fan, a, b):
+    """Whether some functional that vanishes on the common rays and is
+    positive on a's other rays is nonpositive on b's other rays."""
+    common = a & b
+    names = tuple(a)
+    inverse = lattice.matrix_inverse([fan.generator(n) for n in names])
+    free = [row for n, row in zip(names, inverse) if n not in common]
+    off = [fan.generator(n) for n in b - common]
+    if len(free) == 1:
+        return all(lattice.dot(free[0], g) <= 0 for g in off)
+    strict = [tuple(int(i == j) for j in range(len(free))) for i in range(len(free))]
+    weak = [tuple(-lattice.dot(row, g) for row in free) for g in off]
+    return lattice.linear_feasible(strict, weak)
+
+
+def pairwise_glued(fan):
+    """True when every two maximal cones meet in the cone on their common rays.
+
+    The O(C^2) check make_fan runs when its certificate fails, kept as the
+    oracle of the certificate.  The fan may be built unvalidated, with
+    Fan(...); the first failing pair raises BadFaceStructure with
+    make_fan's message.
+    """
+    for a, b in combinations(fan.cone_sets, 2):
+        if not (_glued_from(fan, a, b) and _glued_from(fan, b, a)):
+            raise BadFaceStructure(
+                f"cones {fan.sort_names(a)} and {fan.sort_names(b)} do not meet in a common face"
+            )
+    return True
+
+
+@contextmanager
+def fourier_motzkin_calls():
+    """Yield a list that records each lattice.linear_feasible call in the block."""
+    real = lattice.linear_feasible
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    lattice.linear_feasible = counted
+    try:
+        yield calls
+    finally:
+        lattice.linear_feasible = real
+
+
+def check_certified(fan):
+    """make_fan rebuilds the fan by its certificate alone; the oracle agrees."""
+    assert _certified_complete(fan)
+    with fourier_motzkin_calls() as calls:
+        assert make_fan(fan.dimension, fan.rays, fan.max_cones) == fan
+    assert not calls
+    assert pairwise_glued(fan)
 
 
 def fan_isomorphism_by_frames(f1, f2):

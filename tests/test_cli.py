@@ -68,6 +68,12 @@ def test_missing_file_exits_two(capsys):
     assert status == 2
 
 
+def test_directory_as_fan_file_exits_two(tmp_path, capsys):
+    status, out = run(capsys, "check", str(tmp_path))
+    assert status == 2
+    assert out.startswith("error: ")
+
+
 def test_relations_lists_degrees(fan_file, capsys):
     path = fan_file("f.fan", "hirzebruch(3)")
     status, out = run(capsys, "relations", path)
@@ -98,6 +104,13 @@ def test_deform_then_iso(fan_file, tmp_path, capsys):
     status, out = run(capsys, "iso", out_path, f1)
     assert status == 0
     assert "isomorphic: true" in out
+
+
+def test_deform_out_directory_exits_two(fan_file, tmp_path, capsys):
+    path = fan_file("x.fan", "X3_0")
+    status, out = run(capsys, "deform", path, "--k", "1", "--out", str(tmp_path))
+    assert status == 2
+    assert out.splitlines()[-1].startswith("error: ")
 
 
 def test_deform_endpoint_relations(fan_file, tmp_path, capsys):
@@ -212,6 +225,17 @@ def test_chain_success_writes_fans(tmp_path, capsys):
     assert "twists: 2,1" in out
     assert (tmp_path / "chain" / "V0.fan").exists()
     assert (tmp_path / "chain" / "V2.fan").exists()
+
+
+def test_chain_out_dir_on_a_file_exits_two(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    status, out = run(
+        capsys, "chain", "--dim", "3", "--from", "2,0", "--to", "1,1",
+        "--out-dir", str(taken),
+    )
+    assert status == 2
+    assert out.splitlines()[-1].startswith("error: ")
 
 
 def test_chain_bad_twists_exit_two(capsys):

@@ -1,6 +1,11 @@
 import pytest
 
-from conftest import check_splittings_against_oracles, fiber_type_by_search
+from conftest import (
+    check_certified,
+    check_splittings_against_oracles,
+    fiber_type_by_search,
+    fourier_motzkin_calls,
+)
 
 from fanshear import builtin
 from fanshear.deform import (
@@ -17,7 +22,7 @@ from fanshear.divisor import FanoClass, class_group, classify_fano
 from fanshear.errors import ConditionsNotSatisfied
 from fanshear.fan import fan_isomorphism, is_complete, make_fan, primitive_relations
 from fanshear.lattice import vec_add, vec_scale
-from fanshear.scroll import BundleSpec, bundle_fan
+from fanshear.scroll import BundleSpec, bundle_fan, deformation_chain, reduce_step
 
 
 def p2_fan():
@@ -404,3 +409,27 @@ def test_split_fan_principal_relations_vanish():
                 for ray in split.fan.rays:
                     total = vec_add(total, vec_scale(ray.generator[j], cls[ray.name]))
                 assert total == (0,) * rank
+
+
+def test_corpus_endpoints_and_chain_fans_are_certified(corpus):
+    # make_fan validates every fan below, sheared general fibers included,
+    # by its completeness certificate, without a Fourier-Motzkin call
+    chains = [((3, 0), (0, 0)), ((2, 1), (1, 2)), ((4,), (0,)), ((9, 5, 3, 2, 1, 0), (1,) * 6)]
+    with fourier_motzkin_calls() as calls:
+        fans = list(corpus.values())
+        fans += [
+            endpoint(split, k)
+            for fan in corpus.values()
+            for split in find_splittings(fan)
+            for k in (1, 2)
+            if fiber_type(split).kind is not FiberKind.OTHER and endpoint_conditions(split, k)
+        ]
+        for start, end in chains:
+            chain = deformation_chain(BundleSpec(start), BundleSpec(end))
+            fans += chain.fans
+            fans += [reduce_step(s).fan for s in chain.specs if max(s.twists) >= 2]
+    assert not calls
+    fans = list(dict.fromkeys(fans))  # one oracle run per distinct fan
+    assert len(fans) > 3 * len(corpus)
+    for fan in fans:
+        check_certified(fan)

@@ -1,17 +1,21 @@
 import gc
 import random
 import weakref
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     brute_collections,
     direction_in_fan,
     fan_isomorphism_by_frames,
     fraction_rank,
+    pairwise_glued,
 )
 
 from fanshear import builtin, lattice
+from fanshear import fan as fan_module
 from fanshear.deform import find_splittings, star_equivalent
 from fanshear.divisor import class_group, classify_fano
 from fanshear.errors import (
@@ -26,7 +30,13 @@ from fanshear.errors import (
     UnderdeterminedRelations,
 )
 from fanshear.fan import (
+    Cone,
+    Fan,
     FormalRelation,
+    Ray,
+    _certified_complete,
+    _facets_pair_opposite,
+    _facets_pair_up,
     fan_from_relations,
     fan_isomorphism,
     is_complete,
@@ -122,10 +132,138 @@ def test_dimension_mismatch_rejected():
         make_fan(2, [("x", (1, 0, 0)), ("y", (0, 1, 0))], [("x", "y")])
 
 
+# --- completeness certificate -----------------------------------------------
+
+XYZ = [("x", (1, 0)), ("y", (0, 1)), ("z", (1, 1))]
+# Consecutive rays span unimodular cones turning the same way, twice round.
+PLANE_TWICE = [(f"p{i}", g) for i, g in enumerate([(1, 0), (-3, 1), (2, -1), (-3, 2), (1, -1)])]
+# Two turns of ring rays about the axis u, w; the second turn equals the
+# first modulo u, so the star of u winds twice.
+RING_TWICE = [(f"v{i}", g) for i, g in enumerate([
+    (1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1),
+])]
+
+# name: dimension, rays, cones, whether each facet lies in two cones on
+# opposite sides, and make_fan's message (that of the pairwise check).
+NOT_FANS = {
+    "overlapping cones": (
+        2, XYZ, [("x", "y"), ("x", "z")], False,
+        "cones ('x', 'y') and ('x', 'z') do not meet in a common face",
+    ),
+    # folds back at e2 and f; the first cone's ray sum is covered once
+    "glued on the same side": (
+        2, [("e1", (1, 0)), ("e2", (0, 1)), ("f", (1, 1)), ("a", (-1, 0)), ("b", (0, -1))],
+        [("a", "b"), ("b", "e1"), ("e1", "e2"), ("e2", "f"), ("f", "a")], False,
+        "cones ('e1', 'e2') and ('e2', 'f') do not meet in a common face",
+    ),
+    "facet in three cones": (
+        2, [("x", (1, 0)), ("y", (0, 1)), ("w", (0, -1)), ("v", (-1, 1))],
+        [("x", "y"), ("x", "w"), ("x", "v")], False,
+        "cones ('x', 'y') and ('x', 'v') do not meet in a common face",
+    ),
+    "plane cycle winding twice": (
+        2, PLANE_TWICE, [(f"p{i}", f"p{(i + 1) % 5}") for i in range(5)], True,
+        "cones ('p0', 'p1') and ('p2', 'p3') do not meet in a common face",
+    ),
+    "star winding twice about a ray": (
+        3, [("u", (0, 0, 1)), ("w", (0, 0, -1))] + RING_TWICE,
+        [(apex, f"v{i}", f"v{(i + 1) % 8}") for apex in ("u", "w") for i in range(8)], True,
+        "cones ('u', 'v0', 'v1') and ('u', 'v3', 'v4') do not meet in a common face",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NOT_FANS)
+def test_certificate_rejects_what_is_not_a_fan(name):
+    dimension, rays, cones, pairs_up, message = NOT_FANS[name]
+    with pytest.raises(BadFaceStructure) as caught:
+        make_fan(dimension, rays, cones)
+    assert str(caught.value) == message
+    raw = Fan(dimension, tuple(Ray(n, g) for n, g in rays), tuple(map(Cone, cones)))
+    with pytest.raises(BadFaceStructure) as caught:
+        pairwise_glued(raw)
+    assert str(caught.value) == message
+    assert _facets_pair_opposite(raw) is pairs_up
+    assert not _certified_complete(raw)
+
+
+POOL = {d: [v for v in product((-1, 0, 1), repeat=d) if any(v)] for d in (2, 3)}
+
+
+@st.composite
+def cone_complexes(draw):
+    """Unimodular cones over a small ray pool, as (dimension, cones of pool indices).
+
+    Starts from the complete fan of (P^1)^d, star-subdivides up to three
+    faces whose ray sum is in the pool, then drops, adds or swaps a ray of
+    up to three cones, so both fans and non-fans come out.
+    """
+    d = draw(st.sampled_from(sorted(POOL)))
+    pool = POOL[d]
+    axes = [(tuple(int(i == j) for j in range(d)), tuple(-int(i == j) for j in range(d)))
+            for i in range(d)]
+    cones = {frozenset(c) for c in product(*axes)}
+
+    def pick(items):
+        return draw(st.sampled_from(sorted(items)))
+
+    for _ in range(draw(st.integers(0, 3))):
+        cone = pick(map(sorted, cones))
+        face = frozenset(draw(st.sets(st.sampled_from(cone), min_size=2)))
+        ray = tuple(map(sum, zip(*face)))
+        if ray in pool and not any(ray in c for c in cones):
+            star = {c for c in cones if face <= c}
+            cones = (cones - star) | {c - {f} | {ray} for c in star for f in face}
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("drop", "add", "swap")))
+        old = frozenset(pick(map(sorted, cones)))
+        if edit == "drop":
+            new = None
+        elif edit == "add":
+            new = frozenset(draw(st.lists(st.sampled_from(pool), min_size=d, max_size=d,
+                                          unique=True)))
+        else:
+            new = old - {pick(old)} | {draw(st.sampled_from(pool))}
+        if new is None and len(cones) > 1:
+            cones.discard(old)
+        elif new is not None and len(new) == d and abs(lattice.det(list(new))) == 1:
+            if edit == "swap":
+                cones.discard(old)
+            cones.add(new)
+    return d, sorted(tuple(sorted(pool.index(v) for v in c)) for c in cones)
+
+
+@settings(max_examples=150, deadline=2000)
+@given(cone_complexes())
+def test_make_fan_accepts_exactly_what_the_pairwise_oracle_accepts(complex_):
+    d, cones = complex_
+    used = sorted({i for c in cones for i in c})
+    rays = tuple(Ray(f"r{i}", POOL[d][i]) for i in used)
+    cones = tuple(Cone(tuple(f"r{i}" for i in c)) for c in cones)
+    try:
+        pairwise_glued(Fan(d, rays, cones))
+        expected = None
+    except BadFaceStructure as exc:
+        expected = str(exc)
+    try:
+        fan = make_fan(d, rays, cones)
+    except BadFaceStructure as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        # a certified fan is recorded complete; the combinatorial test agrees
+        assert is_complete(fan) is _facets_pair_up(Fan(d, rays, cones))
+
+
 # --- completeness -----------------------------------------------------------
 
 def test_p1_complete():
     assert is_complete(p1_fan())
+
+
+def test_certified_fan_is_known_complete(monkeypatch):
+    monkeypatch.setattr(fan_module, "_facets_pair_up", lambda fan: pytest.fail("tested again"))
+    assert is_complete(p2_fan())
 
 
 def test_single_cone_not_complete():

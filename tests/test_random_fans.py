@@ -13,8 +13,10 @@ import pytest
 
 from conftest import (
     brute_collections,
+    check_certified,
     check_splittings_against_oracles,
     direction_in_fan,
+    fourier_motzkin_calls,
     star_equivalent_by_frames,
 )
 
@@ -148,6 +150,21 @@ LARGE_SUBDIVIDED_CASES = [
         [("X3_0", 6), ("W4_1", 7), ("bundle(4;1,0,2)", 6)] * 2
     )
 ] + [(6, "W4_1", 6), (7, "bundle(3;2,1)", 9)]
+
+
+def test_random_complete_fans_are_certified_without_fourier_motzkin():
+    with fourier_motzkin_calls() as calls:
+        fans = [random_plane_fan(seed, insertions) for seed, insertions in PLANE_CASES]
+        fans += [
+            random_subdivided_fan(seed, name, insertions)
+            for seed, name, insertions in SUBDIVIDED_CASES + LARGE_SUBDIVIDED_CASES
+        ] + [
+            random_face_subdivided_fan(seed, name, insertions)
+            for seed, name, insertions in SUBDIVIDED_CASES
+        ]
+    assert not calls
+    for fan in fans:
+        check_certified(fan)
 
 
 @pytest.mark.parametrize("seed,insertions", PLANE_CASES)
