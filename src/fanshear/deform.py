@@ -110,17 +110,21 @@ class Splitting:
 
 
 def _fibration_functional(fan: Fan, up: str, down: str) -> Optional[Vector]:
-    """Integral functional vanishing off {up, down}, +1 on up, -1 on down."""
-    others = [fan.generator(n) for n in fan.ray_names() if n not in (up, down)]
-    rows = others + [fan.generator(up)]
-    rhs = [[0]] * len(others) + [[1]]
-    try:
-        solution = lattice.solve_integer(rows, rhs)
-    except (lattice.NoIntegerSolution, lattice.UnderdeterminedSystem):
-        return None
-    h = tuple(row[0] for row in solution)
-    if lattice.dot(h, fan.generator(down)) != -1:
-        return None
+    """Integral functional vanishing off {up, down}, +1 on up, -1 on down, or None.
+
+    Precondition: {up, down} is a primitive collection of the fan, as _axis
+    has checked.  A maximal cone holding up then does not hold down, so
+    such a functional vanishes on that cone's other d - 1 rays and takes 1
+    on up: it can only be the row of up in the cone's cached inverse.  One
+    dot product per ray decides whether that row is one.
+    """
+    cone_set = next(cs for cs in fan.cone_sets if up in cs)
+    names, inverse = fan._cone_inverse[cone_set]
+    h = inverse[names.index(up)]
+    for ray in fan.rays:
+        value = 1 if ray.name == up else -1 if ray.name == down else 0
+        if lattice.dot(h, ray.generator) != value:
+            return None
     return h
 
 
@@ -229,8 +233,9 @@ def _splitting(
     """The splitting of the axis (up, down) in the frame basis_names + (up,).
 
     The one normal-form transform T sends basis_names + (up,) to the
-    standard basis; the base fan, both half-fans and the equator are all
-    read off it.  The last coordinate of T v is h(v) for the fibration
+    standard basis: it is the cached inverse of that maximal cone, its rows
+    put in frame order.  The base fan, both half-fans and the equator are
+    all read off it.  The last coordinate of T v is h(v) for the fibration
     functional h, since both vanish on the basis and take 1 on up.
 
     The equator is not revalidated with make_fan.  Its cones are faces of
@@ -240,8 +245,7 @@ def _splitting(
     a vector with h = 0 in a maximal cone has coefficient 0 on that cone's
     up or down ray, so it lies in an equator cone.
     """
-    columns = [fan.generator(n) for n in basis_names] + [fan.generator(up)]
-    transform = UnimodularMap.from_columns(columns).inverse()
+    transform = UnimodularMap(fan._inverse_rows(basis_names + (up,)))
     new_rays = tuple(Ray(r.name, transform.apply(r.generator)) for r in fan.rays)
     base = Fan(fan.dimension, new_rays, fan.max_cones)
     upper_cones = tuple(c for c in fan.max_cones if up in c.ray_names)

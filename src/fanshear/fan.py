@@ -4,11 +4,14 @@ A Fan is an immutable value: named primitive ray generators plus the ray
 sets of its full-dimensional cones.  make_fan is the only validating
 constructor; everything downstream may assume its invariants (primitive
 rays, unimodular cones, pairwise intersection in a common face, no
-dangling rays).  A complete fan is accepted in O(C*d) by a certificate:
-its facets pair up on opposite sides and one point is covered once.  Any
-other input, half-fans included, falls back to a Fourier-Motzkin test of
-every pair of cones.  Completeness is a separate query because half-fans
-are legitimate values too.
+dangling rays).  Each cone is checked and inverted by one row reduction,
+and the fan keeps those inverses: cone coordinates, the certificate,
+splittings, axis tests and frame searches all read them.  A complete fan
+is accepted in O(C*d) by a certificate: its facets pair up on opposite
+sides and one point is covered once.  On a valid fan that certificate is
+also the completeness test.  Any other input, half-fans included, falls
+back to a Fourier-Motzkin test of every pair of cones.  Completeness is a
+separate query because half-fans are legitimate values too.
 """
 
 from __future__ import annotations
@@ -92,7 +95,11 @@ class Fan:
 
     @cached_property
     def _cone_inverse(self) -> dict[frozenset[str], tuple[tuple[str, ...], lattice.Matrix]]:
-        """Per maximal cone: its ordered rays and the inverse basis matrix."""
+        """Per maximal cone: its ordered rays and the inverse basis matrix.
+
+        make_fan fills this slot with the inverses it checked; fans built
+        directly, such as a splitting's, compute it here on first use.
+        """
         table = {}
         for cone in self.max_cones:
             cols = [self._gen_by_name[n] for n in cone.ray_names]
@@ -134,15 +141,20 @@ class Fan:
         return table
 
     # Per-fan caches behind is_complete, primitive_collections,
-    # divisor.class_group and divisor.classify_fano: they live and die with
-    # the fan, and only the results are kept.
+    # primitive_relation, divisor.class_group and divisor.classify_fano:
+    # they live and die with the fan, and only the results are kept.
     @cached_property
     def _is_complete(self) -> bool:
-        return _facets_pair_up(self)
+        return _certified_complete(self)
 
     @cached_property
     def _primitive_collections(self) -> tuple[frozenset[str], ...]:
         return _minimal_non_faces(self)
+
+    @cached_property
+    def _relations(self) -> dict[frozenset[str], Optional[PrimitiveRelation]]:
+        """Per primitive collection its relation, None until first computed."""
+        return dict.fromkeys(self._primitive_collections)
 
     @cached_property
     def _class_group(self) -> DivisorClassData:
@@ -179,6 +191,16 @@ class Fan:
         coords = [lattice.dot(row, vector) for row in inv]
         return dict(zip(names, coords))
 
+    def _inverse_rows(self, names: Sequence[str]) -> lattice.Matrix:
+        """The cached inverse of the matrix whose columns are the named rays.
+
+        names is a maximal cone in any order; row i of the result is the
+        coordinate of names[i].
+        """
+        cone_names, inv = self._cone_inverse[frozenset(names)]
+        row_of = dict(zip(cone_names, inv))
+        return tuple(row_of[n] for n in names)
+
 
 def _validate_face_pair(fan: Fan, a: frozenset[str], b: frozenset[str]) -> bool:
     """Whether two maximal cones meet exactly in the cone on their common rays.
@@ -212,10 +234,12 @@ def make_fan(
 ) -> Fan:
     """Validate and build a smooth fan.
 
-    After the per-ray and per-cone checks, a complete fan is accepted by
-    the certificate of _certified_complete, with no Fourier-Motzkin call,
-    and is recorded as complete.  Any other input falls back to testing
-    every pair of cones with _validate_face_pair.
+    Each cone is checked for unimodularity and inverted by one
+    lattice.unimodular_inverse, and the fan keeps the inverses.  After the
+    per-ray and per-cone checks, a complete fan is accepted by the
+    certificate of _certified_complete, which is also its cached
+    completeness, with no Fourier-Motzkin call.  Any other input falls back
+    to testing every pair of cones with _validate_face_pair.
 
     Raises NonPrimitiveRay, SingularCone, BadFaceStructure or DanglingRay
     when the data violates the fan invariants.
@@ -247,6 +271,7 @@ def make_fan(
 
     gen_by_name = {r.name: r.generator for r in ray_objs}
     cone_objs = []
+    inverses = {}
     for c in max_cones:
         if not isinstance(c, Cone):
             c = Cone(tuple(str(n) for n in c))
@@ -259,23 +284,23 @@ def make_fan(
             raise SingularCone(
                 f"maximal cone {c.ray_names} has {len(c.ray_names)} rays, expected {dimension}"
             )
-        gens = [gen_by_name[n] for n in c.ray_names]
-        if abs(lattice.det(gens)) != 1:
+        inverse = lattice.unimodular_inverse([gen_by_name[n] for n in c.ray_names])
+        if inverse is None:
             raise SingularCone(f"cone {c.ray_names} is not unimodular")
         cone_objs.append(c)
+        inverses[frozenset(c.ray_names)] = (c.ray_names, inverse)
     if not cone_objs:
         raise ValueError("a fan needs at least one maximal cone")
-    sets = [frozenset(c.ray_names) for c in cone_objs]
-    if len(set(sets)) != len(sets):
+    if len(inverses) != len(cone_objs):
         raise BadFaceStructure("duplicate maximal cone")
-    in_some_cone = set().union(*sets)
+    in_some_cone = set().union(*inverses)
     for n in names:
         if n not in in_some_cone:
             raise DanglingRay(f"ray {n} belongs to no maximal cone")
 
     fan = Fan(dimension, tuple(ray_objs), tuple(cone_objs))
-    if _certified_complete(fan):
-        fan.__dict__["_is_complete"] = True  # the cached_property's slot
+    fan.__dict__["_cone_inverse"] = inverses  # the cached_property's slot
+    if fan._is_complete:
         return fan
     for a, b in combinations(fan.cone_sets, 2):
         if not (_validate_face_pair(fan, a, b) and _validate_face_pair(fan, b, a)):
@@ -352,31 +377,13 @@ def _covered_once(fan: Fan) -> bool:
 def is_complete(fan: Fan) -> bool:
     """Whether the fan's support is all of R^d.
 
-    Decided combinatorially: every facet of a maximal cone must lie in
-    exactly two maximal cones and the facet-adjacency graph must be
-    connected.  Valid for fans, whose supports are closed cone complexes.
-    A fan that make_fan accepted by its completeness certificate is known
-    to be complete and is not tested again.  Cached per fan.
+    Decided by the certificate of _certified_complete.  On a fan, complete
+    and certified agree: a complete fan pairs each facet between two cones
+    on opposite sides, and an interior point of one cone lies in no other
+    closed cone.  make_fan has already run the certificate, so it is not
+    run again.  Cached per fan.
     """
     return fan._is_complete
-
-
-def _facets_pair_up(fan: Fan) -> bool:
-    facets = fan._facets
-    if any(len(pair) != 2 for pair in facets.values()):
-        return False
-    adjacent: list[list[int]] = [[] for _ in fan.max_cones]
-    for (j, _), (k, _) in facets.values():
-        adjacent[j].append(k)
-        adjacent[k].append(j)
-    seen = {0}
-    queue = [0]
-    while queue:
-        for j in adjacent[queue.pop()]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return len(seen) == len(fan.max_cones)
 
 
 def primitive_collections(fan: Fan) -> tuple[frozenset[str], ...]:
@@ -423,10 +430,21 @@ def _minimal_non_faces(fan: Fan) -> tuple[frozenset[str], ...]:
 
 
 def primitive_relation(fan: Fan, collection: Iterable[str]) -> PrimitiveRelation:
-    """Express the collection's generator sum over the cone containing it."""
+    """Express the collection's generator sum over the cone containing it.
+
+    Cached per fan and collection.
+    """
     fs = frozenset(collection)
-    if fs not in primitive_collections(fan):
+    relations = fan._relations
+    if fs not in relations:
         raise NotAPrimitiveCollection(f"{fan.sort_names(fs)} is not a primitive collection")
+    relation = relations[fs]
+    if relation is None:
+        relation = relations[fs] = _relation(fan, fs)
+    return relation
+
+
+def _relation(fan: Fan, fs: frozenset[str]) -> PrimitiveRelation:
     total = tuple(
         sum(fan.generator(n)[i] for n in fs) for i in range(fan.dimension)
     )
@@ -463,11 +481,12 @@ def _frame_search(
 
     anchor and every frame are ordered maximal cones of src and dst.  The
     map sending anchor[i] to frame[i] takes a ray with coordinates c over
-    the anchor (computed once, from one inverse) to sum(c_i * frame_i); no
-    cone set is compared until every ray's image is a ray of dst.
+    the anchor (computed once, from the anchor's cached inverse) to
+    sum(c_i * frame_i); no cone set is compared until every ray's image is
+    a ray of dst.
     """
     src_cones, dst_cones = set(src_cones), set(dst_cones)
-    inv = lattice.matrix_inverse([src.generator(n) for n in anchor])
+    inv = src._inverse_rows(anchor)
     coords = [
         (n, [lattice.dot(row, src.generator(n)) for row in inv])
         for n in src.sort_names(set().union(*src_cones))

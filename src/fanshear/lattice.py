@@ -6,6 +6,9 @@ the primitives the rest of the package is built on: primitivity and
 basis-extension tests, deterministic integer row reduction, integral linear
 solving, unimodular maps, the shear matrices used to deform fans, and a
 Fourier-Motzkin feasibility test for strict/weak homogeneous inequalities.
+unimodular_inverse decides unimodularity and inverts in one row reduction;
+make_fan keeps its result for every cone, and matrix_inverse and
+UnimodularMap.inverse are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
 
@@ -286,10 +289,7 @@ class UnimodularMap:
         return UnimodularMap.from_columns(cols)
 
     def inverse(self) -> "UnimodularMap":
-        n = self.dimension
-        eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        inv = solve_integer(self.matrix, eye)
-        return UnimodularMap(tuple(tuple(row) for row in inv))
+        return UnimodularMap(matrix_inverse(tuple(zip(*self.matrix))))
 
 
 def shear_map(q: Sequence[int]) -> UnimodularMap:
@@ -312,9 +312,35 @@ def shear_map(q: Sequence[int]) -> UnimodularMap:
     return UnimodularMap(tuple(rows))
 
 
+def unimodular_inverse(columns: Sequence[Sequence[int]]) -> Optional[Matrix]:
+    """Rows of the inverse of the matrix with the given columns, or None if it is not unimodular.
+
+    One row_echelon of the square matrix A.  Its transform T is unimodular,
+    so |det A| is the product of the positive pivots: A is unimodular
+    exactly when the rank is full and every pivot is 1.  The echelon form
+    is then upper triangular with unit diagonal and the entries above each
+    pivot reduced into [0, 1), so T @ A = I and T is the inverse.
+
+    >>> unimodular_inverse([(1, 0), (1, 1)])
+    ((1, -1), (0, 1))
+    >>> unimodular_inverse([(1, 1), (1, -1)]) is None
+    True
+    """
+    n = len(columns)
+    if any(len(c) != n for c in columns):
+        raise ValueError("matrix must be square")
+    transform, echelon, pivots = row_echelon(list(zip(*columns)))
+    if len(pivots) != n or any(echelon[i][i] != 1 for i in range(n)):
+        return None
+    return tuple(map(tuple, transform))
+
+
 def matrix_inverse(columns: Sequence[Sequence[int]]) -> Matrix:
     """Rows of the inverse of the unimodular matrix with the given columns."""
-    return UnimodularMap.from_columns(columns).inverse().matrix
+    inverse = unimodular_inverse(columns)
+    if inverse is None:
+        raise ValueError("matrix is not unimodular")
+    return inverse
 
 
 def change_of_basis(

@@ -10,7 +10,10 @@ equators are revalidated with make_fan.  Fan isomorphism and
 star equivalence are recomputed by building the full change-of-basis map
 of every candidate frame.  The gluing of a fan's cones is rechecked pair
 by pair with Fourier-Motzkin, the check make_fan falls back on when its
-completeness certificate fails.
+completeness certificate fails, and completeness by facet connectivity.
+Cone inverses and fibration functionals are recomputed by a determinant
+test and a general integral solve, independent of the one row reduction
+per cone whose result the library keeps.
 """
 
 from contextlib import contextmanager
@@ -103,12 +106,63 @@ def brute_collections(fan):
     return tuple(out)
 
 
+def det_solve_inverse(columns):
+    """Rows of the inverse of the matrix with the given columns, or None.
+
+    A Bareiss determinant decides unimodularity, then solve_integer
+    against the identity gives the inverse.
+    """
+    rows = [list(r) for r in zip(*columns)]
+    if abs(lattice.det(rows)) != 1:
+        return None
+    eye = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+    return tuple(map(tuple, lattice.solve_integer(rows, eye)))
+
+
+def solve_fibration_functional(fan, up, down):
+    """The integral functional vanishing off {up, down}, 1 on up and -1 on down, or None.
+
+    Solved from all the fan's rays at once, with no precondition on up and
+    down.
+    """
+    others = [fan.generator(n) for n in fan.ray_names() if n not in (up, down)]
+    rows = others + [fan.generator(up)]
+    rhs = [[0]] * len(others) + [[1]]
+    try:
+        solution = lattice.solve_integer(rows, rhs)
+    except (lattice.NoIntegerSolution, lattice.UnderdeterminedSystem):
+        return None
+    h = tuple(row[0] for row in solution)
+    return h if lattice.dot(h, fan.generator(down)) == -1 else None
+
+
+def facets_pair_up(fan):
+    """Completeness by combinatorics: each facet lies in two cones, and the
+    facet-adjacency graph of the maximal cones is connected.  Valid on fans,
+    whose supports are closed cone complexes."""
+    facets = fan._facets
+    if any(len(pair) != 2 for pair in facets.values()):
+        return False
+    adjacent = [[] for _ in fan.max_cones]
+    for (j, _), (k, _) in facets.values():
+        adjacent[j].append(k)
+        adjacent[k].append(j)
+    seen = {0}
+    queue = [0]
+    while queue:
+        for j in adjacent[queue.pop()]:
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return len(seen) == len(fan.max_cones)
+
+
 def _glued_from(fan, a, b):
     """Whether some functional that vanishes on the common rays and is
     positive on a's other rays is nonpositive on b's other rays."""
     common = a & b
     names = tuple(a)
-    inverse = lattice.matrix_inverse([fan.generator(n) for n in names])
+    inverse = det_solve_inverse([fan.generator(n) for n in names])
     free = [row for n, row in zip(names, inverse) if n not in common]
     off = [fan.generator(n) for n in b - common]
     if len(free) == 1:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from conftest import (
@@ -7,7 +9,8 @@ from conftest import (
     fourier_motzkin_calls,
 )
 
-from fanshear import builtin
+from fanshear import builtin, lattice
+from fanshear.cli import main
 from fanshear.deform import (
     FiberKind,
     endpoint,
@@ -433,3 +436,22 @@ def test_corpus_endpoints_and_chain_fans_are_certified(corpus):
     assert len(fans) > 3 * len(corpus)
     for fan in fans:
         check_certified(fan)
+
+
+def test_verify_all_solves_nothing_under_deform(monkeypatch, capsys):
+    # axis tests and normal forms read the cone inverses make_fan kept
+    real = lattice.solve_integer
+    under_deform = []
+
+    def counted(*args):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_globals.get("__name__") == "fanshear.deform":
+                under_deform.append(frame.f_code.co_name)
+            frame = frame.f_back
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "solve_integer", counted)
+    assert main(["catalog", "verify", "all"]) == 0
+    assert "W4_9" in capsys.readouterr().out
+    assert under_deform == []

@@ -216,10 +216,11 @@ dv.class_group(fan)
 import fanshear.deform as dm
 from fanshear import builtin
 fan = builtin("X3_0")
-real = dm.UnimodularMap.inverse
-def sheared_inverse(m):
-    return dm.lattice.shear_map((1,) * (m.dimension - 1)).compose(real(m))
-dm.UnimodularMap.inverse = sheared_inverse
+real = dm.Fan._inverse_rows
+def sheared_rows(fan, names):
+    shear = dm.lattice.shear_map((1,) * (fan.dimension - 1))
+    return shear.compose(dm.UnimodularMap(real(fan, names))).matrix
+dm.Fan._inverse_rows = sheared_rows
 dm.find_splittings(fan)
 """,
     "scroll_renormalize": """

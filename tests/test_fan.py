@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     brute_collections,
     direction_in_fan,
+    facets_pair_up,
     fan_isomorphism_by_frames,
     fraction_rank,
     pairwise_glued,
@@ -36,7 +37,6 @@ from fanshear.fan import (
     Ray,
     _certified_complete,
     _facets_pair_opposite,
-    _facets_pair_up,
     fan_from_relations,
     fan_isomorphism,
     is_complete,
@@ -125,6 +125,29 @@ def test_dangling_ray_rejected():
 def test_duplicate_generator_rejected():
     with pytest.raises(BadFaceStructure):
         make_fan(2, [("x", (1, 0)), ("y", (1, 0)), ("z", (0, 1))], [("x", "z"), ("y", "z")])
+
+
+def test_make_fan_eliminates_once_per_cone(monkeypatch):
+    source = builtin("W4_1")
+    calls = {"row_echelon": 0, "det": 0, "solve_integer": 0}
+    for name in calls:
+        real = getattr(lattice, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(lattice, name, counted)
+    expected = {"row_echelon": len(source.max_cones), "det": 0, "solve_integer": 0}
+    fan = make_fan(source.dimension, source.rays, source.max_cones)
+    assert is_complete(fan)
+    primitive_relations(fan)
+    assert calls == expected
+    # the pairwise fallback reads the same inverses
+    monkeypatch.setattr(fan_module, "_certified_complete", lambda fan: False)
+    calls.update(dict.fromkeys(calls, 0))
+    make_fan(source.dimension, source.rays, source.max_cones)
+    assert calls == expected
 
 
 def test_dimension_mismatch_rejected():
@@ -251,8 +274,9 @@ def test_make_fan_accepts_exactly_what_the_pairwise_oracle_accepts(complex_):
         assert str(exc) == expected
     else:
         assert expected is None
-        # a certified fan is recorded complete; the combinatorial test agrees
-        assert is_complete(fan) is _facets_pair_up(Fan(d, rays, cones))
+        # on a fan the certificate decides completeness as the
+        # facet-connectivity oracle does
+        assert is_complete(fan) is facets_pair_up(Fan(d, rays, cones))
 
 
 # --- completeness -----------------------------------------------------------
@@ -261,9 +285,16 @@ def test_p1_complete():
     assert is_complete(p1_fan())
 
 
-def test_certified_fan_is_known_complete(monkeypatch):
-    monkeypatch.setattr(fan_module, "_facets_pair_up", lambda fan: pytest.fail("tested again"))
-    assert is_complete(p2_fan())
+def test_certificate_runs_once_per_fan(monkeypatch):
+    real = fan_module._certified_complete
+    calls = []
+    monkeypatch.setattr(fan_module, "_certified_complete", lambda fan: calls.append(fan) or real(fan))
+    complete = p2_fan()
+    half = make_fan(2, XYZ[:2] + [("a", (-1, 0))], [("x", "y"), ("y", "a")])
+    assert calls == [complete, half]
+    assert is_complete(complete) and is_complete(complete)
+    assert not is_complete(half) and not is_complete(half)
+    assert calls == [complete, half]
 
 
 def test_single_cone_not_complete():

@@ -2,8 +2,9 @@ import math
 from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import det_solve_inverse
 from fanshear.errors import DimensionMismatch
 from fanshear.lattice import (
     UnimodularMap,
@@ -12,9 +13,11 @@ from fanshear.lattice import (
     extends_to_basis,
     is_primitive,
     linear_feasible,
+    matrix_inverse,
     row_echelon,
     shear_map,
     solve_integer,
+    unimodular_inverse,
     NoIntegerSolution,
     UnderdeterminedSystem,
 )
@@ -161,6 +164,55 @@ def test_inverse_roundtrip():
     m = UnimodularMap(((1, 2, 0), (0, 1, 3), (0, 0, 1)))
     assert m.compose(m.inverse()) == UnimodularMap.identity(3)
     assert m.inverse().compose(m) == UnimodularMap.identity(3)
+
+
+@st.composite
+def elementary_products(draw):
+    """Columns of a product of elementary matrices, d <= 6, or of its image
+    with one row doubled (det +-2) or one row repeated or zeroed (det 0)."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    index = st.integers(min_value=0, max_value=d - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind, i, j = draw(st.sampled_from(["add", "swap", "negate"])), draw(index), draw(index)
+        if kind == "add" and i != j:
+            k = draw(st.integers(min_value=-3, max_value=3))
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+        elif kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "negate":
+            rows[i] = [-a for a in rows[i]]
+    twist, i, j = draw(st.sampled_from(["none", "double", "singular"])), draw(index), draw(index)
+    if twist == "double":
+        rows[i] = [2 * a for a in rows[i]]
+    elif twist == "singular":
+        rows[i] = [0] * d if i == j else list(rows[j])
+    return [tuple(c) for c in zip(*rows)]
+
+
+def square_columns():
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda d: st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d, max_size=d)
+    )
+
+
+@settings(max_examples=300, deadline=2000)
+@given(st.one_of(elementary_products(), square_columns()))
+def test_unimodular_inverse_matches_det_and_solve(columns):
+    expected = det_solve_inverse(columns)
+    assert (expected is None) is (abs(det(list(zip(*columns)))) != 1)
+    assert unimodular_inverse(columns) == expected
+    if expected is None:
+        with pytest.raises(ValueError, match="matrix is not unimodular"):
+            matrix_inverse(columns)
+    else:
+        assert matrix_inverse(columns) == expected
+        assert UnimodularMap.from_columns(columns).inverse().matrix == expected
+
+
+def test_unimodular_inverse_needs_a_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        unimodular_inverse([(1, 0), (0, 1, 0)])
 
 
 def test_change_of_basis_sends_columns():

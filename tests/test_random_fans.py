@@ -17,12 +17,14 @@ from conftest import (
     check_splittings_against_oracles,
     direction_in_fan,
     fourier_motzkin_calls,
+    solve_fibration_functional,
     star_equivalent_by_frames,
 )
 
 from fanshear import builtin
 from fanshear.deform import (
     FiberKind,
+    _fibration_functional,
     endpoint,
     endpoint_conditions,
     fiber_type,
@@ -300,3 +302,23 @@ def test_serialization_roundtrip_on_irregular_fans(seed):
 
     fan = random_plane_fan(seed, seed % 4 + 2)
     assert parse_fan(serialize_fan(fan)) == fan
+
+
+def test_fibration_functional_matches_the_full_solve(corpus):
+    fans = list(corpus.values()) + [
+        make(seed, name, insertions)
+        for make in (random_subdivided_fan, random_face_subdivided_fan)
+        for seed, name, insertions in SUBDIVIDED_CASES
+    ]
+    found = checked = 0
+    for fan in fans:
+        for collection in primitive_collections(fan):
+            if len(collection) != 2:
+                continue
+            x, y = fan.sort_names(collection)
+            for up, down in ((x, y), (y, x)):
+                h = _fibration_functional(fan, up, down)
+                assert h == solve_fibration_functional(fan, up, down), (fan, up, down)
+                found += h is not None
+                checked += 1
+    assert 0 < found < checked
