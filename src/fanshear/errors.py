@@ -19,7 +19,14 @@ class NonPrimitiveRay(FanError):
 
 
 class SingularCone(FanError):
-    pass
+    """A maximal cone that repeats a ray, has the wrong size or is not unimodular.
+
+    cone holds the ray names of the offending cone, in input order.
+    """
+
+    def __init__(self, message, cone=None):
+        super().__init__(message)
+        self.cone = cone
 
 
 class BadFaceStructure(FanError):

@@ -12,13 +12,24 @@ sides and one point is covered once.  On a valid fan that certificate is
 also the completeness test.  Any other input, half-fans included, falls
 back to a Fourier-Motzkin test of every pair of cones.  Completeness is a
 separate query because half-fans are legitimate values too.
+
+Isomorphism colours the rays of both fans first.  A ray starts from its
+star size and the labels of its walls (the relation a + b = sum(c_f * f)
+of two cones F+a and F+b sharing the facet F, read off the cached
+inverses), and colour refinement over the rays sharing a cone runs on
+both fans together.  The colours are an invariant: any isomorphism gives
+a ray and its image one colour.  So differing colour multisets reject a
+pair without a frame, and the frame search tries only the orderings of
+target cones whose colours match the anchor's, in the same order as
+without the filter, which finds the same first frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import lattice
@@ -98,16 +109,10 @@ class Fan:
         """Per maximal cone: its ordered rays and the inverse basis matrix.
 
         make_fan fills this slot with the inverses it checked; fans built
-        directly, such as a splitting's, compute it here on first use.
+        directly, such as a splitting's, invert each cone on its first
+        lookup.
         """
-        table = {}
-        for cone in self.max_cones:
-            cols = [self._gen_by_name[n] for n in cone.ray_names]
-            table[frozenset(cone.ray_names)] = (
-                cone.ray_names,
-                lattice.matrix_inverse(cols),
-            )
-        return table
+        return _InverseTable(self)
 
     @cached_property
     def _cone_masks(self) -> tuple[int, ...]:
@@ -202,6 +207,26 @@ class Fan:
         return tuple(row_of[n] for n in names)
 
 
+class _InverseTable(dict):
+    """The cone inverses of a fan built directly, each computed on first lookup.
+
+    It keeps the cones and generators, not the fan, so it makes no
+    reference cycle.  A key that is not a maximal cone raises KeyError.
+    """
+
+    def __init__(self, fan: Fan):
+        super().__init__()
+        self._names = {frozenset(c.ray_names): c.ray_names for c in fan.max_cones}
+        self._gen_by_name = fan._gen_by_name
+
+    def __missing__(self, cone_set: frozenset[str]):
+        names = self._names[cone_set]
+        entry = self[cone_set] = (
+            names, lattice.matrix_inverse([self._gen_by_name[n] for n in names])
+        )
+        return entry
+
+
 def _validate_face_pair(fan: Fan, a: frozenset[str], b: frozenset[str]) -> bool:
     """Whether two maximal cones meet exactly in the cone on their common rays.
 
@@ -279,14 +304,15 @@ def make_fan(
             if n not in gen_by_name:
                 raise ValueError(f"cone references unknown ray {n!r}")
         if len(set(c.ray_names)) != len(c.ray_names):
-            raise SingularCone(f"cone {c.ray_names} repeats a ray")
+            raise SingularCone(f"cone {c.ray_names} repeats a ray", c.ray_names)
         if len(c.ray_names) != dimension:
             raise SingularCone(
-                f"maximal cone {c.ray_names} has {len(c.ray_names)} rays, expected {dimension}"
+                f"maximal cone {c.ray_names} has {len(c.ray_names)} rays, expected {dimension}",
+                c.ray_names,
             )
         inverse = lattice.unimodular_inverse([gen_by_name[n] for n in c.ray_names])
         if inverse is None:
-            raise SingularCone(f"cone {c.ray_names} is not unimodular")
+            raise SingularCone(f"cone {c.ray_names} is not unimodular", c.ray_names)
         cone_objs.append(c)
         inverses[frozenset(c.ray_names)] = (c.ray_names, inverse)
     if not cone_objs:
@@ -505,19 +531,140 @@ def _frame_search(
     return None
 
 
+def _ray_signatures(fan: Fan) -> list[tuple]:
+    """Per ray, in ray order: its star size and the sorted labels of its facets.
+
+    A wall is a facet F that lies in two maximal cones F+a and F+b.  Both
+    are unimodular and lie on opposite sides of F, so b = -a + sum(c_f * f)
+    over the rays f of F: the coordinates of b over F+a, read off its
+    cached inverse, are the c_f and -1 at a.  The wall's label is the
+    sorted tuple of these coordinates.  A ray gets (True, -1, label) from
+    each wall where it is a or b, and (False, c_f, label) from each wall
+    where it is f.  A facet in k != 2 cones, such as the boundary of a
+    half-fan, gives (k, 1, ()) to the ray it leaves out of each of its cones
+    and (k, 0, ()) to each of its own rays.  A unimodular map carrying the
+    fan onto another carries walls to walls and keeps their coordinates, so
+    a ray and its image have equal signatures.
+    """
+    order = fan._order
+    cones = [[order[n] for n in c.ray_names] for c in fan.max_cones]
+    gens = [r.generator for r in fan.rays]
+    inverse = fan._cone_inverse
+    labels: list[list[tuple]] = [[] for _ in gens]
+    for pair in fan._facets.values():
+        if len(pair) != 2:
+            for j, i in pair:
+                for p, r in enumerate(cones[j]):
+                    labels[r].append((len(pair), int(p == i), ()))
+            continue
+        (j, i), (k, l) = pair
+        b = cones[k][l]
+        gen_b = gens[b]
+        coords = [sum(map(mul, row, gen_b)) for row in inverse[fan.cone_sets[j]][1]]
+        wall = tuple(sorted(coords))
+        for p, (r, c) in enumerate(zip(cones[j], coords)):
+            labels[r].append((p == i, c, wall))
+        labels[b].append((True, coords[i], wall))
+    stars = fan._cones_of_ray
+    return [
+        (stars[r.name].bit_count(), tuple(sorted(own)))
+        for r, own in zip(fan.rays, labels)
+    ]
+
+
+def _ray_colours(f1: Fan, f2: Fan) -> Optional[tuple[dict[str, int], dict[str, int]]]:
+    """Colours of the rays of f1 and f2, equal on a ray and its image, or None.
+
+    Colour refinement (1-WL, the refinement step of McKay and Piperno,
+    "Practical graph isomorphism II", 2014): every ray starts from its
+    _ray_signatures entry; a round recolours it by its colour and the
+    sorted colour tuples of the cones in its star.  Both fans are refined
+    together, one id per signature, so ids compare between them.  Rounds
+    stop when the number of colours stops growing.  An isomorphism carries
+    each ray's signature, in every round, to its image's, so None, returned
+    as soon as the two fans' colour multisets differ, proves that none
+    exists.
+    """
+    ids: dict[tuple, int] = {}
+    colours = [[ids.setdefault(s, len(ids)) for s in _ray_signatures(fan)] for fan in (f1, f2)]
+    cones = [
+        [[fan._order[n] for n in c.ray_names] for c in fan.max_cones] for fan in (f1, f2)
+    ]
+    while True:
+        if sorted(colours[0]) != sorted(colours[1]):
+            return None
+        size = len(ids)
+        ids = {}
+        refined = []
+        for fan_cones, colour in zip(cones, colours):
+            around: list[list[tuple[int, ...]]] = [[] for _ in colour]
+            for cone in fan_cones:
+                key = tuple(sorted(colour[r] for r in cone))
+                for r in cone:
+                    around[r].append(key)
+            refined.append([
+                ids.setdefault((c, tuple(sorted(a))), len(ids))
+                for c, a in zip(colour, around)
+            ])
+        if len(ids) == size:
+            return tuple(
+                dict(zip(fan.ray_names(), colour)) for fan, colour in zip((f1, f2), colours)
+            )
+        colours = refined
+
+
+def _matching_frames(
+    wanted: Sequence[int], cones: Iterable[Cone], colour: dict[str, int]
+) -> Iterator[tuple[str, ...]]:
+    """The orderings of each cone whose colours are wanted, position by position.
+
+    Cone by cone, and within a cone in the order of permutations(ray_names):
+    this is the order of fan_isomorphism's frames with the frames whose
+    colours differ left out.  A cone whose colour multiset differs from
+    wanted's has no such ordering; on any other, every matching prefix
+    extends, so the backtracking never dead-ends.
+    """
+    target = sorted(wanted)
+    for cone in cones:
+        names = cone.ray_names
+        if sorted(colour[n] for n in names) != target:
+            continue
+        stack = [()]
+        while stack:
+            prefix = stack.pop()
+            if len(prefix) == len(names):
+                yield prefix
+                continue
+            want = wanted[len(prefix)]
+            stack.extend(
+                prefix + (n,) for n in reversed(names)
+                if colour[n] == want and n not in prefix
+            )
+
+
 def fan_isomorphism(f1: Fan, f2: Fan) -> Optional[UnimodularMap]:
     """A unimodular map carrying f1 onto f2, or None.
 
     Exhausts the maps pinned down by sending a fixed maximal cone of f1 to
     every ordered maximal cone of f2; sound because any isomorphism must do
-    exactly that to some cone.  Only the map that is found gets built.
+    exactly that to some cone.  The rays are coloured first (_ray_colours):
+    an isomorphism keeps each ray's colour, so differing colour multisets
+    reject the pair at once, and only the frames whose colours match the
+    anchor's position by position are tried.  The frames left out cannot
+    succeed and the others keep their order, so the first frame that
+    succeeds, and the map, are those of the unfiltered search.  Only the
+    map that is found gets built.
     """
     if f1.dimension != f2.dimension:
         raise DimensionMismatch("fans live in different dimensions")
     if len(f1.rays) != len(f2.rays) or len(f1.max_cones) != len(f2.max_cones):
         return None
+    colours = _ray_colours(f1, f2)
+    if colours is None:
+        return None
     anchor = f1.max_cones[0].ray_names
-    frames = (p for cone in f2.max_cones for p in permutations(cone.ray_names))
+    wanted = [colours[0][n] for n in anchor]
+    frames = _matching_frames(wanted, f2.max_cones, colours[1])
     frame = _frame_search(f1, anchor, f1.cone_sets, f2, frames, f2.cone_sets)
     return None if frame is None else lattice.change_of_basis(
         [f1.generator(n) for n in anchor], [f2.generator(n) for n in frame]
@@ -645,17 +792,16 @@ def _solve_presentation(
             )
         by_vector[assigned[n]] = n
 
+    # The generators are primitive and distinct, so make_fan's first
+    # SingularCone is the first candidate cone that is not unimodular.
     cones = _candidate_cones(names, dimension, collections)
-    for cone in cones:
-        if abs(lattice.det([assigned[n] for n in cone])) != 1:
-            raise ResultSingular(
-                f"collection-free subset {cone} is not unimodular; "
-                "the relation list cannot be a complete primitive-collection list"
-            )
     try:
         fan = make_fan(dimension, [Ray(n, assigned[n]) for n in names], cones)
     except SingularCone as exc:
-        raise ResultSingular(str(exc)) from exc
+        raise ResultSingular(
+            f"collection-free subset {exc.cone} is not unimodular; "
+            "the relation list cannot be a complete primitive-collection list"
+        ) from exc
     if not is_complete(fan):
         raise ResultNotComplete("reconstructed cone complex does not cover R^d")
     return fan

@@ -8,7 +8,8 @@ is exponential in the ray count and meant for fans of up to ~14 rays.
 Fiber types are recomputed by a full splitting search of the equator, and
 equators are revalidated with make_fan.  Fan isomorphism and
 star equivalence are recomputed by building the full change-of-basis map
-of every candidate frame.  The gluing of a fan's cones is rechecked pair
+of every candidate frame, and relabelled_image makes isomorphic pairs.
+The gluing of a fan's cones is rechecked pair
 by pair with Fourier-Motzkin, the check make_fan falls back on when its
 completeness certificate fails, and completeness by facet connectivity.
 Cone inverses and fibration functionals are recomputed by a determinant
@@ -16,6 +17,7 @@ test and a general integral solve, independent of the one row reduction
 per cone whose result the library keeps.
 """
 
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -33,7 +35,7 @@ from fanshear.fan import (
     make_fan,
     primitive_collections,
 )
-from fanshear.lattice import change_of_basis
+from fanshear.lattice import UnimodularMap, change_of_basis, shear_map
 from fanshear.scroll import BundleSpec
 
 
@@ -236,6 +238,43 @@ def fan_isomorphism_by_frames(f1, f2):
             if {frozenset(name_map[n] for n in cs) for cs in f1.cone_sets} == f2_cones:
                 return candidate
     return None
+
+
+def carries_cones(iso, f1, f2):
+    """Whether iso maps the generator set of each cone of f1 onto one of f2."""
+    image = {frozenset(iso.apply(f1.generator(n)) for n in cs) for cs in f1.cone_sets}
+    return image == {frozenset(f2.generator(n) for n in cs) for cs in f2.cone_sets}
+
+
+def relabelled_image(fan, seed, anchored=False):
+    """fan under a random unimodular map, with its rays, cones and cone orders shuffled.
+
+    With anchored, the image of fan's first cone stays first, in the same
+    order except that its last two rays swap places, so the frame search
+    meets an isomorphism within the first two frames it tries.
+    """
+    rng = random.Random(seed)
+    d = fan.dimension
+    carry = UnimodularMap.identity(d)
+    for _ in range(3):
+        order = rng.sample(range(d), d)
+        permute = UnimodularMap(tuple(tuple(int(j == k) for j in range(d)) for k in order))
+        shear = shear_map([rng.randint(-2, 2) for _ in range(d - 1)])
+        carry = shear.compose(permute).compose(carry)
+    rays = list(fan.rays)
+    rng.shuffle(rays)
+    new_name = {r.name: f"m{i}" for i, r in enumerate(rays)}
+    cones = [rng.sample(c.ray_names, d) for c in fan.max_cones]
+    rng.shuffle(cones)
+    if anchored:
+        first = list(fan.max_cones[0].ray_names)
+        first[-2:] = first[:-3:-1]
+        cones = [first] + [c for c in cones if set(c) != set(first)]
+    return make_fan(
+        d,
+        [(new_name[r.name], carry.apply(r.generator)) for r in rays],
+        [[new_name[n] for n in c] for c in cones],
+    )
 
 
 def star_equivalent_by_frames(fan, a, b):

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanshear import builtin
 from fanshear.cli import main
@@ -351,3 +356,70 @@ def test_exit_codes_deterministic(fan_file, capsys):
     path = fan_file("x.fan", "X3_0")
     first = [run(capsys, "check", path)[0] for _ in range(3)]
     assert first == [0, 0, 0]
+
+
+# --- mutated fan files --------------------------------------------------------
+
+FUZZ_SEEDS = [
+    serialize_fan(builtin(name))
+    for name in ("hirzebruch(1)", "X3_0", "bundle(3;1,1)", "W4_5")
+] + [
+    "dim 2\nray x 1 0\nray y 0 1\ncone x y\n",
+    "dim 2\nray x 1 0\nray y 0 1\nray z -1 0\ncone x y\ncone y z\n",
+]
+FUZZ_TOKENS = st.sampled_from([
+    "dim", "ray", "cone", "#", "0", "1", "-1", "2", "-3", "7", "10" * 12, "x", "e1",
+    "a1", "b1", "c1", "", " ", "\t", "1.5", "0x1", "+1", "-0", "1_0", "∞", "é", "\x00",
+    "\\", "=",
+])
+
+
+@st.composite
+def mutated_fan_text(draw):
+    """A fan file with lines deleted, duplicated, swapped, cut or edited token by token."""
+    lines = draw(st.sampled_from(FUZZ_SEEDS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "token", "insert", "cut"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if not lines:
+            lines = [draw(FUZZ_TOKENS)]
+        elif kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "token":
+            tokens = lines[i].split(" ")
+            k = draw(st.integers(0, len(tokens)))
+            tokens[k:k + draw(st.integers(0, 1))] = [draw(FUZZ_TOKENS)]
+            lines[i] = " ".join(tokens)
+        elif kind == "insert":
+            lines.insert(i, " ".join(draw(st.lists(FUZZ_TOKENS, max_size=5))))
+        else:
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+@settings(max_examples=200, deadline=2000)
+@given(mutated_fan_text(), st.one_of(mutated_fan_text(), st.sampled_from(FUZZ_SEEDS)),
+       st.booleans())
+def test_iso_and_check_exit_cleanly_on_mutated_files(first, second, as_json):
+    # every run ends in 0, 1 or 2 and prints a report, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "a.fan", Path(tmp) / "b.fan"]
+        for path, text in zip(paths, (first, second)):
+            path.write_text(text, encoding="utf-8")
+        flags = ["--json"] if as_json else []
+        for argv in (
+            ["iso", str(paths[0]), str(paths[1])],
+            ["iso", str(paths[1]), str(paths[0])],
+            ["check", str(paths[0])],
+        ):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                status = main(flags + argv)
+            assert status in (0, 1, 2), argv
+            report = json.loads(out.getvalue()) if as_json else text_keys(out.getvalue())
+            assert status != 2 or "error" in report

@@ -13,6 +13,7 @@ from fanshear import builtin, lattice
 from fanshear.cli import main
 from fanshear.deform import (
     FiberKind,
+    _axis,
     endpoint,
     endpoint_conditions,
     fiber_type,
@@ -161,6 +162,27 @@ def test_split_with_frame_rebuilds_found_splittings():
             fan, s.upper_names[0], s.lower_names[0], s.basis_names, s.partner_name
         )
         assert rebuilt == s
+
+
+def test_axis_test_on_an_equator_inverts_only_the_cones_it_reads(monkeypatch):
+    inverted = []
+    real = lattice.matrix_inverse
+
+    def counting(columns):
+        inverted.append(columns)
+        return real(columns)
+
+    monkeypatch.setattr(lattice, "matrix_inverse", counting)
+    fan = builtin("W4_2")
+    s = find_splittings(fan)[0]
+    # a fresh splitting, whose equator nothing has read yet
+    equator = split_with_frame(
+        fan, s.upper_names[0], s.lower_names[0], s.basis_names, s.partner_name
+    ).equator
+    inverted.clear()
+    assert _axis(equator, "x7", "x8") is not None
+    assert len(inverted) == len(equator._cone_inverse) == 1
+    assert len(equator.max_cones) == 8
 
 
 # --- fiber_type ------------------------------------------------------------------

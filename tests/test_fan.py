@@ -1,18 +1,20 @@
 import gc
 import random
 import weakref
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
     brute_collections,
+    carries_cones,
     direction_in_fan,
     facets_pair_up,
     fan_isomorphism_by_frames,
     fraction_rank,
     pairwise_glued,
+    relabelled_image,
 )
 
 from fanshear import builtin, lattice
@@ -27,6 +29,7 @@ from fanshear.errors import (
     NoContainingCone,
     NonPrimitiveRay,
     NotAPrimitiveCollection,
+    ResultSingular,
     SingularCone,
     UnderdeterminedRelations,
 )
@@ -45,7 +48,7 @@ from fanshear.fan import (
     primitive_relation,
     primitive_relations,
 )
-from fanshear.lattice import UnimodularMap, shear_map
+from fanshear.lattice import UnimodularMap
 
 
 def p1_fan():
@@ -498,34 +501,6 @@ def test_isomorphism_preserves_invariants(corpus):
     )
 
 
-def carries_cones(iso, f1, f2):
-    """Whether iso maps the generator set of each cone of f1 onto one of f2."""
-    image = {frozenset(iso.apply(f1.generator(n)) for n in cs) for cs in f1.cone_sets}
-    return image == {frozenset(f2.generator(n) for n in cs) for cs in f2.cone_sets}
-
-
-def relabelled_image(fan, seed):
-    """fan under a random unimodular map, with its rays, cones and cone orders shuffled."""
-    rng = random.Random(seed)
-    d = fan.dimension
-    carry = UnimodularMap.identity(d)
-    for _ in range(3):
-        order = rng.sample(range(d), d)
-        permute = UnimodularMap(tuple(tuple(int(j == k) for j in range(d)) for k in order))
-        shear = shear_map([rng.randint(-2, 2) for _ in range(d - 1)])
-        carry = shear.compose(permute).compose(carry)
-    rays = list(fan.rays)
-    rng.shuffle(rays)
-    new_name = {r.name: f"m{i}" for i, r in enumerate(rays)}
-    cones = [rng.sample(c.ray_names, d) for c in fan.max_cones]
-    rng.shuffle(cones)
-    return make_fan(
-        d,
-        [(new_name[r.name], carry.apply(r.generator)) for r in rays],
-        [[new_name[n] for n in c] for c in cones],
-    )
-
-
 def test_isomorphism_matches_frame_oracle_on_relabelled_corpus(corpus):
     for seed, fan in enumerate(corpus.values()):
         moved = relabelled_image(fan, seed)
@@ -585,6 +560,88 @@ def test_frame_search_builds_at_most_one_map(monkeypatch):
     names = equator.ray_names()
     assert any(star_equivalent(equator, a, b) for a in names for b in names if a != b)
     assert len(built) == 1
+
+
+def twisted_bundle(d, *twists):
+    """bundle(d; twists, 0, ..., 0)."""
+    padded = twists + (0,) * (d - 1 - len(twists))
+    return builtin(f"bundle({d};{','.join(map(str, padded))})")
+
+
+def count_frames(monkeypatch):
+    """A list that records every frame fan_isomorphism's frame generator yields."""
+    tried = []
+    real = fan_module._matching_frames
+
+    def counted(*args):
+        for frame in real(*args):
+            tried.append(frame)
+            yield frame
+
+    monkeypatch.setattr(fan_module, "_matching_frames", counted)
+    return tried
+
+
+@pytest.mark.parametrize("d", range(5, 10))
+def test_bundles_with_different_twist_sums_are_rejected_without_frames(monkeypatch, d):
+    # C * d! frames without the colours: 645120 at d = 8
+    tried = count_frames(monkeypatch)
+    assert fan_isomorphism(twisted_bundle(d, 3, 1), twisted_bundle(d, 2, 1)) is None
+    assert fan_isomorphism(twisted_bundle(d, 2, 1), twisted_bundle(d, 3, 1)) is None
+    assert tried == []
+
+
+@pytest.mark.parametrize("d", range(5, 10))
+def test_found_bundle_pairs_give_the_frame_oracle_map(d):
+    fan = twisted_bundle(d, 3, 1)
+    moved = relabelled_image(fan, d, anchored=True)
+    iso = fan_isomorphism(fan, moved)
+    assert iso is not None and iso == fan_isomorphism_by_frames(fan, moved)
+    # the same bundles with the twists listed in another order; the oracle
+    # is too slow for these past d = 6
+    pairs = [
+        (fan, builtin(f"bundle({d};{','.join(['0'] * (d - 3))},1,3)")),
+        (builtin(f"bundle({d};{','.join(map(str, range(d - 1, 0, -1)))})"),
+         builtin(f"bundle({d};{','.join(map(str, range(1, d)))})")),
+    ]
+    for f1, f2 in pairs:
+        iso = fan_isomorphism(f1, f2)
+        assert iso is not None and carries_cones(iso, f1, f2)
+        if d <= 6:
+            assert iso == fan_isomorphism_by_frames(f1, f2)
+
+
+def test_named_non_isomorphic_pairs_match_frame_oracle():
+    for f1, f2 in (
+        (hirzebruch_fan(0), hirzebruch_fan(1)),
+        (builtin("W4_5"), builtin("W4_6")),
+        (twisted_bundle(4, 2, 2), twisted_bundle(4, 3, 1)),
+    ):
+        assert fan_isomorphism(f1, f2) is None
+        assert fan_isomorphism_by_frames(f1, f2) is None
+
+
+def test_ray_colours_of_a_relabelled_image_match(corpus):
+    for seed, fan in enumerate(corpus.values()):
+        moved = relabelled_image(fan, seed)
+        colours, moved_colours = fan_module._ray_colours(fan, moved)
+        iso = fan_isomorphism(fan, moved)
+        name_of = {r.generator: r.name for r in moved.rays}
+        for r in fan.rays:
+            assert colours[r.name] == moved_colours[name_of[iso.apply(r.generator)]]
+
+
+def test_matching_frames_keep_permutation_order():
+    # the frames of fan_isomorphism before colours, with the others dropped
+    cones = [Cone(("a", "b", "c", "d")), Cone(("p", "q", "r", "s")), Cone(("a", "p", "b", "q"))]
+    colour = {"a": 0, "b": 1, "c": 0, "d": 1, "p": 1, "q": 1, "r": 0, "s": 0}
+    wanted = [1, 0, 1, 0]
+    frames = [
+        p for c in cones for p in permutations(c.ray_names)
+        if [colour[n] for n in p] == wanted
+    ]
+    assert list(fan_module._matching_frames(wanted, cones, colour)) == frames
+    assert len(frames) == 8
 
 
 # --- reconstruction from relations -------------------------------------------
@@ -654,6 +711,22 @@ def test_underdetermined_relations():
             [FormalRelation(("x1", "x2"), ())],
             basis_cone=("x1", "x3"),
         )
+
+
+def test_singular_reconstruction_names_the_first_singular_subset():
+    # 2*e1 + a = e2 gives a = (-2, 1); {e2, a} avoids the collection {e1, a}
+    # but has determinant 2
+    with pytest.raises(ResultSingular) as caught:
+        fan_from_relations(
+            2,
+            ["e1", "e2", "a"],
+            [FormalRelation(("e1", "a"), ((-1, "e1"), (1, "e2")))],
+            basis_cone=("e1", "e2"),
+        )
+    assert str(caught.value) == (
+        "collection-free subset ('e2', 'a') is not unimodular; "
+        "the relation list cannot be a complete primitive-collection list"
+    )
 
 
 def test_reconstruction_roundtrip(corpus):

@@ -13,10 +13,13 @@ import pytest
 
 from conftest import (
     brute_collections,
+    carries_cones,
     check_certified,
     check_splittings_against_oracles,
     direction_in_fan,
+    fan_isomorphism_by_frames,
     fourier_motzkin_calls,
+    relabelled_image,
     solve_fibration_functional,
     star_equivalent_by_frames,
 )
@@ -33,6 +36,8 @@ from fanshear.deform import (
 )
 from fanshear.divisor import NefAmpleStatus, anticanonical, nef_ample_status
 from fanshear.fan import (
+    _ray_colours,
+    _ray_signatures,
     fan_isomorphism,
     is_complete,
     make_fan,
@@ -270,6 +275,41 @@ def test_isomorphism_found_after_random_relabeling(seed, insertions):
 
 def test_different_blowup_counts_never_isomorphic():
     assert fan_isomorphism(random_plane_fan(0, 1), random_plane_fan(0, 2)) is None
+
+
+def test_isomorphism_matches_frame_oracle_on_subdivisions():
+    fans = [
+        maker(seed, name, insertions)
+        for maker in (random_subdivided_fan, random_face_subdivided_fan)
+        for seed, name, insertions in SUBDIVIDED_CASES
+    ]
+    for seed, fan in enumerate(fans):
+        moved = relabelled_image(fan, seed)
+        iso = fan_isomorphism(fan, moved)
+        assert iso is not None and carries_cones(iso, fan, moved)
+        assert iso == fan_isomorphism_by_frames(fan, moved)
+        colours, moved_colours = _ray_colours(fan, moved)
+        name_of = {r.generator: r.name for r in moved.rays}
+        for r in fan.rays:
+            assert colours[r.name] == moved_colours[name_of[iso.apply(r.generator)]]
+    compared = 0
+    for f1, f2 in combinations(fans, 2):
+        if (f1.dimension, len(f1.rays), len(f1.max_cones)) == (
+            f2.dimension, len(f2.rays), len(f2.max_cones)
+        ):
+            assert fan_isomorphism(f1, f2) == fan_isomorphism_by_frames(f1, f2)
+            compared += 1
+    assert compared
+
+
+def test_refinement_rejects_plane_fans_whose_first_colours_agree():
+    # 11 rays each with equal star sizes and wall labels, so only refining
+    # over neighbours tells the two cycles apart
+    f1, f2 = random_plane_fan(2, 7), random_plane_fan(2755, 7)
+    assert sorted(_ray_signatures(f1)) == sorted(_ray_signatures(f2))
+    assert _ray_colours(f1, f2) is None
+    assert fan_isomorphism(f1, f2) is None
+    assert fan_isomorphism_by_frames(f1, f2) is None
 
 
 @pytest.mark.parametrize(
