@@ -4,6 +4,16 @@ Subcommands: check, relations, split, deform, iso, chain, catalog,
 fromrel.  Reports are line-oriented `key: value` text; --json emits one
 object with the same fields.  Exit status 0 means every asserted property
 holds, 1 a mathematical check failed, 2 malformed input.
+
+The grammar is one table, COMMANDS.  main reads plain argv (an optional
+leading --json, the command, its positionals, then `--flag value` pairs)
+straight from the table, and builds the argparse parser only for
+everything else: help, usage errors, abbreviated flags, `--flag=value`,
+`--` and repeated flags.  The fallback keeps argparse the only source of
+help and error text, and the plain path returns the namespace argparse
+would, so a valid invocation behaves the same either way.  It exists
+because a process builds the parser cold, and argparse's first message
+lookup imports locale through gettext, which costs more than most ops.
 """
 
 from __future__ import annotations
@@ -276,6 +286,39 @@ def _cmd_fromrel(args, report: Report) -> int:
     return OK
 
 
+# The grammar, written once: per command its handler, help text,
+# positionals and options.  A positional is (dest, choices, optional); only
+# catalog's name is optional.  An option is (flag, type, default, required),
+# and its dest is the flag without "--", dashes turned into underscores.
+# _parse_plain reads plain argv straight from this table.  build_parser turns
+# it into the argparse parser, which main builds only when _parse_plain gives
+# up, so that help, usage errors and the spellings only argparse accepts
+# (abbreviations, --flag=value, --) keep argparse's exact behaviour, while the
+# common invocation skips a parser build that costs more than most ops.
+COMMANDS = {
+    "check": (_cmd_check, "validate a fan file and classify it",
+              [("fanfile", None, False)], []),
+    "relations": (_cmd_relations, "print the primitive relations",
+                  [("fanfile", None, False)], []),
+    "split": (_cmd_split, "list all splittings over the line",
+              [("fanfile", None, False)], []),
+    "deform": (_cmd_deform, "shear with parameter k and write the endpoint fan",
+               [("fanfile", None, False)],
+               [("--k", int, None, True), ("--splitting", int, None, False),
+                ("--out", None, "out.fan", False)]),
+    "iso": (_cmd_iso, "decide unimodular equivalence of two fan files",
+            [("fanfile1", None, False), ("fanfile2", None, False)], []),
+    "chain": (_cmd_chain, "deformation chain between bundle twist vectors", [],
+              [("--dim", int, None, True), ("--from", None, None, True),
+               ("--to", None, None, True), ("--out-dir", None, None, False)]),
+    "catalog": (_cmd_catalog, "list, show or verify built-in fans",
+                [("action", ["list", "show", "verify"], False), ("name", None, True)],
+                [("--out", None, None, False)]),
+    "fromrel": (_cmd_fromrel, "build a fan file from a relation file",
+                [("relfile", None, False)], [("--out", None, None, False)]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanshear",
@@ -284,55 +327,84 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="validate a fan file and classify it")
-    p.add_argument("fanfile")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("relations", help="print the primitive relations")
-    p.add_argument("fanfile")
-    p.set_defaults(func=_cmd_relations)
-
-    p = sub.add_parser("split", help="list all splittings over the line")
-    p.add_argument("fanfile")
-    p.set_defaults(func=_cmd_split)
-
-    p = sub.add_parser("deform", help="shear with parameter k and write the endpoint fan")
-    p.add_argument("fanfile")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--splitting", type=int, default=None)
-    p.add_argument("--out", default="out.fan")
-    p.set_defaults(func=_cmd_deform)
-
-    p = sub.add_parser("iso", help="decide unimodular equivalence of two fan files")
-    p.add_argument("fanfile1")
-    p.add_argument("fanfile2")
-    p.set_defaults(func=_cmd_iso)
-
-    p = sub.add_parser("chain", help="deformation chain between bundle twist vectors")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--from", required=True)
-    p.add_argument("--to", required=True)
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=_cmd_chain)
-
-    p = sub.add_parser("catalog", help="list, show or verify built-in fans")
-    p.add_argument("action", choices=["list", "show", "verify"])
-    p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_catalog)
-
-    p = sub.add_parser("fromrel", help="build a fan file from a relation file")
-    p.add_argument("relfile")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_fromrel)
-
+    for name, (func, help_text, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest, choices, optional in positionals:
+            if optional:
+                p.add_argument(dest, nargs="?", default=None)
+            else:
+                p.add_argument(dest, choices=choices)
+        for flag, kind, default, required in options:
+            p.add_argument(flag, type=kind, default=default, required=required)
+        p.set_defaults(func=func)
     return parser
 
 
+def _is_value(token: str) -> bool:
+    """Whether every parser built from COMMANDS reads token as a value.
+
+    None of them has an option that looks like a negative number, so
+    argparse takes "-" followed by digits as a value, not as a flag.
+    """
+    return not token.startswith("-") or (
+        len(token) > 1 and token[1:].isascii() and token[1:].isdigit()
+    )
+
+
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace build_parser().parse_args(argv) returns, for plain argv.
+
+    Plain argv is an optional leading --json, a command, its positionals,
+    then separate `--flag value` pairs, each flag spelled in full and given
+    once.  A positional or value may start with "-" only as an ASCII
+    negative integer, which argparse also reads as a value.  Anything else
+    (help, errors, abbreviations, --flag=value, --, repeated flags) returns
+    None, and argparse parses it, so help and usage errors keep one source.
+    """
+    start = 1 if argv[:1] == ["--json"] else 0
+    if len(argv) <= start or argv[start] not in COMMANDS:
+        return None
+    command, tokens = argv[start], argv[start + 1:]
+    func, _, positionals, options = COMMANDS[command]
+    flags = {option[0] for option in options}
+    split = next((i for i, t in enumerate(tokens) if t in flags), len(tokens))
+    heads, pairs = tokens[:split], tokens[split:]
+    given = dict(zip(pairs[::2], pairs[1::2]))
+    least = sum(not optional for _, _, optional in positionals)
+    if (
+        len(pairs) % 2
+        or len(given) != len(pairs) // 2
+        or not given.keys() <= flags
+        or not least <= len(heads) <= len(positionals)
+        or not all(map(_is_value, heads + pairs[1::2]))
+    ):
+        return None
+    values = {"json": start == 1, "command": command}
+    heads += [None] * (len(positionals) - len(heads))
+    for (dest, choices, _), value in zip(positionals, heads):
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    for flag, kind, default, required in options:
+        if flag in given:
+            try:
+                value = given[flag] if kind is None else kind(given[flag])
+            except ValueError:
+                return None
+        elif required:
+            return None
+        else:
+            value = default
+        values[flag[2:].replace("-", "_")] = value
+    values["func"] = func
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     report = Report()
     try:
         status = args.func(args, report)

@@ -675,6 +675,8 @@ def _candidate_cones(
     names: Sequence[str], dimension: int, collections: Sequence[frozenset[str]]
 ) -> list[tuple[str, ...]]:
     """The d-subsets of names, in combinations order, containing no collection."""
+    if dimension > len(names):
+        return []  # itertools would first allocate `dimension` indices
     order = {n: i for i, n in enumerate(names)}
     masks = [sum(1 << order[n] for n in c) for c in collections]
     out = []
@@ -762,14 +764,18 @@ def _solve_presentation(
         rhs_rows.append(constant)
 
     if unknowns:
+        unpinned = UnderdeterminedRelations(
+            f"generators {unknowns} are not pinned down by the relations"
+        )
+        if not rows:
+            # No relation: solve_integer sees no column, so it would pin nothing.
+            raise unpinned
         try:
             solution = lattice.solve_integer(rows, rhs_rows)
         except lattice.NoIntegerSolution as exc:
             raise InconsistentRelations(str(exc)) from exc
         except lattice.UnderdeterminedSystem as exc:
-            raise UnderdeterminedRelations(
-                f"generators {unknowns} are not pinned down by the relations"
-            ) from exc
+            raise unpinned from exc
         for n, row in zip(unknowns, solution):
             assigned[n] = tuple(row)
     else:

@@ -136,6 +136,8 @@ def parse_relation_presentation(
         rest = parts[1] if len(parts) > 1 else ""
         if keyword == "dim":
             dimension = _parse_int(rest.strip(), lineno)
+            if dimension < 1:
+                raise ParseError("dimension must be positive", lineno)
         elif keyword == "gens":
             gens = tuple(rest.split())
             if len(set(gens)) != len(gens):

@@ -1,13 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fanshear import builtin
+from fanshear import builtin, cli
 from fanshear.cli import main
 from fanshear.fan import fan_isomorphism
 from fanshear.fileformats import parse_fan, serialize_fan
@@ -319,6 +322,25 @@ def test_fromrel_inconsistent_exits_one(tmp_path, capsys):
     assert "InconsistentRelations" in out
 
 
+@pytest.mark.parametrize(
+    "text,status,fragment",
+    [
+        # generators but no relation: nothing pins the non-basis generators
+        ("dim 2\ngens a b c\n", 1, "UnderdeterminedRelations: generators ['a']"),
+        # more dimensions than generators: no candidate cone, and no huge allocation
+        ("dim 99999999999\ngens a b c\n", 1, "no candidate basis cone"),
+        ("dim -1\ngens a b c\n", 2, "error: line 1: dimension must be positive"),
+        ("dim 0\ngens a b\nrel a+b = 0\n", 2, "error: line 1: dimension must be positive"),
+    ],
+)
+def test_fromrel_degenerate_presentations_exit_cleanly(tmp_path, capsys, text, status, fragment):
+    rel = tmp_path / "degenerate.rel"
+    rel.write_text(text)
+    got, out = run(capsys, "fromrel", str(rel))
+    assert got == status
+    assert fragment in out
+
+
 # --- json parity --------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -423,3 +445,210 @@ def test_iso_and_check_exit_cleanly_on_mutated_files(first, second, as_json):
             assert status in (0, 1, 2), argv
             report = json.loads(out.getvalue()) if as_json else text_keys(out.getvalue())
             assert status != 2 or "error" in report
+
+
+# --- mutated relation files ---------------------------------------------------
+
+REL_FUZZ_SEEDS = [
+    "dim 3\ngens e1 e2 a1 a2 b1 c1\n"
+    "rel e1+a1 = e2\nrel e2+a2 = 0\nrel b1+c1 = 2*e1\nbasis e1 e2 b1\n",
+    "dim 2\ngens e1 a1 b1 c1\nrel e1+a1 = 0\nrel b1+c1 = 3*e1\n",
+    "dim 2\ngens x1 x2 x3\nrel x1+x2 = 0\nrel x1+x2 = x3\nbasis x1 x3\n",
+]
+REL_FUZZ_TOKENS = st.sampled_from([
+    "dim", "gens", "rel", "basis", "#", "=", "+", "*", "0", "1", "-1", "2", "3", "-7",
+    "10" * 12, "99999999999", "-99999999999", "e1", "e2", "a1", "b1", "c1", "x1", "x3",
+    "e1+a1", "2*e1", "-1*e2", "e1+e1", "", " ", "1_0", "é", "\x00",
+])
+
+
+@st.composite
+def mutated_relation_text(draw):
+    """A relation file with lines deleted, duplicated, swapped or cut, or tokens replaced."""
+    lines = draw(st.sampled_from(REL_FUZZ_SEEDS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "token", "cut"]))
+        if not lines:
+            lines = [draw(REL_FUZZ_TOKENS)]
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "token":
+            tokens = lines[i].split(" ")
+            k = draw(st.integers(0, len(tokens) - 1))
+            tokens[k] = draw(REL_FUZZ_TOKENS)
+            lines[i] = " ".join(tokens)
+        else:
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=2000)
+@given(mutated_relation_text(), st.booleans())
+def test_fromrel_exits_cleanly_on_mutated_files(text, as_json):
+    # every run ends in 0, 1 or 2, never a traceback; an exit 2 names the error
+    with tempfile.TemporaryDirectory() as tmp:
+        rel, fan = Path(tmp) / "in.rel", Path(tmp) / "out.fan"
+        rel.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            flags = ["--json"] if as_json else []
+            status = main(flags + ["fromrel", str(rel), "--out", str(fan)])
+        assert status in (0, 1, 2)
+        report = json.loads(out.getvalue()) if as_json else text_keys(out.getvalue())
+        assert status != 2 or "error" in report
+        assert (status == 0) == fan.exists()
+
+
+# --- argv parsing -------------------------------------------------------------
+
+ARGV_FLAGS = ["--k", "--splitting", "--out", "--dim", "--from", "--to", "--out-dir",
+              "--spl", "--o", "--out-d", "--k=1", "--", "-h", "--json", "--js"]
+ARGV_VALUES = ["x.fan", "1", "0", "-1", "-0", "-1,0", "-\u0661", "\u0661", "-\u00b2", "", " 1",
+               "1_0", "3,0", "list", "show", "verify", "X3_0", "-", "-x", "1\n", "-1\n"]
+
+
+@st.composite
+def argv_lists(draw):
+    """Mostly plain argv (positionals, then flag-value pairs), often perturbed."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, _, positionals, options = cli.COMMANDS[command]
+    values, flags = st.sampled_from(ARGV_VALUES), st.sampled_from(ARGV_FLAGS)
+    argv = draw(st.sampled_from([[], ["--json"]])) + [command]
+    argv += [draw(values) for _ in positionals[:draw(st.integers(0, len(positionals)))]]
+    for option in draw(st.permutations(options)):
+        if draw(st.booleans()):
+            argv += [option[0], draw(values)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(argv)))
+        argv[i:i + draw(st.integers(0, 1))] = [
+            draw(st.one_of(values, flags, st.sampled_from([*cli.COMMANDS, "nope"])))
+        ]
+    return argv
+
+
+@settings(max_examples=400, deadline=2000)
+@given(argv_lists())
+@example(["deform", "x.fan", "--k", "x", "--k", "1"])  # argparse rejects the first --k
+@example(["deform", "x.fan", "--k", "-\u00b2"])  # a digit to str.isdigit, not to argparse's \d
+def test_plain_parse_agrees_with_argparse(argv):
+    # the plain parser returns argparse's namespace, or None; never a
+    # namespace for argv that argparse rejects
+    plain = cli._parse_plain(list(argv))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = list(vars(cli.build_parser().parse_args(argv)).items())
+        except SystemExit:
+            expected = None
+    assert plain is None or list(vars(plain).items()) == expected
+
+
+@pytest.fixture
+def no_parser(monkeypatch):
+    def refuse():
+        raise AssertionError("built the argparse parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+
+
+def test_plain_argv_never_builds_the_parser(no_parser, fan_file, tmp_path, capsys):
+    path = fan_file("x.fan", "X3_0")
+    assert run(capsys, "--json", "check", path)[0] == 0
+    assert run(capsys, "--json", "iso", path, path)[0] == 0
+    assert run(capsys, "--json", "catalog", "verify", "X3_0")[0] == 0
+    assert run(capsys, "catalog", "verify")[0] == 0
+    status, _ = run(capsys, "--json", "chain", "--dim", "3", "--from", "3,0", "--to", "0,0",
+                    "--out-dir", str(tmp_path / "chain"))
+    assert status == 0 and (tmp_path / "chain" / "V2.fan").exists()
+    status, out = run(capsys, "deform", path, "--k", "-1", "--out", str(tmp_path / "o.fan"))
+    assert status == 2 and "error: k must be nonnegative" in out
+
+
+def test_abbreviated_flag_goes_through_argparse(fan_file, tmp_path, capsys):
+    path = fan_file("x.fan", "X3_0")
+    out_path = str(tmp_path / "o.fan")
+    assert cli._parse_plain(["deform", path, "--k", "1", "--spl", "0", "--out", out_path]) is None
+    assert (run(capsys, "deform", path, "--k", "1", "--spl", "0", "--out", out_path)
+            == run(capsys, "deform", path, "--k", "1", "--splitting", "0", "--out", out_path))
+
+
+TOP_USAGE = (
+    "usage: fanshear [-h] [--json]\n"
+    "                {check,relations,split,deform,iso,chain,catalog,fromrel} ...\n"
+)
+DEFORM_USAGE = "usage: fanshear deform [-h] --k K [--splitting SPLITTING] [--out OUT] fanfile\n"
+TOP_HELP = TOP_USAGE + """
+Split smooth complete toric fans over the line, shear them, and classify Fano
+behavior, in exact integer arithmetic.
+
+positional arguments:
+  {check,relations,split,deform,iso,chain,catalog,fromrel}
+    check               validate a fan file and classify it
+    relations           print the primitive relations
+    split               list all splittings over the line
+    deform              shear with parameter k and write the endpoint fan
+    iso                 decide unimodular equivalence of two fan files
+    chain               deformation chain between bundle twist vectors
+    catalog             list, show or verify built-in fans
+    fromrel             build a fan file from a relation file
+
+options:
+  -h, --help            show this help message and exit
+  --json                emit a JSON report
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (["--help"], 0, TOP_HELP, ""),
+        (["nope"], 2, "", TOP_USAGE + "fanshear: error: argument command: invalid choice: "
+         "'nope' (choose from 'check', 'relations', 'split', 'deform', 'iso', 'chain', "
+         "'catalog', 'fromrel')\n"),
+        (["deform", "x.fan"], 2, "", DEFORM_USAGE
+         + "fanshear deform: error: the following arguments are required: --k\n"),
+        (["deform", "x.fan", "--k", "x"], 2, "", DEFORM_USAGE
+         + "fanshear deform: error: argument --k: invalid int value: 'x'\n"),
+        (["deform", "x.fan", "--spl", "0"], 2, "", DEFORM_USAGE
+         + "fanshear deform: error: the following arguments are required: --k\n"),
+        (["catalog", "list", "--json"], 2, "", TOP_USAGE
+         + "fanshear: error: unrecognized arguments: --json\n"),
+    ],
+)
+def test_help_and_usage_errors_come_from_argparse(monkeypatch, capsys, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_every_exported_name_imports():
+    # a fresh interpreter, so a lazily loaded package must still resolve every name
+    names = (
+        "CatalogEntry ExpectedOutcome builtin entry verify_weakened ConditionsReport "
+        "FiberKind FiberType Splitting endpoint endpoint_conditions fiber_type "
+        "find_splittings shear_lower split_with_frame star_equivalent DivisorClassData "
+        "FanoClass FanoReport IrrelevantData NefAmpleStatus anticanonical class_group "
+        "classify_fano irrelevant_data nef_ample_status BadFaceStructure "
+        "ConditionsNotSatisfied DanglingRay DimensionMismatch FanError "
+        "InconsistentRelations InternalError NoContainingCone NonPrimitiveRay "
+        "NotAPrimitiveCollection ParseError PreconditionViolated ResultNotAFan "
+        "ResultNotComplete ResultSingular SingularCone UnderdeterminedRelations "
+        "UnknownName Cone Fan FormalRelation PrimitiveRelation Ray fan_from_relations "
+        "fan_isomorphism is_complete make_fan primitive_collections primitive_relation "
+        "primitive_relations format_relation parse_fan parse_relation_presentation "
+        "serialize_fan UnimodularMap extends_to_basis is_primitive shear_map BundleSpec "
+        "DeformationChain ReduceStep bundle_fan deformation_chain reduce_step __version__"
+    ).split()
+    code = f"from fanshear import {', '.join(names)}; print(__version__)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0.1.0\n"
