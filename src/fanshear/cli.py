@@ -19,6 +19,7 @@ lookup imports locale through gettext, which costs more than most ops.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -401,6 +402,26 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit status.
+
+    The objects that exist at the call outlive it, so they are frozen out
+    of garbage collection while it runs.  Otherwise the command's first
+    collection of an older generation may rescan all of them, depending
+    only on where earlier allocations left the collector's counters: the
+    ~15k objects that importing the package leaves took about 4 ms to scan
+    on a 2-vCPU x86-64 virtual machine, more than most commands.  A freeze
+    made by the caller is kept.
+    """
+    frozen_before = gc.get_freeze_count()
+    gc.freeze()
+    try:
+        return _main(argv)
+    finally:
+        if not frozen_before:
+            gc.unfreeze()
+
+
+def _main(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_plain(argv)
     if args is None:

@@ -4,14 +4,16 @@ A Fan is an immutable value: named primitive ray generators plus the ray
 sets of its full-dimensional cones.  make_fan is the only validating
 constructor; everything downstream may assume its invariants (primitive
 rays, unimodular cones, pairwise intersection in a common face, no
-dangling rays).  Each cone is checked and inverted by one row reduction,
-and the fan keeps those inverses: cone coordinates, the certificate,
-splittings, axis tests and frame searches all read them.  A complete fan
-is accepted in O(C*d) by a certificate: its facets pair up on opposite
-sides and one point is covered once.  On a valid fan that certificate is
-also the completeness test.  Any other input, half-fans included, falls
-back to a Fourier-Motzkin test of every pair of cones.  Completeness is a
-separate query because half-fans are legitimate values too.
+dangling rays).  One row reduction inverts a cone, pivots across facets
+invert the cones it reaches, and the fan keeps those inverses: cone
+coordinates, the certificate, primitive relations (each read in the cone
+that a walk across facets finds holding its sum), splittings, axis tests
+and frame searches all read them.  A complete fan is accepted in O(C*d)
+by a certificate: its facets pair up on opposite sides and one point is
+covered once.  On a valid fan that certificate is also the completeness
+test.  Any other input, half-fans included, falls back to a
+Fourier-Motzkin test of every pair of cones.  Completeness is a separate
+query because half-fans are legitimate values too.
 
 Isomorphism colours the rays of both fans first.  A ray starts from its
 star size and the labels of its walls (the relation a + b = sum(c_f * f)
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
@@ -259,12 +261,13 @@ def make_fan(
 ) -> Fan:
     """Validate and build a smooth fan.
 
-    Each cone is checked for unimodularity and inverted by one
-    lattice.unimodular_inverse, and the fan keeps the inverses.  After the
-    per-ray and per-cone checks, a complete fan is accepted by the
-    certificate of _certified_complete, which is also its cached
-    completeness, with no Fourier-Motzkin call.  Any other input falls back
-    to testing every pair of cones with _validate_face_pair.
+    Every cone is checked for unimodularity and inverted by _cone_inverses,
+    and the fan keeps the inverses; of the faulty cones, the first in input
+    order is reported.  After the per-ray and per-cone checks, a complete
+    fan is accepted by the certificate of _certified_complete, which is
+    also its cached completeness, with no Fourier-Motzkin call.  Any other
+    input falls back to testing every pair of cones with
+    _validate_face_pair.
 
     Raises NonPrimitiveRay, SingularCone, BadFaceStructure or DanglingRay
     when the data violates the fan invariants.
@@ -296,27 +299,32 @@ def make_fan(
 
     gen_by_name = {r.name: r.generator for r in ray_objs}
     cone_objs = []
-    inverses = {}
+    fault: Optional[Exception] = None
     for c in max_cones:
         if not isinstance(c, Cone):
             c = Cone(tuple(str(n) for n in c))
-        for n in c.ray_names:
-            if n not in gen_by_name:
-                raise ValueError(f"cone references unknown ray {n!r}")
-        if len(set(c.ray_names)) != len(c.ray_names):
-            raise SingularCone(f"cone {c.ray_names} repeats a ray", c.ray_names)
-        if len(c.ray_names) != dimension:
-            raise SingularCone(
+        unknown = [n for n in c.ray_names if n not in gen_by_name]
+        if unknown:
+            fault = ValueError(f"cone references unknown ray {unknown[0]!r}")
+        elif len(set(c.ray_names)) != len(c.ray_names):
+            fault = SingularCone(f"cone {c.ray_names} repeats a ray", c.ray_names)
+        elif len(c.ray_names) != dimension:
+            fault = SingularCone(
                 f"maximal cone {c.ray_names} has {len(c.ray_names)} rays, expected {dimension}",
                 c.ray_names,
             )
-        inverse = lattice.unimodular_inverse([gen_by_name[n] for n in c.ray_names])
-        if inverse is None:
-            raise SingularCone(f"cone {c.ray_names} is not unimodular", c.ray_names)
+        if fault is not None:
+            # A cone before this one that is not unimodular is the first fault.
+            _cone_inverses(Fan(dimension, tuple(ray_objs), tuple(cone_objs)))
+            raise fault
         cone_objs.append(c)
-        inverses[frozenset(c.ray_names)] = (c.ray_names, inverse)
     if not cone_objs:
         raise ValueError("a fan needs at least one maximal cone")
+    fan = Fan(dimension, tuple(ray_objs), tuple(cone_objs))
+    inverses = {
+        cs: (c.ray_names, inverse)
+        for cs, c, inverse in zip(fan.cone_sets, cone_objs, _cone_inverses(fan))
+    }
     if len(inverses) != len(cone_objs):
         raise BadFaceStructure("duplicate maximal cone")
     in_some_cone = set().union(*inverses)
@@ -324,7 +332,6 @@ def make_fan(
         if n not in in_some_cone:
             raise DanglingRay(f"ray {n} belongs to no maximal cone")
 
-    fan = Fan(dimension, tuple(ray_objs), tuple(cone_objs))
     fan.__dict__["_cone_inverse"] = inverses  # the cached_property's slot
     if fan._is_complete:
         return fan
@@ -334,6 +341,49 @@ def make_fan(
                 f"cones {fan.sort_names(a)} and {fan.sort_names(b)} do not meet in a common face"
             )
     return fan
+
+
+def _cone_inverses(fan: Fan) -> list[lattice.Matrix]:
+    """The inverse of each maximal cone, in max_cones order.
+
+    A cone no walk has reached is inverted by lattice.unimodular_inverse,
+    and a walk over the facets pivots from it: B = F+b across F from
+    A = F+a has det B = c_a * det A for c = inv(A) @ b, and if c_a = +-1,
+    row b of inv(B) is c_a * inv(A)[a] and row f is inv(A)[f] - c_f * (row
+    b), O(d^2) work.  Any other pivot leaves B to the elimination, which
+    raises SingularCone for the first cone in input order not unimodular.
+    """
+    cones = fan.max_cones
+    gens, facets, masks, order = fan._gen_by_name, fan._facets, fan._cone_masks, fan._order
+    inverses: list = [None] * len(cones)
+    for start, cone in enumerate(cones):
+        if inverses[start] is not None:
+            continue
+        inverses[start] = lattice.unimodular_inverse([gens[n] for n in cone.ray_names])
+        if inverses[start] is None:
+            raise SingularCone(f"cone {cone.ray_names} is not unimodular", cone.ray_names)
+        stack = [start]
+        while stack:
+            j = stack.pop()
+            names, inv = cones[j].ray_names, inverses[j]
+            for i, a in enumerate(names):
+                for k, l in facets[masks[j] ^ (1 << order[a])]:
+                    if inverses[k] is not None:
+                        continue
+                    b = cones[k].ray_names[l]
+                    coords = [sum(map(mul, row, gens[b])) for row in inv]
+                    pivot = coords[i]
+                    if pivot not in (1, -1):
+                        continue
+                    row_b = tuple(pivot * x for x in inv[i])
+                    rows = {
+                        n: tuple(x - c * y for x, y in zip(row, row_b))
+                        for n, row, c in zip(names, inv, coords)
+                    }
+                    rows[b] = row_b
+                    inverses[k] = tuple(rows[n] for n in cones[k].ray_names)
+                    stack.append(k)
+    return inverses
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -471,28 +521,59 @@ def primitive_relation(fan: Fan, collection: Iterable[str]) -> PrimitiveRelation
 
 
 def _relation(fan: Fan, fs: frozenset[str]) -> PrimitiveRelation:
-    total = tuple(
-        sum(fan.generator(n)[i] for n in fs) for i in range(fan.dimension)
+    """The relation of a collection, read in the cone _walk_to_sum finds.
+
+    _scan_for_sum is the fallback.  Every maximal cone holding the sum
+    gives the same positive coordinates: those over the one cone holding
+    it in its relative interior.
+    """
+    total = tuple(map(sum, zip(*(fan.generator(n) for n in fs))))
+    coords = _walk_to_sum(fan, fs, total) or _scan_for_sum(fan, total)
+    if coords is None:
+        raise NoContainingCone(
+            f"sum of {fan.sort_names(fs)} lies in no cone; fan is invalid or incomplete"
+        )
+    support = tuple((n, coords[n]) for n in fan.sort_names(coords) if coords[n] > 0)
+    return PrimitiveRelation(
+        collection=fan.sort_names(fs),
+        support=support,
+        degree=len(fs) - sum(v for _, v in support),
     )
+
+
+def _walk_to_sum(fan: Fan, fs: frozenset[str], total: Vector) -> Optional[dict[str, int]]:
+    """The coordinates of total over a maximal cone holding it, or None.
+
+    The walk starts at the first cone holding fs minus its highest ray (a
+    face, as fs is minimal) and crosses the facet of the most negative
+    coordinate (Devillers, Pion and Teillaud, "Walking in a triangulation",
+    2002).  It gives up at a facet not in two cones or after C steps.
+    """
+    cones = (1 << len(fan.max_cones)) - 1
+    for n in fan.sort_names(fs)[:-1]:
+        cones &= fan._cones_of_ray[n]
+    if not cones:
+        return None
+    j = (cones & -cones).bit_length() - 1
+    for _ in fan.max_cones:
+        coords = fan.cone_coefficients(fan.cone_sets[j], total)
+        out = min(coords, key=coords.__getitem__)
+        if coords[out] >= 0:
+            return coords
+        pair = fan._facets[fan._cone_masks[j] ^ (1 << fan._order[out])]
+        if len(pair) != 2:
+            return None
+        j = pair[pair[0][0] == j][0]
+    return None
+
+
+def _scan_for_sum(fan: Fan, total: Vector) -> Optional[dict[str, int]]:
+    """The coordinates of total over the first maximal cone holding it, or None."""
     for cs in fan.cone_sets:
-        names, inv = fan._cone_inverse[cs]
-        coeffs = {}
-        for n, row in zip(names, inv):
-            coeffs[n] = lattice.dot(row, total)
-            if coeffs[n] < 0:
-                break
-        else:
-            support = tuple(
-                (n, coeffs[n]) for n in fan.sort_names(cs) if coeffs[n] > 0
-            )
-            return PrimitiveRelation(
-                collection=fan.sort_names(fs),
-                support=support,
-                degree=len(fs) - sum(v for _, v in support),
-            )
-    raise NoContainingCone(
-        f"sum of {fan.sort_names(fs)} lies in no cone; fan is invalid or incomplete"
-    )
+        coords = fan.cone_coefficients(cs, total)
+        if min(coords.values()) >= 0:
+            return coords
+    return None
 
 
 def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
@@ -672,19 +753,23 @@ def fan_isomorphism(f1: Fan, f2: Fan) -> Optional[UnimodularMap]:
 
 
 def _candidate_cones(
-    names: Sequence[str], dimension: int, collections: Sequence[frozenset[str]]
-) -> list[tuple[str, ...]]:
-    """The d-subsets of names, in combinations order, containing no collection."""
+    names: Sequence[str], dimension: int, collections: Sequence[frozenset[str]],
+    reverse: bool = False,
+) -> Iterator[tuple[str, ...]]:
+    """The d-subsets of names, in combinations order, containing no collection.
+
+    With reverse, the opposite order: that of their complements, as two
+    subsets compare by the least element of their symmetric difference.
+    """
     if dimension > len(names):
-        return []  # itertools would first allocate `dimension` indices
+        return  # itertools would first allocate `dimension` indices
     order = {n: i for i, n in enumerate(names)}
     masks = [sum(1 << order[n] for n in c) for c in collections]
-    out = []
-    for subset in combinations(range(len(names)), dimension):
-        mask = sum(1 << i for i in subset)
+    flip, size = ((1 << len(names)) - 1, len(names) - dimension) if reverse else (0, dimension)
+    for subset in combinations(range(len(names)), size):
+        mask = flip ^ sum(1 << i for i in subset)
         if not any(c & mask == c for c in masks):
-            out.append(tuple(names[i] for i in subset))
-    return out
+            yield tuple(n for i, n in enumerate(names) if mask >> i & 1)
 
 
 def fan_from_relations(
@@ -717,8 +802,12 @@ def fan_from_relations(
     if basis_cone is not None:
         return _solve_presentation(dimension, names, relations, collections, tuple(basis_cone))
 
+    candidates = _candidate_cones(names, dimension, collections)
+    if len(relations) < len(names) - dimension:
+        # No candidate can pin the generators; the loop ends with the last one's error.
+        candidates = islice(_candidate_cones(names, dimension, collections, reverse=True), 1)
     last_error: Exception | None = None
-    for candidate in _candidate_cones(names, dimension, collections):
+    for candidate in candidates:
         try:
             return _solve_presentation(dimension, names, relations, collections, candidate)
         except (InconsistentRelations, UnderdeterminedRelations, ResultNotComplete,
@@ -800,7 +889,7 @@ def _solve_presentation(
 
     # The generators are primitive and distinct, so make_fan's first
     # SingularCone is the first candidate cone that is not unimodular.
-    cones = _candidate_cones(names, dimension, collections)
+    cones = list(_candidate_cones(names, dimension, collections))
     try:
         fan = make_fan(dimension, [Ray(n, assigned[n]) for n in names], cones)
     except SingularCone as exc:

@@ -130,10 +130,15 @@ def parse_relation_presentation(
     gens: Optional[tuple[str, ...]] = None
     basis: Optional[tuple[str, ...]] = None
     relations: list[FormalRelation] = []
+    headers: set[str] = set()
     for lineno, line in _content_lines(text):
         parts = line.split(None, 1)
         keyword = parts[0]
         rest = parts[1] if len(parts) > 1 else ""
+        if keyword in ("dim", "gens", "basis"):
+            if keyword in headers:
+                raise ParseError(f"duplicate {keyword} line", lineno)
+            headers.add(keyword)
         if keyword == "dim":
             dimension = _parse_int(rest.strip(), lineno)
             if dimension < 1:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -37,7 +38,7 @@ def gcd_all(values: Iterable[int]) -> int:
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_add(u: Sequence[int], v: Sequence[int]) -> Vector:

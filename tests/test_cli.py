@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,24 @@ def run(capsys, *argv):
 
 def text_keys(out):
     return {line.split(":", 1)[0] for line in out.strip().splitlines() if ":" in line}
+
+
+def test_main_freezes_the_callers_objects_only_while_it_runs(fan_file, capsys, monkeypatch):
+    real = cli._main
+    during = []
+    monkeypatch.setattr(
+        cli, "_main", lambda argv: during.append(gc.get_freeze_count()) or real(argv)
+    )
+    path = fan_file("x.fan", "X3_0")
+    assert gc.get_freeze_count() == 0
+    assert run(capsys, "check", path)[0] == 0
+    assert during[0] > 0 and gc.get_freeze_count() == 0
+    gc.freeze()  # a caller's own freeze is kept
+    try:
+        assert run(capsys, "check", path)[0] == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 # --- check / relations --------------------------------------------------------
@@ -331,6 +351,7 @@ def test_fromrel_inconsistent_exits_one(tmp_path, capsys):
         ("dim 99999999999\ngens a b c\n", 1, "no candidate basis cone"),
         ("dim -1\ngens a b c\n", 2, "error: line 1: dimension must be positive"),
         ("dim 0\ngens a b\nrel a+b = 0\n", 2, "error: line 1: dimension must be positive"),
+        ("dim 5\ndim 2\ngens a b c\n", 2, "error: line 2: duplicate dim line"),
     ],
 )
 def test_fromrel_degenerate_presentations_exit_cleanly(tmp_path, capsys, text, status, fragment):
@@ -339,6 +360,20 @@ def test_fromrel_degenerate_presentations_exit_cleanly(tmp_path, capsys, text, s
     got, out = run(capsys, "fromrel", str(rel))
     assert got == status
     assert fragment in out
+
+
+def test_fromrel_without_enough_relations_solves_one_candidate(tmp_path, capsys):
+    # C(20, 10) = 184,756 candidate basis cones, and no relation to pin any
+    rel = tmp_path / "short.rel"
+    rel.write_text("dim 10\ngens " + " ".join(f"g{i}" for i in range(20)) + "\n")
+    start = time.process_time()
+    status, out = run(capsys, "fromrel", str(rel))
+    assert time.process_time() - start < 0.5
+    assert status == 1
+    assert out == (
+        "error: UnderdeterminedRelations: generators "
+        f"{[f'g{i}' for i in range(10)]} are not pinned down by the relations\n"
+    )
 
 
 # --- json parity --------------------------------------------------------------------

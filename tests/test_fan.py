@@ -130,7 +130,7 @@ def test_duplicate_generator_rejected():
         make_fan(2, [("x", (1, 0)), ("y", (1, 0)), ("z", (0, 1))], [("x", "z"), ("y", "z")])
 
 
-def test_make_fan_eliminates_once_per_cone(monkeypatch):
+def test_make_fan_eliminates_once_per_fan(monkeypatch):
     source = builtin("W4_1")
     calls = {"row_echelon": 0, "det": 0, "solve_integer": 0}
     for name in calls:
@@ -141,7 +141,7 @@ def test_make_fan_eliminates_once_per_cone(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(lattice, name, counted)
-    expected = {"row_echelon": len(source.max_cones), "det": 0, "solve_integer": 0}
+    expected = {"row_echelon": 1, "det": 0, "solve_integer": 0}
     fan = make_fan(source.dimension, source.rays, source.max_cones)
     assert is_complete(fan)
     primitive_relations(fan)
@@ -151,6 +151,54 @@ def test_make_fan_eliminates_once_per_cone(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     make_fan(source.dimension, source.rays, source.max_cones)
     assert calls == expected
+    # cones that share no facet are reached by no pivot: one elimination each
+    calls.update(dict.fromkeys(calls, 0))
+    make_fan(2, [("x", (1, 0)), ("y", (0, 1)), ("u", (-1, 0)), ("v", (0, -1))],
+             [("x", "y"), ("u", "v")])
+    assert calls == {"row_echelon": 2, "det": 0, "solve_integer": 0}
+
+
+# x, y, a span the fan of P^2; s and t make cones of determinant 2 with x
+# and y, and z = -y a degenerate one whose pivot from (x, y) is 0.
+PRECEDENCE_RAYS = [
+    ("x", (1, 0)), ("y", (0, 1)), ("a", (-1, -1)), ("s", (1, 2)), ("t", (2, 1)), ("z", (0, -1)),
+]
+P2_CONES = [("x", "y"), ("y", "a"), ("a", "x")]
+
+
+@pytest.mark.parametrize(
+    "cones,error,message",
+    [
+        # a singular cone comes before every later structural fault
+        ([("x", "y"), ("x", "s"), ("y", "q"), ("t", "z")],
+         SingularCone, "cone ('x', 's') is not unimodular"),
+        ([("x", "y"), ("y", "q"), ("x", "s"), ("t", "z")],
+         ValueError, "cone references unknown ray 'q'"),
+        ([*P2_CONES, ("x", "s"), ("y", "y"), ("t", "z")],
+         SingularCone, "cone ('x', 's') is not unimodular"),
+        ([*P2_CONES, ("y", "y"), ("x", "s"), ("t", "z")],
+         SingularCone, "cone ('y', 'y') repeats a ray"),
+        ([*P2_CONES, ("t", "z", "x"), ("x", "s")],
+         SingularCone, "maximal cone ('t', 'z', 'x') has 3 rays, expected 2"),
+        ([("x", "s"), *P2_CONES, ("t", "z"), ("x", "y")],
+         SingularCone, "cone ('x', 's') is not unimodular"),
+        ([*P2_CONES, ("x", "a"), ("t", "z")],
+         SingularCone, "cone ('t', 'z') is not unimodular"),
+        ([*P2_CONES, ("x", "a")], BadFaceStructure, "duplicate maximal cone"),
+        # every cone next to the first, in input order, whatever the walk meets first
+        ([*P2_CONES, ("x", "s"), ("t", "y"), ("y", "z")],
+         SingularCone, "cone ('x', 's') is not unimodular"),
+        ([*P2_CONES, ("t", "y"), ("x", "s"), ("y", "z")],
+         SingularCone, "cone ('t', 'y') is not unimodular"),
+        ([*P2_CONES, ("y", "z"), ("t", "y"), ("x", "s")],
+         SingularCone, "cone ('y', 'z') is not unimodular"),
+        ([("x", "s")], SingularCone, "cone ('x', 's') is not unimodular"),
+    ],
+)
+def test_make_fan_reports_the_first_faulty_cone(cones, error, message):
+    with pytest.raises(error) as caught:
+        make_fan(2, PRECEDENCE_RAYS, cones)
+    assert str(caught.value) == message
 
 
 def test_dimension_mismatch_rejected():

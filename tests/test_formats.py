@@ -114,6 +114,10 @@ def test_relation_file_without_basis():
         ("dim 2\ngens a b\nrel a b\n", "needs an '='"),
         ("gens a b\n", "missing dim"),
         ("dim 2\ngens a b\nbasis a q\n", "unknown generator 'q'"),
+        # a repeated header is rejected, not overwritten by the last one
+        ("dim 5\ndim 2\ngens a b\n", "line 2: duplicate dim line"),
+        ("dim 2\ngens a b\ngens a b\n", "line 3: duplicate gens line"),
+        ("dim 2\ngens a b\nbasis a b\nbasis a b\n", "line 4: duplicate basis line"),
     ],
 )
 def test_relation_parse_errors(text, fragment):

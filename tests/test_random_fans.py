@@ -24,7 +24,8 @@ from conftest import (
     star_equivalent_by_frames,
 )
 
-from fanshear import builtin
+from fanshear import builtin, lattice
+from fanshear import fan as fan_module
 from fanshear.deform import (
     FiberKind,
     _fibration_functional,
@@ -36,12 +37,16 @@ from fanshear.deform import (
 )
 from fanshear.divisor import NefAmpleStatus, anticanonical, nef_ample_status
 from fanshear.fan import (
+    FormalRelation,
+    _candidate_cones,
     _ray_colours,
     _ray_signatures,
+    fan_from_relations,
     fan_isomorphism,
     is_complete,
     make_fan,
     primitive_collections,
+    primitive_relation,
     primitive_relations,
 )
 from fanshear.lattice import UnimodularMap, shear_map
@@ -362,3 +367,112 @@ def test_fibration_functional_matches_the_full_solve(corpus):
                 found += h is not None
                 checked += 1
     assert 0 < found < checked
+
+
+def _corpus_and_subdivisions(corpus):
+    return list(corpus.values()) + [
+        random_subdivided_fan(seed, name, insertions)
+        for seed, name, insertions in SUBDIVIDED_CASES
+    ]
+
+
+def test_pivoted_inverses_match_per_cone_elimination(corpus, monkeypatch):
+    eliminations = []
+    real = lattice.unimodular_inverse
+    monkeypatch.setattr(
+        lattice, "unimodular_inverse", lambda columns: eliminations.append(1) or real(columns)
+    )
+    for fan in _corpus_and_subdivisions(corpus):
+        eliminations.clear()
+        rebuilt = make_fan(fan.dimension, fan.rays, fan.max_cones)
+        assert len(eliminations) == 1
+        for cone in fan.max_cones:
+            names, inverse = rebuilt._cone_inverse[frozenset(cone.ray_names)]
+            assert names == cone.ray_names
+            assert inverse == real([fan.generator(n) for n in names])
+
+
+def _relation_by_scan(fan, collection):
+    total = tuple(map(sum, zip(*(fan.generator(n) for n in collection))))
+    coords = fan_module._scan_for_sum(fan, total)
+    return {n: c for n, c in coords.items() if c > 0}
+
+
+def test_relation_walk_matches_the_linear_scan(corpus, monkeypatch):
+    fans = _corpus_and_subdivisions(corpus) + [
+        random_face_subdivided_fan(seed, name, insertions)
+        for seed, name, insertions in SUBDIVIDED_CASES
+    ]
+    walked = []
+    for fan in fans:
+        for collection in primitive_collections(fan):
+            total = tuple(map(sum, zip(*(fan.generator(n) for n in collection))))
+            coords = fan_module._walk_to_sum(fan, collection, total)
+            assert coords is not None  # the walk never gives up on these fans
+            positive = {n: c for n, c in coords.items() if c > 0}
+            assert positive == _relation_by_scan(fan, collection)
+            walked.append(primitive_relation(fan, collection))
+    # with the walk forced to give up, the scan alone yields the same relations
+    monkeypatch.setattr(fan_module, "_walk_to_sum", lambda fan, fs, total: None)
+    scanned = [
+        primitive_relation(rebuilt, collection)
+        for fan in fans
+        for rebuilt in [make_fan(fan.dimension, fan.rays, fan.max_cones)]
+        for collection in primitive_collections(rebuilt)
+    ]
+    assert scanned == walked
+
+
+def test_relation_walk_gives_up_at_the_boundary_of_a_half_fan():
+    # The upper half-plane.  The point (2, -1) lies below it: from the
+    # cone (x, w) the walk would cross the boundary facet x.
+    fan = make_fan(
+        2,
+        [("x", (1, 0)), ("w", (1, 1)), ("y", (0, 1)), ("u", (-1, 1)), ("z", (-1, 0))],
+        [("x", "w"), ("w", "y"), ("y", "u"), ("u", "z")],
+    )
+    for collection in primitive_collections(fan):
+        support = _relation_by_scan(fan, collection)
+        assert primitive_relation(fan, collection).support == tuple(
+            (n, support[n]) for n in fan.sort_names(support)
+        )
+    assert fan_module._walk_to_sum(fan, frozenset({"w"}), (2, -1)) is None
+
+
+def test_candidate_cones_reverse_order(corpus):
+    for fan in list(corpus.values())[:12]:
+        names = fan.ray_names()
+        collections = primitive_collections(fan)
+        for used in (collections, collections[:2], ()):
+            forward = list(_candidate_cones(names, fan.dimension, used))
+            backward = list(_candidate_cones(names, fan.dimension, used, reverse=True))
+            assert backward == forward[::-1]
+
+
+def _error_of(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["X3_0", "W4_1", "hirzebruch(2)", "W4_5"])
+def test_short_presentations_raise_the_full_loops_error(corpus, name):
+    # fewer relations than generators outside a basis: only the last candidate is solved
+    fan = corpus[name]
+    relations = [
+        FormalRelation(r.collection, tuple((k, n) for n, k in r.support))
+        for r in primitive_relations(fan)
+    ]
+    names = fan.ray_names()
+    unknowns = len(names) - fan.dimension
+    for kept in (relations[:unknowns - 1], relations[1:unknowns], []):
+        collections = [frozenset(r.lhs) for r in kept]
+        errors = [
+            _error_of(lambda: fan_module._solve_presentation(
+                fan.dimension, names, kept, collections, candidate))
+            for candidate in _candidate_cones(names, fan.dimension, collections)
+        ]
+        assert errors and None not in errors
+        assert _error_of(lambda: fan_from_relations(fan.dimension, names, kept)) == errors[-1]
