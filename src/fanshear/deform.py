@@ -168,7 +168,10 @@ def _axis(fan: Fan, up: str, down: str):
     is a facet of exactly one cone on each side of ker h: one with up and
     one with down.
     """
-    if frozenset({up, down}) not in primitive_collections(fan):
+    if frozenset({up, down}) not in fan._relations:
+        return None
+    stars = fan._cones_of_ray
+    if stars[up] | stars[down] != (1 << len(fan.max_cones)) - 1:
         return None
     if _fibration_functional(fan, up, down) is None:
         return None

@@ -5,15 +5,18 @@ sets of its full-dimensional cones.  make_fan is the only validating
 constructor; everything downstream may assume its invariants (primitive
 rays, unimodular cones, pairwise intersection in a common face, no
 dangling rays).  One row reduction inverts a cone, pivots across facets
-invert the cones it reaches, and the fan keeps those inverses: cone
-coordinates, the certificate, primitive relations (each read in the cone
-that a walk across facets finds holding its sum), splittings, axis tests
-and frame searches all read them.  A complete fan is accepted in O(C*d)
-by a certificate: its facets pair up on opposite sides and one point is
-covered once.  On a valid fan that certificate is also the completeness
-test.  Any other input, half-fans included, falls back to a
-Fourier-Motzkin test of every pair of cones.  Completeness is a separate
-query because half-fans are legitimate values too.
+invert the cones it reaches, and the fan keeps those inverses for cone
+coordinates, the certificate, relations, splittings, axis tests and
+frame searches.  A complete fan is accepted in O(C*d) by a certificate:
+its facets pair up on opposite sides and one point is covered once.  On
+a valid fan that certificate is also the completeness test.  Any other
+input, half-fans included, falls back to a Fourier-Motzkin test of every
+pair of cones.  Completeness is its own query: half-fans are fans too.
+
+The primitive collections are the minimal transversals of the cone
+complements, found over ray bitmasks by MMCS with no face store.  Each
+relation is read, in ray and cone indices, in the cone that a walk
+across facets finds holding the collection's generator sum.
 
 Isomorphism colours the rays of both fans first.  A ray starts from its
 star size and the labels of its walls (the relation a + b = sum(c_f * f)
@@ -147,6 +150,17 @@ class Fan:
                 table[n] |= 1 << j
         return table
 
+    @cached_property
+    def _walk(self) -> tuple:
+        """What the relation walk reads: per cone its ray indices and
+        inverse rows, the cone masks, the facets, per ray its star mask."""
+        order, inverse = self._order, self._cone_inverse
+        return (
+            tuple(tuple(order[n] for n in c.ray_names) for c in self.max_cones),
+            tuple(inverse[cs][1] for cs in self.cone_sets),
+            self._cone_masks, self._facets, tuple(self._cones_of_ray.values()),
+        )
+
     # Per-fan caches behind is_complete, primitive_collections,
     # primitive_relation, divisor.class_group and divisor.classify_fano:
     # they live and die with the fan, and only the results are kept.
@@ -155,13 +169,13 @@ class Fan:
         return _certified_complete(self)
 
     @cached_property
-    def _primitive_collections(self) -> tuple[frozenset[str], ...]:
-        return _minimal_non_faces(self)
-
-    @cached_property
-    def _relations(self) -> dict[frozenset[str], Optional[PrimitiveRelation]]:
-        """Per primitive collection its relation, None until first computed."""
-        return dict.fromkeys(self._primitive_collections)
+    def _relations(self) -> dict[frozenset[str], PrimitiveRelation | int]:
+        """Per primitive collection its relation, or its ray mask until then."""
+        names = self.ray_names()
+        return {
+            frozenset(names[b.bit_length() - 1] for b in _bits(m)): m
+            for m in _minimal_transversals(self)
+        }
 
     @cached_property
     def _class_group(self) -> DivisorClassData:
@@ -191,12 +205,6 @@ class Fan:
         for n in names:
             cones &= table.get(n, 0)
         return cones != 0
-
-    def cone_coefficients(self, cone_set: frozenset[str], vector: Vector) -> dict[str, int]:
-        """Coordinates of vector in the basis of the given maximal cone."""
-        names, inv = self._cone_inverse[cone_set]
-        coords = [lattice.dot(row, vector) for row in inv]
-        return dict(zip(names, coords))
 
     def _inverse_rows(self, names: Sequence[str]) -> lattice.Matrix:
         """The cached inverse of the matrix whose columns are the named rays.
@@ -468,41 +476,48 @@ def primitive_collections(fan: Fan) -> tuple[frozenset[str], ...]:
     These are the minimal non-faces of the fan (Batyrev's primitive
     collections), so each has at most d+1 rays.  Cached per fan.
     """
-    return fan._primitive_collections
+    return tuple(fan._relations)
 
 
-def _minimal_non_faces(fan: Fan) -> tuple[frozenset[str], ...]:
-    """Minimal non-faces, from the faces of the fan as ray bitmasks.
+def _minimal_transversals(fan: Fan) -> list[int]:
+    """The minimal non-faces as ray masks, in primitive_collections order.
 
-    A minimal non-face c is f | x for the face f = c minus its highest ray
-    x, and every c ^ b with b in f is a face too.  So one pass over the
-    faces, extending each by the rays above its highest one, finds every
-    collection exactly once.  The face set is local: it can hold C * 2^d
-    masks and is dropped once the collections are known.
+    A non-face meets every cone's complement, so the minimal ones are the
+    minimal transversals of the complements, found by MMCS (Murakami and
+    Uno, Discrete Appl. Math. 170, 2014) with no face store.
     """
-    faces: set[int] = set()
-    for cone in fan._cone_masks:
-        sub = cone
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & cone
-    faces.add(0)
-    ray_bits = [1 << i for i in range(len(fan.rays))]
-    found = []
-    for face in faces:
-        for x in ray_bits:
-            if x <= face:
-                continue
-            candidate = face | x
-            if candidate not in faces and all(
-                candidate ^ b in faces for b in _bits(face)
-            ):
-                found.append(candidate)
+    found: list[int] = []
+    stars = tuple(fan._cones_of_ray.values())
+    _extend(stars, fan._cone_masks, 0, (1 << len(stars)) - 1,
+            (1 << len(fan.max_cones)) - 1, [], found)
     found.sort(key=lambda m: (m.bit_count(), [b.bit_length() for b in _bits(m)]))
-    names = fan.ray_names()
-    return tuple(
-        frozenset(names[b.bit_length() - 1] for b in _bits(m)) for m in found
-    )
+    return found
+
+
+def _extend(stars, cones, chosen: int, candidates: int, uncovered: int,
+            critical: list[int], found: list[int]) -> None:
+    """One MMCS step: each minimal non-face chosen grows into by candidates.
+
+    uncovered masks the cones holding chosen; critical holds, per ray of
+    chosen, the cones holding the rest but not it (none ends the branch).
+    It tries the candidates off the uncovered cone leaving fewest.
+    """
+    if not uncovered:
+        found.append(chosen)
+        return
+    branch = candidates
+    for low in _bits(uncovered):
+        rays = candidates & ~cones[low.bit_length() - 1]
+        if rays.bit_count() < branch.bit_count():
+            branch = rays
+    candidates ^= branch
+    for ray in _bits(branch):
+        star = stars[ray.bit_length() - 1]
+        kept = [c & star for c in critical]
+        if all(kept):
+            kept.append(uncovered & ~star)
+            _extend(stars, cones, chosen | ray, candidates, uncovered & star, kept, found)
+        candidates |= ray
 
 
 def primitive_relation(fan: Fan, collection: Iterable[str]) -> PrimitiveRelation:
@@ -511,73 +526,76 @@ def primitive_relation(fan: Fan, collection: Iterable[str]) -> PrimitiveRelation
     Cached per fan and collection.
     """
     fs = frozenset(collection)
-    relations = fan._relations
-    if fs not in relations:
+    if fs not in fan._relations:
         raise NotAPrimitiveCollection(f"{fan.sort_names(fs)} is not a primitive collection")
-    relation = relations[fs]
-    if relation is None:
-        relation = relations[fs] = _relation(fan, fs)
-    return relation
+    return _relation(fan, fs)
+
+
+def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
+    return tuple(_relation(fan, fs) for fs in fan._relations)
 
 
 def _relation(fan: Fan, fs: frozenset[str]) -> PrimitiveRelation:
-    """The relation of a collection, read in the cone _walk_to_sum finds.
+    """The relation of a collection, read in the cone _walk_to_sum finds; cached.
 
-    _scan_for_sum is the fallback.  Every maximal cone holding the sum
-    gives the same positive coordinates: those over the one cone holding
-    it in its relative interior.
+    _scan_for_sum is the fallback.  Every cone holding the sum gives the
+    same positive coordinates, those of the face holding it inside.
     """
-    total = tuple(map(sum, zip(*(fan.generator(n) for n in fs))))
-    coords = _walk_to_sum(fan, fs, total) or _scan_for_sum(fan, total)
-    if coords is None:
+    relation = fan._relations[fs]
+    if not isinstance(relation, int):
+        return relation
+    rays = fan.rays
+    members = [b.bit_length() - 1 for b in _bits(relation)]
+    total = tuple(map(sum, zip(*(rays[i].generator for i in members))))
+    found = _walk_to_sum(fan, members, total) or _scan_for_sum(fan, total)
+    if found is None:
         raise NoContainingCone(
             f"sum of {fan.sort_names(fs)} lies in no cone; fan is invalid or incomplete"
         )
-    support = tuple((n, coords[n]) for n in fan.sort_names(coords) if coords[n] > 0)
-    return PrimitiveRelation(
-        collection=fan.sort_names(fs),
+    j, coords = found
+    support = tuple((rays[i].name, c) for i, c in sorted(zip(fan._walk[0][j], coords)) if c > 0)
+    relation = fan._relations[fs] = PrimitiveRelation(
+        collection=tuple(rays[i].name for i in members),
         support=support,
-        degree=len(fs) - sum(v for _, v in support),
+        degree=len(members) - sum(c for _, c in support),
     )
+    return relation
 
 
-def _walk_to_sum(fan: Fan, fs: frozenset[str], total: Vector) -> Optional[dict[str, int]]:
-    """The coordinates of total over a maximal cone holding it, or None.
+def _walk_to_sum(fan: Fan, members: Sequence[int], total: Vector):
+    """A maximal cone holding total, as (cone index, coordinates), or None.
 
-    The walk starts at the first cone holding fs minus its highest ray (a
-    face, as fs is minimal) and crosses the facet of the most negative
-    coordinate (Devillers, Pion and Teillaud, "Walking in a triangulation",
-    2002).  It gives up at a facet not in two cones or after C steps.
+    From the first cone holding the rays members but the last (a face),
+    it crosses the facet of the most negative coordinate (Devillers, Pion
+    and Teillaud, "Walking in a triangulation", 2002), and gives up at a
+    facet not in two cones or after C steps.
     """
-    cones = (1 << len(fan.max_cones)) - 1
-    for n in fan.sort_names(fs)[:-1]:
-        cones &= fan._cones_of_ray[n]
-    if not cones:
+    cones, rows, masks, facets, stars = fan._walk
+    held = (1 << len(cones)) - 1
+    for i in members[:-1]:
+        held &= stars[i]
+    if not held:
         return None
-    j = (cones & -cones).bit_length() - 1
-    for _ in fan.max_cones:
-        coords = fan.cone_coefficients(fan.cone_sets[j], total)
-        out = min(coords, key=coords.__getitem__)
-        if coords[out] >= 0:
-            return coords
-        pair = fan._facets[fan._cone_masks[j] ^ (1 << fan._order[out])]
+    j = (held & -held).bit_length() - 1
+    for _ in cones:
+        coords = [sum(map(mul, row, total)) for row in rows[j]]
+        low = min(coords)
+        if low >= 0:
+            return j, coords
+        pair = facets[masks[j] ^ (1 << cones[j][coords.index(low)])]
         if len(pair) != 2:
             return None
         j = pair[pair[0][0] == j][0]
     return None
 
 
-def _scan_for_sum(fan: Fan, total: Vector) -> Optional[dict[str, int]]:
-    """The coordinates of total over the first maximal cone holding it, or None."""
-    for cs in fan.cone_sets:
-        coords = fan.cone_coefficients(cs, total)
-        if min(coords.values()) >= 0:
-            return coords
+def _scan_for_sum(fan: Fan, total: Vector):
+    """The first maximal cone holding total, as (cone index, coordinates), or None."""
+    for j, inverse in enumerate(fan._walk[1]):
+        coords = [sum(map(mul, row, total)) for row in inverse]
+        if min(coords) >= 0:
+            return j, coords
     return None
-
-
-def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
-    return tuple(primitive_relation(fan, c) for c in primitive_collections(fan))
 
 
 def _frame_search(
@@ -803,8 +821,11 @@ def fan_from_relations(
         return _solve_presentation(dimension, names, relations, collections, tuple(basis_cone))
 
     candidates = _candidate_cones(names, dimension, collections)
-    if len(relations) < len(names) - dimension:
-        # No candidate can pin the generators; the loop ends with the last one's error.
+    # Rank with a row per generator: row_echelon's transform is n x n.
+    net = [[r.lhs.count(n) - sum(k for k, m in r.rhs if m == n) for r in relations]
+           for n in names]
+    if len(lattice.row_echelon(net)[2]) < len(names) - dimension:
+        # No candidate's unknowns can be pinned: raise the last one's error.
         candidates = islice(_candidate_cones(names, dimension, collections, reverse=True), 1)
     last_error: Exception | None = None
     for candidate in candidates:

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own linear algebra:
 ranks and cone membership are recomputed with Fraction-based Gaussian
 elimination so the tests cross-check the integer row-reduction paths.
 Primitive collections are recomputed by plain subset enumeration, which
-is exponential in the ray count and meant for fans of up to ~14 rays.
+is exponential in the ray count and meant for fans of up to ~14 rays,
+and by a walk over every face, which is exponential in the dimension.
 Fiber types are recomputed by a full splitting search of the equator, and
 equators are revalidated with make_fan.  Fan isomorphism and
 star equivalence are recomputed by building the full change-of-basis map
@@ -106,6 +107,45 @@ def brute_collections(fan):
             if not is_face(s) and all(is_face(s - {n}) for n in s):
                 out.append(frozenset(s))
     return tuple(out)
+
+
+def face_walk_collections(fan):
+    """Face-store oracle: minimal non-faces found by extending every face.
+
+    A minimal non-face c is f | x for the face f = c minus its highest ray
+    x, and every c ^ b with b in f is a face too.  So one pass over the
+    faces, as ray bitmasks, extending each by the rays above its highest
+    one, finds every collection exactly once.  It stores all C * 2^d faces,
+    so it is exponential in d; ordered as primitive_collections is.
+    """
+    faces = {0}
+    for cone in fan._cone_masks:
+        sub = cone
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & cone
+    bits = [1 << i for i in range(len(fan.rays))]
+    found = []
+    for face in faces:
+        for x in bits:
+            candidate = face | x
+            if x > face and candidate not in faces and all(
+                candidate ^ b in faces for b in bits if b & face
+            ):
+                found.append(candidate)
+    found.sort(key=lambda m: (m.bit_count(), [i for i, b in enumerate(bits) if b & m]))
+    names = fan.ray_names()
+    return tuple(
+        frozenset(n for n, b in zip(names, bits) if b & m) for m in found
+    )
+
+
+def projective_space_fan(d):
+    """The fan of P^d: rays e0 ... e(d-1) and a = -(e0 + ... + e(d-1)), cones all d-subsets."""
+    rays = [(f"e{i}", tuple(int(i == j) for j in range(d))) for i in range(d)]
+    rays.append(("a", (-1,) * d))
+    names = [n for n, _ in rays]
+    return make_fan(d, rays, [[n for n in names if n != left] for left in names])
 
 
 def det_solve_inverse(columns):

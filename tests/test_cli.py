@@ -12,7 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import projective_space_fan
+
 from fanshear import builtin, cli
+from fanshear import fan as fan_module
 from fanshear.cli import main
 from fanshear.fan import fan_isomorphism
 from fanshear.fileformats import parse_fan, serialize_fan
@@ -100,6 +103,33 @@ def test_directory_as_fan_file_exits_two(tmp_path, capsys):
     status, out = run(capsys, "check", str(tmp_path))
     assert status == 2
     assert out.startswith("error: ")
+
+
+def test_fan_files_are_read_as_utf8_with_any_line_ending(fan_file, tmp_path, capsys):
+    path = Path(fan_file("f.fan", "X3_0"))
+    expected = run(capsys, "check", str(path))
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert run(capsys, "check", str(path)) == (0, expected[1])
+    path.write_bytes(b"dim 1\nray \xff 1\n")
+    status, out = run(capsys, "check", str(path))
+    assert status == 2
+    assert out.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_check_of_projective_24_space_takes_one_search_step_per_ray(
+    tmp_path, capsys, monkeypatch
+):
+    # A walk over the faces would store 25 * 2^24 of them; the transversal
+    # search grows the one collection a ray at a time, plus its root.
+    steps = []
+    real = fan_module._extend
+    monkeypatch.setattr(fan_module, "_extend", lambda *args: steps.append(1) or real(*args))
+    path = tmp_path / "p24.fan"
+    path.write_text(serialize_fan(projective_space_fan(24)))
+    status, out = run(capsys, "check", str(path))
+    assert status == 0
+    assert "fano: Fano" in out and "relation_degree: 25" in out
+    assert len(steps) == 26
 
 
 def test_relations_lists_degrees(fan_file, capsys):
@@ -478,6 +508,22 @@ def test_iso_and_check_exit_cleanly_on_mutated_files(first, second, as_json):
             with contextlib.redirect_stdout(out):
                 status = main(flags + argv)
             assert status in (0, 1, 2), argv
+            report = json.loads(out.getvalue()) if as_json else text_keys(out.getvalue())
+            assert status != 2 or "error" in report
+
+
+@settings(max_examples=150, deadline=2000)
+@given(mutated_fan_text(), st.booleans())
+def test_relations_and_split_exit_cleanly_on_mutated_files(text, as_json):
+    # every run ends in 0, 1 or 2 and prints a report, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.fan"
+        path.write_text(text, encoding="utf-8")
+        for command in ("relations", "split"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                status = main((["--json"] if as_json else []) + [command, str(path)])
+            assert status in (0, 1, 2), command
             report = json.loads(out.getvalue()) if as_json else text_keys(out.getvalue())
             assert status != 2 or "error" in report
 

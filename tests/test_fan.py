@@ -11,9 +11,11 @@ from conftest import (
     carries_cones,
     direction_in_fan,
     facets_pair_up,
+    face_walk_collections,
     fan_isomorphism_by_frames,
     fraction_rank,
     pairwise_glued,
+    projective_space_fan,
     relabelled_image,
 )
 
@@ -414,6 +416,16 @@ def test_collections_match_oracle_on_half_fans():
     for fan in half_fans():
         assert not is_complete(fan)
         assert primitive_collections(fan) == brute_collections(fan)
+        assert primitive_collections(fan) == face_walk_collections(fan)
+
+
+def test_collections_match_the_face_walk(corpus):
+    for name, fan in corpus.items():
+        assert primitive_collections(fan) == face_walk_collections(fan), name
+    for d in range(1, 13):
+        fan = projective_space_fan(d)
+        assert primitive_collections(fan) == face_walk_collections(fan)
+        assert primitive_collections(fan) == (frozenset(fan.ray_names()),)
 
 
 def test_spans_cone_matches_subset_test(corpus):
@@ -483,7 +495,8 @@ def test_relation_support_consistent_across_containing_cones(corpus):
             )
             supports = set()
             for cs in fan.cone_sets:
-                coeffs = fan.cone_coefficients(cs, total)
+                names, inverse = fan._cone_inverse[cs]
+                coeffs = {n: lattice.dot(row, total) for n, row in zip(names, inverse)}
                 if all(v >= 0 for v in coeffs.values()):
                     supports.add(
                         tuple(sorted((n, v) for n, v in coeffs.items() if v > 0))

@@ -17,6 +17,7 @@ from conftest import (
     check_certified,
     check_splittings_against_oracles,
     direction_in_fan,
+    face_walk_collections,
     fan_isomorphism_by_frames,
     fourier_motzkin_calls,
     relabelled_image,
@@ -25,6 +26,7 @@ from conftest import (
 )
 
 from fanshear import builtin, lattice
+from fanshear import deform as deform_module
 from fanshear import fan as fan_module
 from fanshear.deform import (
     FiberKind,
@@ -36,6 +38,7 @@ from fanshear.deform import (
     star_equivalent,
 )
 from fanshear.divisor import NefAmpleStatus, anticanonical, nef_ample_status
+from fanshear.errors import UnderdeterminedRelations
 from fanshear.fan import (
     FormalRelation,
     _candidate_cones,
@@ -194,6 +197,22 @@ def test_subdivided_fan_collections_match_oracle(seed, name, insertions):
     assert primitive_collections(fan) == brute_collections(fan)
 
 
+def test_collections_match_the_face_walk_on_subdivisions():
+    fans = [
+        random_subdivided_fan(seed, name, insertions)
+        for seed, name, insertions in SUBDIVIDED_CASES + LARGE_SUBDIVIDED_CASES
+    ] + [
+        random_face_subdivided_fan(seed, name, insertions)
+        for seed, name, insertions in SUBDIVIDED_CASES
+    ] + [random_plane_fan(seed, insertions) for seed, insertions in PLANE_CASES]
+    # beyond subset enumeration: 26 and 43 rays
+    fans += [random_subdivided_fan(3, "X3_0", 20), random_subdivided_fan(4, "W4_1", 36),
+             random_face_subdivided_fan(5, "W4_1", 36)]
+    for fan in fans:
+        assert primitive_collections(fan) == face_walk_collections(fan)
+    assert max(len(fan.rays) for fan in fans) == 43
+
+
 def test_collections_of_a_large_subdivision_are_minimal_non_faces():
     # 26 rays: far beyond subset enumeration, which would test 2^26 subsets
     fan = random_subdivided_fan(3, "X3_0", 20)
@@ -222,6 +241,23 @@ def test_subdivided_fan_splittings_match_oracles():
         assert check_splittings_against_oracles(fan)
         kinds |= {fiber_type(split).kind for split in find_splittings(fan)}
     assert kinds == {FiberKind.BUNDLE_OVER_P1, FiberKind.OTHER}
+
+
+def test_axis_test_rejects_a_cone_off_the_axis_without_a_functional(monkeypatch):
+    # These star subdivisions leave, for every 2-element collection, a cone
+    # holding neither of its rays, so the cone masks reject every
+    # orientation before a functional is read.
+    functionals = []
+    real = deform_module._fibration_functional
+    monkeypatch.setattr(
+        deform_module, "_fibration_functional",
+        lambda fan, up, down: functionals.append((up, down)) or real(fan, up, down),
+    )
+    for seed, name, insertions in SUBDIVIDED_CASES:
+        fan = random_subdivided_fan(seed, name, insertions)
+        assert any(len(c) == 2 for c in primitive_collections(fan))
+        assert find_splittings(fan) == ()
+    assert functionals == []
 
 
 def test_star_equivalence_matches_frame_oracle_on_equators(corpus):
@@ -392,10 +428,15 @@ def test_pivoted_inverses_match_per_cone_elimination(corpus, monkeypatch):
             assert inverse == real([fan.generator(n) for n in names])
 
 
+def _positive_coordinates(fan, found):
+    # found is (cone index, coordinates in that cone's ray order)
+    cone, coords = found
+    return {n: c for n, c in zip(fan.max_cones[cone].ray_names, coords) if c > 0}
+
+
 def _relation_by_scan(fan, collection):
     total = tuple(map(sum, zip(*(fan.generator(n) for n in collection))))
-    coords = fan_module._scan_for_sum(fan, total)
-    return {n: c for n, c in coords.items() if c > 0}
+    return _positive_coordinates(fan, fan_module._scan_for_sum(fan, total))
 
 
 def test_relation_walk_matches_the_linear_scan(corpus, monkeypatch):
@@ -407,13 +448,13 @@ def test_relation_walk_matches_the_linear_scan(corpus, monkeypatch):
     for fan in fans:
         for collection in primitive_collections(fan):
             total = tuple(map(sum, zip(*(fan.generator(n) for n in collection))))
-            coords = fan_module._walk_to_sum(fan, collection, total)
-            assert coords is not None  # the walk never gives up on these fans
-            positive = {n: c for n, c in coords.items() if c > 0}
-            assert positive == _relation_by_scan(fan, collection)
+            members = sorted(fan._order[n] for n in collection)
+            found = fan_module._walk_to_sum(fan, members, total)
+            assert found is not None  # the walk never gives up on these fans
+            assert _positive_coordinates(fan, found) == _relation_by_scan(fan, collection)
             walked.append(primitive_relation(fan, collection))
     # with the walk forced to give up, the scan alone yields the same relations
-    monkeypatch.setattr(fan_module, "_walk_to_sum", lambda fan, fs, total: None)
+    monkeypatch.setattr(fan_module, "_walk_to_sum", lambda fan, members, total: None)
     scanned = [
         primitive_relation(rebuilt, collection)
         for fan in fans
@@ -436,7 +477,7 @@ def test_relation_walk_gives_up_at_the_boundary_of_a_half_fan():
         assert primitive_relation(fan, collection).support == tuple(
             (n, support[n]) for n in fan.sort_names(support)
         )
-    assert fan_module._walk_to_sum(fan, frozenset({"w"}), (2, -1)) is None
+    assert fan_module._walk_to_sum(fan, [fan._order["w"]], (2, -1)) is None
 
 
 def test_candidate_cones_reverse_order(corpus):
@@ -467,7 +508,8 @@ def test_short_presentations_raise_the_full_loops_error(corpus, name):
     ]
     names = fan.ray_names()
     unknowns = len(names) - fan.dimension
-    for kept in (relations[:unknowns - 1], relations[1:unknowns], []):
+    # the last: as many relations as unknowns, of rank one
+    for kept in (relations[:unknowns - 1], relations[1:unknowns], [], relations[:1] * unknowns):
         collections = [frozenset(r.lhs) for r in kept]
         errors = [
             _error_of(lambda: fan_module._solve_presentation(
@@ -476,3 +518,22 @@ def test_short_presentations_raise_the_full_loops_error(corpus, name):
         ]
         assert errors and None not in errors
         assert _error_of(lambda: fan_from_relations(fan.dimension, names, kept)) == errors[-1]
+
+
+def test_repeated_relations_below_full_rank_solve_one_candidate(monkeypatch):
+    # eight copies of one relation reach the count of generators outside a
+    # basis, but not its rank: no candidate's unknowns can be pinned
+    names = [f"g{i}" for i in range(16)]
+    relations = [FormalRelation(("g0", "g1"), ())] * 8
+    solved = []
+    real = fan_module._solve_presentation
+    monkeypatch.setattr(
+        fan_module, "_solve_presentation", lambda *args: solved.append(args[4]) or real(*args)
+    )
+    with pytest.raises(UnderdeterminedRelations) as error:
+        fan_from_relations(8, names, relations)
+    assert str(error.value) == (
+        f"generators {names[:8]} are not pinned down by the relations"
+    )
+    collections = [frozenset({"g0", "g1"})] * 8
+    assert solved == [next(_candidate_cones(names, 8, collections, reverse=True))]
