@@ -118,9 +118,8 @@ def _fibration_functional(fan: Fan, up: str, down: str) -> Optional[Vector]:
     on up: it can only be the row of up in the cone's cached inverse.  One
     dot product per ray decides whether that row is one.
     """
-    cone_set = next(cs for cs in fan.cone_sets if up in cs)
-    names, inverse = fan._cone_inverse[cone_set]
-    h = inverse[names.index(up)]
+    j = fan._cone_index((up,))
+    h = fan._inverses[j][fan.max_cones[j].ray_names.index(up)]
     for ray in fan.rays:
         value = 1 if ray.name == up else -1 if ray.name == down else 0
         if lattice.dot(h, ray.generator) != value:
@@ -315,13 +314,13 @@ def find_splittings(fan: Fan) -> tuple[Splitting, ...]:
         if len(collection) != 2:
             continue
         first, second = fan.sort_names(collection)
-        relation = primitive_relation(fan, collection)
-        support_names = frozenset(n for n, _ in relation.support)
         for up, down in ((first, second), (second, first)):
             axis = _axis(fan, up, down)
             if axis is None:
                 continue
             eq_names, eq_cone_sets = axis
+            relation = primitive_relation(fan, collection)
+            support_names = frozenset(n for n, _ in relation.support)
             support_cone = _basis_cone(eq_cone_sets, None, support_names)
             support_split = _splitting(
                 fan, up, down, eq_names, eq_cone_sets, fan.sort_names(support_cone),

@@ -118,8 +118,8 @@ def nef_ample_status(fan: Fan, divisor: Mapping[str, int]) -> NefAmpleStatus:
     if set(divisor) != set(fan.ray_names()):
         raise ValueError("divisor coefficients must cover exactly the fan's rays")
     saw_equality = False
-    for cs in fan.cone_sets:
-        names, inv = fan._cone_inverse[cs]
+    for cone, inv in zip(fan.max_cones, fan._inverses):
+        names = cone.ray_names
         coeffs = [-divisor[n] for n in names]
         # functional m with <m, ray_i> = -coeff_i: m = coeffs @ inv
         m = tuple(
@@ -127,7 +127,7 @@ def nef_ample_status(fan: Fan, divisor: Mapping[str, int]) -> NefAmpleStatus:
             for j in range(fan.dimension)
         )
         for name in fan.ray_names():
-            if name in cs:
+            if name in names:
                 continue
             slack = lattice.dot(m, fan.generator(name)) + divisor[name]
             if slack < 0:

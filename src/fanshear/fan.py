@@ -4,14 +4,16 @@ A Fan is an immutable value: named primitive ray generators plus the ray
 sets of its full-dimensional cones.  make_fan is the only validating
 constructor; everything downstream may assume its invariants (primitive
 rays, unimodular cones, pairwise intersection in a common face, no
-dangling rays).  One row reduction inverts a cone, pivots across facets
-invert the cones it reaches, and the fan keeps those inverses for cone
-coordinates, the certificate, relations, splittings, axis tests and
-frame searches.  A complete fan is accepted in O(C*d) by a certificate:
-its facets pair up on opposite sides and one point is covered once.  On
-a valid fan that certificate is also the completeness test.  Any other
-input, half-fans included, falls back to a Fourier-Motzkin test of every
-pair of cones.  Completeness is its own query: half-fans are fans too.
+dangling rays).  Every fan, validated or built directly as a splitting's
+fans are, keeps one table of cone inverses by cone index: one row
+reduction inverts a cone and pivots across facets invert the cones it
+reaches.  Cone coordinates, the certificate, relations, splittings, axis
+tests and frame searches all read it.  A complete fan is accepted in
+O(C*d) by a certificate: its facets pair up on opposite sides and one
+point is covered once.  On a valid fan that certificate is also the
+completeness test.  Any other input, half-fans included, falls back to a
+Fourier-Motzkin test of every pair of cones.  Completeness is its own
+query: half-fans are fans too.
 
 The primitive collections are the minimal transversals of the cone
 complements, found over ray bitmasks by MMCS with no face store.  Each
@@ -110,22 +112,25 @@ class Fan:
         return tuple(frozenset(c.ray_names) for c in self.max_cones)
 
     @cached_property
-    def _cone_inverse(self) -> dict[frozenset[str], tuple[tuple[str, ...], lattice.Matrix]]:
-        """Per maximal cone: its ordered rays and the inverse basis matrix.
+    def _cone_rays(self) -> tuple[tuple[int, ...], ...]:
+        """Each maximal cone's ray indices, in its ray_names order."""
+        order = self._order
+        return tuple(tuple(order[n] for n in c.ray_names) for c in self.max_cones)
 
-        make_fan fills this slot with the inverses it checked; fans built
-        directly, such as a splitting's, invert each cone on its first
-        lookup.
+    @cached_property
+    def _inverses(self) -> tuple[lattice.Matrix, ...]:
+        """Per maximal cone, by index, the inverse of its ray matrix (_cone_inverses).
+
+        Row i is the coordinate of the cone's i-th ray.  Cone coordinates,
+        the certificate, relations, splittings, axis tests and frame
+        searches all read this one table.
         """
-        return _InverseTable(self)
+        return _cone_inverses(self)
 
     @cached_property
     def _cone_masks(self) -> tuple[int, ...]:
         """Each maximal cone as a bitmask over the rays, bit i for ray i."""
-        order = self._order
-        return tuple(
-            sum(1 << order[n] for n in c.ray_names) for c in self.max_cones
-        )
+        return tuple(sum(1 << r for r in rays) for rays in self._cone_rays)
 
     @cached_property
     def _facets(self) -> dict[int, list[tuple[int, int]]]:
@@ -134,11 +139,10 @@ class Fan:
         Each cone j is listed as (j, i), where i is the position in
         max_cones[j].ray_names of the ray that the facet leaves out.
         """
-        order = self._order
         table: dict[int, list[tuple[int, int]]] = {}
-        for j, (cone, mask) in enumerate(zip(self.max_cones, self._cone_masks)):
-            for i, n in enumerate(cone.ray_names):
-                table.setdefault(mask ^ (1 << order[n]), []).append((j, i))
+        for j, (rays, mask) in enumerate(zip(self._cone_rays, self._cone_masks)):
+            for i, r in enumerate(rays):
+                table.setdefault(mask ^ (1 << r), []).append((j, i))
         return table
 
     @cached_property
@@ -149,17 +153,6 @@ class Fan:
             for n in cone.ray_names:
                 table[n] |= 1 << j
         return table
-
-    @cached_property
-    def _walk(self) -> tuple:
-        """What the relation walk reads: per cone its ray indices and
-        inverse rows, the cone masks, the facets, per ray its star mask."""
-        order, inverse = self._order, self._cone_inverse
-        return (
-            tuple(tuple(order[n] for n in c.ray_names) for c in self.max_cones),
-            tuple(inverse[cs][1] for cs in self.cone_sets),
-            self._cone_masks, self._facets, tuple(self._cones_of_ray.values()),
-        )
 
     # Per-fan caches behind is_complete, primitive_collections,
     # primitive_relation, divisor.class_group and divisor.classify_fano:
@@ -200,11 +193,14 @@ class Fan:
 
     def spans_cone(self, names: Iterable[str]) -> bool:
         """Whether the named rays together span a cone of the fan."""
-        cones = (1 << len(self.max_cones)) - 1
-        table = self._cones_of_ray
+        return self._cone_index(names) >= 0
+
+    def _cone_index(self, names: Iterable[str]) -> int:
+        """The index of the first maximal cone holding every named ray, or -1."""
+        held = (1 << len(self.max_cones)) - 1
         for n in names:
-            cones &= table.get(n, 0)
-        return cones != 0
+            held &= self._cones_of_ray.get(n, 0)
+        return (held & -held).bit_length() - 1
 
     def _inverse_rows(self, names: Sequence[str]) -> lattice.Matrix:
         """The cached inverse of the matrix whose columns are the named rays.
@@ -212,43 +208,22 @@ class Fan:
         names is a maximal cone in any order; row i of the result is the
         coordinate of names[i].
         """
-        cone_names, inv = self._cone_inverse[frozenset(names)]
-        row_of = dict(zip(cone_names, inv))
+        j = self._cone_index(names)
+        row_of = dict(zip(self.max_cones[j].ray_names, self._inverses[j]))
         return tuple(row_of[n] for n in names)
 
 
-class _InverseTable(dict):
-    """The cone inverses of a fan built directly, each computed on first lookup.
-
-    It keeps the cones and generators, not the fan, so it makes no
-    reference cycle.  A key that is not a maximal cone raises KeyError.
-    """
-
-    def __init__(self, fan: Fan):
-        super().__init__()
-        self._names = {frozenset(c.ray_names): c.ray_names for c in fan.max_cones}
-        self._gen_by_name = fan._gen_by_name
-
-    def __missing__(self, cone_set: frozenset[str]):
-        names = self._names[cone_set]
-        entry = self[cone_set] = (
-            names, lattice.matrix_inverse([self._gen_by_name[n] for n in names])
-        )
-        return entry
-
-
-def _validate_face_pair(fan: Fan, a: frozenset[str], b: frozenset[str]) -> bool:
-    """Whether two maximal cones meet exactly in the cone on their common rays.
+def _validate_face_pair(fan: Fan, a: int, b: int) -> bool:
+    """Whether the maximal cones a and b meet exactly in the cone on their common rays.
 
     Uses the dual characterization: the pair is glued along a common face
     iff some functional, strictly positive on the rays of a outside the
     common set and zero on the common set, is nonpositive on every ray of
     b outside the common set.
     """
-    common = a & b
-    names_a, inv_a = fan._cone_inverse[a]
-    free_positions = [i for i, n in enumerate(names_a) if n not in common]
-    off_rays = [fan.generator(n) for n in b - common]
+    rays_a, rays_b, inv_a = fan._cone_rays[a], fan._cone_rays[b], fan._inverses[a]
+    free_positions = [i for i, r in enumerate(rays_a) if r not in rays_b]
+    off_rays = [fan.rays[r].generator for r in rays_b if r not in rays_a]
     if len(free_positions) == 1:
         row = inv_a[free_positions[0]]
         return all(lattice.dot(row, g) <= 0 for g in off_rays)
@@ -269,13 +244,13 @@ def make_fan(
 ) -> Fan:
     """Validate and build a smooth fan.
 
-    Every cone is checked for unimodularity and inverted by _cone_inverses,
-    and the fan keeps the inverses; of the faulty cones, the first in input
-    order is reported.  After the per-ray and per-cone checks, a complete
-    fan is accepted by the certificate of _certified_complete, which is
-    also its cached completeness, with no Fourier-Motzkin call.  Any other
-    input falls back to testing every pair of cones with
-    _validate_face_pair.
+    Every cone is checked for unimodularity by filling the fan's _inverses
+    table, as any fan does (_cone_inverses); of the faulty cones, the
+    first in input order is reported.  After the per-ray and per-cone
+    checks, a complete fan is accepted by the certificate of
+    _certified_complete, which is also its cached completeness, with no
+    Fourier-Motzkin call.  Any other input falls back to testing every pair
+    of cones, by index, with _validate_face_pair.
 
     Raises NonPrimitiveRay, SingularCone, BadFaceStructure or DanglingRay
     when the data violates the fan invariants.
@@ -323,75 +298,73 @@ def make_fan(
             )
         if fault is not None:
             # A cone before this one that is not unimodular is the first fault.
-            _cone_inverses(Fan(dimension, tuple(ray_objs), tuple(cone_objs)))
+            Fan(dimension, tuple(ray_objs), tuple(cone_objs))._inverses
             raise fault
         cone_objs.append(c)
     if not cone_objs:
         raise ValueError("a fan needs at least one maximal cone")
     fan = Fan(dimension, tuple(ray_objs), tuple(cone_objs))
-    inverses = {
-        cs: (c.ray_names, inverse)
-        for cs, c, inverse in zip(fan.cone_sets, cone_objs, _cone_inverses(fan))
-    }
-    if len(inverses) != len(cone_objs):
+    fan._inverses  # raises SingularCone for the first cone not unimodular
+    if len(set(fan.cone_sets)) != len(cone_objs):
         raise BadFaceStructure("duplicate maximal cone")
-    in_some_cone = set().union(*inverses)
-    for n in names:
-        if n not in in_some_cone:
+    for n, star in fan._cones_of_ray.items():
+        if not star:
             raise DanglingRay(f"ray {n} belongs to no maximal cone")
 
-    fan.__dict__["_cone_inverse"] = inverses  # the cached_property's slot
     if fan._is_complete:
         return fan
-    for a, b in combinations(fan.cone_sets, 2):
+    for a, b in combinations(range(len(cone_objs)), 2):
         if not (_validate_face_pair(fan, a, b) and _validate_face_pair(fan, b, a)):
-            raise BadFaceStructure(
-                f"cones {fan.sort_names(a)} and {fan.sort_names(b)} do not meet in a common face"
-            )
+            first, second = (fan.sort_names(cone_objs[j].ray_names) for j in (a, b))
+            raise BadFaceStructure(f"cones {first} and {second} do not meet in a common face")
     return fan
 
 
-def _cone_inverses(fan: Fan) -> list[lattice.Matrix]:
-    """The inverse of each maximal cone, in max_cones order.
+def _cone_inverses(fan: Fan) -> tuple[lattice.Matrix, ...]:
+    """The inverse of each maximal cone, in max_cones order: the fan's _inverses.
 
-    A cone no walk has reached is inverted by lattice.unimodular_inverse,
-    and a walk over the facets pivots from it: B = F+b across F from
-    A = F+a has det B = c_a * det A for c = inv(A) @ b, and if c_a = +-1,
-    row b of inv(B) is c_a * inv(A)[a] and row f is inv(A)[f] - c_f * (row
-    b), O(d^2) work.  Any other pivot leaves B to the elimination, which
-    raises SingularCone for the first cone in input order not unimodular.
+    Every fan fills its table this way, validated by make_fan or built
+    directly, as a splitting's fans are.  A cone no walk has reached is
+    inverted by lattice.unimodular_inverse, and a walk over the facets
+    pivots from it: B = F+b across F from A = F+a has det B = c_a * det A
+    for c = inv(A) @ b, and if c_a = +-1, row b of inv(B) is c_a * inv(A)[a]
+    and row f is inv(A)[f] - c_f * (row b), O(d^2) work.  So a fan whose
+    cones are connected through facets costs one elimination.  Any other
+    pivot leaves B to the elimination, which raises SingularCone for the
+    first cone in input order not unimodular.
     """
-    cones = fan.max_cones
-    gens, facets, masks, order = fan._gen_by_name, fan._facets, fan._cone_masks, fan._order
+    cones, facets, masks = fan._cone_rays, fan._facets, fan._cone_masks
+    gens = [r.generator for r in fan.rays]
     inverses: list = [None] * len(cones)
     for start, cone in enumerate(cones):
         if inverses[start] is not None:
             continue
-        inverses[start] = lattice.unimodular_inverse([gens[n] for n in cone.ray_names])
+        inverses[start] = lattice.unimodular_inverse([gens[r] for r in cone])
         if inverses[start] is None:
-            raise SingularCone(f"cone {cone.ray_names} is not unimodular", cone.ray_names)
+            names = fan.max_cones[start].ray_names
+            raise SingularCone(f"cone {names} is not unimodular", names)
         stack = [start]
         while stack:
             j = stack.pop()
-            names, inv = cones[j].ray_names, inverses[j]
-            for i, a in enumerate(names):
-                for k, l in facets[masks[j] ^ (1 << order[a])]:
+            rays, inv = cones[j], inverses[j]
+            for i, a in enumerate(rays):
+                for k, l in facets[masks[j] ^ (1 << a)]:
                     if inverses[k] is not None:
                         continue
-                    b = cones[k].ray_names[l]
+                    b = cones[k][l]
                     coords = [sum(map(mul, row, gens[b])) for row in inv]
                     pivot = coords[i]
                     if pivot not in (1, -1):
                         continue
                     row_b = tuple(pivot * x for x in inv[i])
                     rows = {
-                        n: tuple(x - c * y for x, y in zip(row, row_b))
-                        for n, row, c in zip(names, inv, coords)
+                        r: tuple(x - c * y for x, y in zip(row, row_b))
+                        for r, row, c in zip(rays, inv, coords)
                     }
                     rows[b] = row_b
-                    inverses[k] = tuple(rows[n] for n in cones[k].ray_names)
+                    inverses[k] = tuple(rows[r] for r in cones[k])
                     stack.append(k)
-    return inverses
+    return tuple(inverses)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -437,14 +410,12 @@ def _certified_complete(fan: Fan) -> bool:
 
 def _facets_pair_opposite(fan: Fan) -> bool:
     """Whether each facet lies in exactly two maximal cones, on opposite sides."""
-    inverse = fan._cone_inverse
-    cones = fan.max_cones
+    inverses, cones = fan._inverses, fan._cone_rays
     for pair in fan._facets.values():
         if len(pair) != 2:
             return False
         (j, i), (k, l) = pair
-        row = inverse[fan.cone_sets[j]][1][i]
-        if lattice.dot(row, fan.generator(cones[k].ray_names[l])) >= 0:
+        if lattice.dot(inverses[j][i], fan.rays[cones[k][l]].generator) >= 0:
             return False
     return True
 
@@ -453,8 +424,8 @@ def _covered_once(fan: Fan) -> bool:
     """Whether the ray sum of the first maximal cone lies in no other closed one."""
     point = tuple(map(sum, zip(*(fan.generator(n) for n in fan.max_cones[0].ray_names))))
     return not any(
-        all(lattice.dot(row, point) >= 0 for row in fan._cone_inverse[cs][1])
-        for cs in fan.cone_sets[1:]
+        all(lattice.dot(row, point) >= 0 for row in inverse)
+        for inverse in fan._inverses[1:]
     )
 
 
@@ -553,7 +524,7 @@ def _relation(fan: Fan, fs: frozenset[str]) -> PrimitiveRelation:
             f"sum of {fan.sort_names(fs)} lies in no cone; fan is invalid or incomplete"
         )
     j, coords = found
-    support = tuple((rays[i].name, c) for i, c in sorted(zip(fan._walk[0][j], coords)) if c > 0)
+    support = tuple((rays[i].name, c) for i, c in sorted(zip(fan._cone_rays[j], coords)) if c > 0)
     relation = fan._relations[fs] = PrimitiveRelation(
         collection=tuple(rays[i].name for i in members),
         support=support,
@@ -570,13 +541,10 @@ def _walk_to_sum(fan: Fan, members: Sequence[int], total: Vector):
     and Teillaud, "Walking in a triangulation", 2002), and gives up at a
     facet not in two cones or after C steps.
     """
-    cones, rows, masks, facets, stars = fan._walk
-    held = (1 << len(cones)) - 1
-    for i in members[:-1]:
-        held &= stars[i]
-    if not held:
+    cones, rows, masks, facets = fan._cone_rays, fan._inverses, fan._cone_masks, fan._facets
+    j = fan._cone_index(fan.rays[i].name for i in members[:-1])
+    if j < 0:
         return None
-    j = (held & -held).bit_length() - 1
     for _ in cones:
         coords = [sum(map(mul, row, total)) for row in rows[j]]
         low = min(coords)
@@ -591,7 +559,7 @@ def _walk_to_sum(fan: Fan, members: Sequence[int], total: Vector):
 
 def _scan_for_sum(fan: Fan, total: Vector):
     """The first maximal cone holding total, as (cone index, coordinates), or None."""
-    for j, inverse in enumerate(fan._walk[1]):
+    for j, inverse in enumerate(fan._inverses):
         coords = [sum(map(mul, row, total)) for row in inverse]
         if min(coords) >= 0:
             return j, coords
@@ -645,10 +613,8 @@ def _ray_signatures(fan: Fan) -> list[tuple]:
     fan onto another carries walls to walls and keeps their coordinates, so
     a ray and its image have equal signatures.
     """
-    order = fan._order
-    cones = [[order[n] for n in c.ray_names] for c in fan.max_cones]
+    cones, inverses = fan._cone_rays, fan._inverses
     gens = [r.generator for r in fan.rays]
-    inverse = fan._cone_inverse
     labels: list[list[tuple]] = [[] for _ in gens]
     for pair in fan._facets.values():
         if len(pair) != 2:
@@ -659,7 +625,7 @@ def _ray_signatures(fan: Fan) -> list[tuple]:
         (j, i), (k, l) = pair
         b = cones[k][l]
         gen_b = gens[b]
-        coords = [sum(map(mul, row, gen_b)) for row in inverse[fan.cone_sets[j]][1]]
+        coords = [sum(map(mul, row, gen_b)) for row in inverses[j]]
         wall = tuple(sorted(coords))
         for p, (r, c) in enumerate(zip(cones[j], coords)):
             labels[r].append((p == i, c, wall))
@@ -686,9 +652,7 @@ def _ray_colours(f1: Fan, f2: Fan) -> Optional[tuple[dict[str, int], dict[str, i
     """
     ids: dict[tuple, int] = {}
     colours = [[ids.setdefault(s, len(ids)) for s in _ray_signatures(fan)] for fan in (f1, f2)]
-    cones = [
-        [[fan._order[n] for n in c.ray_names] for c in fan.max_cones] for fan in (f1, f2)
-    ]
+    cones = [f1._cone_rays, f2._cone_rays]
     while True:
         if sorted(colours[0]) != sorted(colours[1]):
             return None

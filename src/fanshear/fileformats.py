@@ -56,6 +56,8 @@ def parse_fan(text: str) -> Fan:
             if len(parts) != 2:
                 raise ParseError("dim takes exactly one integer", lineno)
             dimension = _parse_int(parts[1], lineno)
+            if dimension < 1:
+                raise ParseError("dimension must be positive", lineno)
         elif keyword == "ray":
             if dimension is None:
                 raise ParseError("ray before dim", lineno)

@@ -7,8 +7,10 @@ basis-extension tests, deterministic integer row reduction, integral linear
 solving, unimodular maps, the shear matrices used to deform fans, and a
 Fourier-Motzkin feasibility test for strict/weak homogeneous inequalities.
 unimodular_inverse decides unimodularity and inverts in one row reduction;
-make_fan keeps its result for every cone, and matrix_inverse and
-UnimodularMap.inverse are thin wrappers over it.
+a fan runs it once per facet-connected set of cones and pivots from there
+to the rest.  matrix_inverse, which change_of_basis and
+UnimodularMap.inverse use, is a thin wrapper over it that raises on a
+matrix that is not unimodular.
 """
 
 from __future__ import annotations

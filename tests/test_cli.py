@@ -248,7 +248,16 @@ def test_dimension_zero_fan_exits_two(tmp_path, capsys):
     path.write_text("dim 0\nray x\ncone x\n")
     status, out = run(capsys, "check", str(path))
     assert status == 2
-    assert "error: dimension must be positive" in out
+    assert "error: line 1: dimension must be positive" in out
+
+
+def test_negative_dimension_fan_exits_two(tmp_path, capsys):
+    # "ray" has 2 + (-1) tokens, so only the dim line can reject this file
+    path = tmp_path / "negative.fan"
+    path.write_text("dim -1\nray\ncone x\n")
+    status, out = run(capsys, "check", str(path))
+    assert status == 2
+    assert "error: line 1: dimension must be positive" in out
 
 
 def test_negative_k_exits_two(fan_file, tmp_path, capsys):
@@ -526,6 +535,27 @@ def test_relations_and_split_exit_cleanly_on_mutated_files(text, as_json):
             assert status in (0, 1, 2), command
             report = json.loads(out.getvalue()) if as_json else text_keys(out.getvalue())
             assert status != 2 or "error" in report
+
+
+@settings(max_examples=150, deadline=2000)
+@given(mutated_fan_text(), st.integers(-2, 4), st.one_of(st.none(), st.integers(-1, 4)),
+       st.booleans())
+def test_deform_exits_cleanly_on_mutated_files(text, k, splitting, as_json):
+    # every run ends in 0, 1 or 2 and prints a report, never a traceback;
+    # the endpoint is written exactly on exit 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path, end = Path(tmp) / "a.fan", Path(tmp) / "end.fan"
+        path.write_text(text, encoding="utf-8")
+        argv = ["deform", str(path), "--k", str(k), "--out", str(end)]
+        if splitting is not None:
+            argv += ["--splitting", str(splitting)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main((["--json"] if as_json else []) + argv)
+        assert status in (0, 1, 2), argv
+        report = json.loads(out.getvalue()) if as_json else text_keys(out.getvalue())
+        assert status != 2 or "error" in report
+        assert end.exists() == (status == 0)
 
 
 # --- mutated relation files ---------------------------------------------------

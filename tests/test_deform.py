@@ -164,25 +164,26 @@ def test_split_with_frame_rebuilds_found_splittings():
         assert rebuilt == s
 
 
-def test_axis_test_on_an_equator_inverts_only_the_cones_it_reads(monkeypatch):
-    inverted = []
-    real = lattice.matrix_inverse
-
-    def counting(columns):
-        inverted.append(columns)
-        return real(columns)
-
-    monkeypatch.setattr(lattice, "matrix_inverse", counting)
+def test_axis_test_on_a_fresh_equator_costs_one_elimination(monkeypatch):
+    eliminations = []
+    real = lattice.unimodular_inverse
+    monkeypatch.setattr(
+        lattice, "unimodular_inverse", lambda columns: eliminations.append(columns) or real(columns)
+    )
     fan = builtin("W4_2")
     s = find_splittings(fan)[0]
     # a fresh splitting, whose equator nothing has read yet
     equator = split_with_frame(
         fan, s.upper_names[0], s.lower_names[0], s.basis_names, s.partner_name
     ).equator
-    inverted.clear()
+    eliminations.clear()
     assert _axis(equator, "x7", "x8") is not None
-    assert len(inverted) == len(equator._cone_inverse) == 1
+    # one cone is eliminated and the facet walk pivots to the other seven
+    assert len(eliminations) == 1
     assert len(equator.max_cones) == 8
+    assert equator._inverses == tuple(
+        real([equator.generator(n) for n in cone.ray_names]) for cone in equator.max_cones
+    )
 
 
 # --- fiber_type ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 from itertools import permutations, product
 
@@ -21,6 +22,7 @@ from conftest import (
 
 from fanshear import builtin, lattice
 from fanshear import fan as fan_module
+from fanshear.cli import main
 from fanshear.deform import find_splittings, star_equivalent
 from fanshear.divisor import class_group, classify_fano
 from fanshear.errors import (
@@ -158,6 +160,33 @@ def test_make_fan_eliminates_once_per_fan(monkeypatch):
     make_fan(2, [("x", (1, 0)), ("y", (0, 1)), ("u", (-1, 0)), ("v", (0, -1))],
              [("x", "y"), ("u", "v")])
     assert calls == {"row_echelon": 2, "det": 0, "solve_integer": 0}
+
+
+def test_every_fan_of_the_pipeline_inverts_its_cones_by_one_walk(monkeypatch, capsys):
+    # make_fan's fans and a splitting's base fan, half-fans and equator all
+    # fill their inverse table by the facet walk: one elimination per fan
+    # whose inverses are read, and no matrix_inverse from the fan layer.
+    walks, eliminations, fan_layer_inverses = [], [], []
+    walk, eliminate, invert = (
+        fan_module._cone_inverses, lattice.unimodular_inverse, lattice.matrix_inverse
+    )
+
+    def counted_invert(columns):
+        caller = sys._getframe(1).f_globals["__name__"]
+        if caller in ("fanshear.fan", "fanshear.deform", "fanshear.divisor"):
+            fan_layer_inverses.append(caller)
+        return invert(columns)
+
+    monkeypatch.setattr(fan_module, "_cone_inverses", lambda fan: walks.append(1) or walk(fan))
+    monkeypatch.setattr(
+        lattice, "unimodular_inverse", lambda columns: eliminations.append(1) or eliminate(columns)
+    )
+    monkeypatch.setattr(lattice, "matrix_inverse", counted_invert)
+    assert main(["catalog", "verify", "all"]) == 0
+    assert main(["chain", "--dim", "6", "--from", "5,3,2,1,0", "--to", "1,1,1,1,1"]) == 0
+    assert fan_layer_inverses == []
+    # a cone-by-cone inversion of the fans built directly ran 229 eliminations here
+    assert len(eliminations) == len(walks) <= 65
 
 
 # x, y, a span the fan of P^2; s and t make cones of determinant 2 with x
@@ -494,9 +523,10 @@ def test_relation_support_consistent_across_containing_cones(corpus):
                 for i in range(fan.dimension)
             )
             supports = set()
-            for cs in fan.cone_sets:
-                names, inverse = fan._cone_inverse[cs]
-                coeffs = {n: lattice.dot(row, total) for n, row in zip(names, inverse)}
+            for cone, inverse in zip(fan.max_cones, fan._inverses):
+                coeffs = {
+                    n: lattice.dot(row, total) for n, row in zip(cone.ray_names, inverse)
+                }
                 if all(v >= 0 for v in coeffs.values()):
                     supports.add(
                         tuple(sorted((n, v) for n, v in coeffs.items() if v > 0))

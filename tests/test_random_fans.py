@@ -260,6 +260,20 @@ def test_axis_test_rejects_a_cone_off_the_axis_without_a_functional(monkeypatch)
     assert functionals == []
 
 
+def test_splittings_compute_no_relation_for_a_rejected_axis(monkeypatch):
+    # A relation is read only for an orientation that passes the axis test;
+    # this star subdivision has 54 two-element collections and no axis.
+    computed = []
+    real = fan_module._relation
+    monkeypatch.setattr(
+        fan_module, "_relation", lambda fan, fs: computed.append(fs) or real(fan, fs)
+    )
+    fan = random_subdivided_fan(0, "W4_1", 8)
+    assert sum(len(c) == 2 for c in primitive_collections(fan)) == 54
+    assert find_splittings(fan) == ()
+    assert computed == []
+
+
 def test_star_equivalence_matches_frame_oracle_on_equators(corpus):
     fans = list(corpus.values()) + [
         random_face_subdivided_fan(seed, name, insertions)
@@ -422,10 +436,8 @@ def test_pivoted_inverses_match_per_cone_elimination(corpus, monkeypatch):
         eliminations.clear()
         rebuilt = make_fan(fan.dimension, fan.rays, fan.max_cones)
         assert len(eliminations) == 1
-        for cone in fan.max_cones:
-            names, inverse = rebuilt._cone_inverse[frozenset(cone.ray_names)]
-            assert names == cone.ray_names
-            assert inverse == real([fan.generator(n) for n in names])
+        for cone, inverse in zip(fan.max_cones, rebuilt._inverses):
+            assert inverse == real([fan.generator(n) for n in cone.ray_names])
 
 
 def _positive_coordinates(fan, found):
