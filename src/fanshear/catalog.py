@@ -13,10 +13,10 @@ but not Fano and have a Fano k = 1 endpoint; the other bundles are Fano
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from . import deform, divisor, scroll
+from ._record import frozen
 from .deform import FiberKind
 from .divisor import FanoClass
 from .errors import FanError, UnknownName
@@ -32,7 +32,7 @@ from .fileformats import format_relation, parse_relation
 from .scroll import BundleSpec
 
 
-@dataclass(frozen=True)
+@frozen
 class ExpectedOutcome:
     classification: FanoClass
     endpoint_k: Optional[int]
@@ -40,7 +40,7 @@ class ExpectedOutcome:
     endpoint_type_label: Optional[str] = None  # informational only, never verified
 
 
-@dataclass(frozen=True)
+@frozen
 class CatalogEntry:
     name: str
     dimension: int
@@ -198,14 +198,14 @@ def builtin(name: str) -> Fan:
     return reconstruct(entry(name))
 
 
-@dataclass(frozen=True)
+@frozen
 class Stage:
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
+@frozen
 class WeakenedReport:
     entry_name: str
     stages: tuple[Stage, ...]

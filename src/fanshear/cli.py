@@ -10,19 +10,20 @@ leading --json, the command, its positionals, then `--flag value` pairs)
 straight from the table, and builds the argparse parser only for
 everything else: help, usage errors, abbreviated flags, `--flag=value`,
 `--` and repeated flags.  The fallback keeps argparse the only source of
-help and error text, and the plain path returns the namespace argparse
-would, so a valid invocation behaves the same either way.  It exists
+help and error text, and the plain path returns a namespace with the same
+attributes, so a valid invocation behaves the same either way.  It exists
 because a process builds the parser cold, and argparse's first message
-lookup imports locale through gettext, which costs more than most ops.
+lookup imports locale through gettext, which costs more than most ops;
+argparse itself is imported only when the parser is built.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import catalog, deform, divisor, fileformats
 from .deform import FiberKind
@@ -326,7 +327,10 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of every command in COMMANDS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fanshear",
         description="Split smooth complete toric fans over the line, shear them, "
@@ -358,8 +362,8 @@ def _is_value(token: str) -> bool:
     )
 
 
-def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace build_parser().parse_args(argv) returns, for plain argv.
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """A namespace with the attributes build_parser().parse_args(argv) sets, for plain argv.
 
     Plain argv is an optional leading --json, a command, its positionals,
     then separate `--flag value` pairs, each flag spelled in full and given
@@ -404,7 +408,7 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
             value = default
         values[flag[2:].replace("-", "_")] = value
     values["func"] = func
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from typing import Optional, Sequence
 
 from . import lattice
+from ._record import frozen
 from .divisor import class_group
 from .errors import ConditionsNotSatisfied, FanError, InternalError, ResultNotAFan
 from .fan import (
@@ -53,13 +53,13 @@ class FiberKind(enum.Enum):
     OTHER = "Other"
 
 
-@dataclass(frozen=True)
+@frozen
 class FiberType:
     kind: FiberKind
     fiber_pair: Optional[tuple[str, str]]
 
 
-@dataclass(frozen=True)
+@frozen
 class ConditionsReport:
     satisfied: bool
     violations: tuple[str, ...]
@@ -68,7 +68,7 @@ class ConditionsReport:
         return self.satisfied
 
 
-@dataclass(frozen=True)
+@frozen
 class Splitting:
     """A fan in normal-form coordinates, split along its last coordinate.
 

@@ -9,11 +9,11 @@ fixed basis obtained by deterministic integer row reduction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 from . import lattice
+from ._record import frozen
 from .errors import InternalError
 from .fan import Fan, is_complete, primitive_relations
 
@@ -30,7 +30,7 @@ class FanoClass(enum.Enum):
     NOT_WEAK_FANO = "NotWeakFano"
 
 
-@dataclass(frozen=True)
+@frozen
 class DivisorClassData:
     """Cokernel presentation of Z^rays modulo the lattice of principal divisors.
 
@@ -44,14 +44,14 @@ class DivisorClassData:
     class_of_ray: Mapping[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@frozen
 class IrrelevantData:
     """One monomial support per maximal cone: the rays the cone omits."""
 
     monomials: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class FanoReport:
     status: FanoClass
     relation_degrees: tuple[int, ...]

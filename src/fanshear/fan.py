@@ -33,13 +33,13 @@ without the filter, which finds the same first frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import lattice
+from ._record import frozen
 from .errors import (
     BadFaceStructure,
     DanglingRay,
@@ -59,20 +59,20 @@ if TYPE_CHECKING:
     from .divisor import DivisorClassData, FanoReport
 
 
-@dataclass(frozen=True)
+@frozen
 class Ray:
     name: str
     generator: Vector
 
 
-@dataclass(frozen=True)
+@frozen
 class Cone:
     """A cone of the fan, recorded by the names of its rays."""
 
     ray_names: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class PrimitiveRelation:
     """A primitive collection with its generator-sum expressed over a cone.
 
@@ -85,7 +85,7 @@ class PrimitiveRelation:
     degree: int
 
 
-@dataclass(frozen=True)
+@frozen
 class FormalRelation:
     """An input relation: sum of lhs generators equals the rhs combination."""
 
@@ -93,7 +93,7 @@ class FormalRelation:
     rhs: tuple[tuple[int, str], ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class Fan:
     dimension: int
     rays: tuple[Ray, ...]

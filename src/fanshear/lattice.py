@@ -16,11 +16,11 @@ matrix that is not unimodular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
+from ._record import frozen
 from .errors import DimensionMismatch
 
 Vector = tuple[int, ...]
@@ -256,7 +256,7 @@ def extends_to_basis(vectors: Sequence[Sequence[int]]) -> bool:
     return elementary_divisors_all_one(vectors)
 
 
-@dataclass(frozen=True)
+@frozen
 class UnimodularMap:
     """An invertible integer matrix acting on column vectors from the left."""
 

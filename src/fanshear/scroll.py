@@ -11,16 +11,16 @@ such one-parameter deformations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+from ._record import frozen
 from .deform import endpoint, find_splittings
 from .errors import DimensionMismatch, InternalError, PreconditionViolated
 from .fan import Fan, FormalRelation, PrimitiveRelation, fan_from_relations, primitive_relation
 
 
-@dataclass(frozen=True)
+@frozen
 class BundleSpec:
     """Twist vector (p_1, ..., p_{d-1}) of a rank-d split bundle over the line."""
 
@@ -41,7 +41,7 @@ class BundleSpec:
         return BundleSpec(tuple(sorted(self.twists, reverse=True)))
 
 
-@dataclass(frozen=True)
+@frozen
 class ReduceStep:
     """Outcome of one k = 1 shear on a bundle fan."""
 
@@ -125,7 +125,7 @@ def reduce_step(spec: BundleSpec) -> ReduceStep:
     return _reduce_step_cached(spec.sorted())
 
 
-@dataclass(frozen=True)
+@frozen
 class DeformationChain:
     specs: tuple[BundleSpec, ...]
 

@@ -1,9 +1,9 @@
-from dataclasses import replace
-
 import pytest
 
 from fanshear import builtin, deform
-from fanshear.catalog import entry, names, reconstruct, verify_weakened
+from fanshear.catalog import (
+    CatalogEntry, ExpectedOutcome, entry, names, reconstruct, verify_weakened,
+)
 from fanshear.cli import main
 from fanshear.deform import find_splittings
 from fanshear.divisor import FanoClass, classify_fano
@@ -71,13 +71,25 @@ def test_verify_hirzebruch_two():
     assert "b1+c'1 = 0" in report.endpoint_relations
 
 
+def with_expected(item, **changes):
+    """item, built anew, with the given fields of its expected outcome changed."""
+    e = item.expected
+    expected = ExpectedOutcome(**{
+        "classification": e.classification, "endpoint_k": e.endpoint_k,
+        "endpoint_is_fano": e.endpoint_is_fano, "endpoint_type_label": e.endpoint_type_label,
+        **changes,
+    })
+    return CatalogEntry(
+        item.name, item.dimension, item.generator_names, item.relations, item.basis, expected,
+    )
+
+
 def test_verify_fails_honestly_on_fano_input():
     # hirzebruch(1) is Fano; held to a weak-Fano expectation it must fail
     item = entry("hirzebruch(1)")
-    wrong = replace(item, expected=replace(
-        item.expected, classification=FanoClass.WEAK_FANO_NOT_FANO,
-        endpoint_k=1, endpoint_is_fano=True,
-    ))
+    wrong = with_expected(
+        item, classification=FanoClass.WEAK_FANO_NOT_FANO, endpoint_k=1, endpoint_is_fano=True,
+    )
     report = verify_weakened(wrong)
     assert not report.ok
     failing = [s for s in report.stages if not s.ok]
@@ -109,7 +121,7 @@ def test_verify_holds_each_entry_to_its_own_expectation(name, classification):
 def test_verify_checks_the_expected_endpoint_fano_status():
     item = entry("hirzebruch(2)")
     assert verify_weakened(item).ok
-    report = verify_weakened(replace(item, expected=replace(item.expected, endpoint_is_fano=False)))
+    report = verify_weakened(with_expected(item, endpoint_is_fano=False))
     assert not report.ok
     assert [s.name for s in report.stages if not s.ok] == ["endpoint_fano"]
 

@@ -763,3 +763,46 @@ def test_every_exported_name_imports():
                           env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
     assert done.returncode == 0, done.stderr
     assert done.stdout == "0.1.0\n"
+
+
+FOOTPRINT = """
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext")
+loaded = lambda: sorted(m for m in heavy if m in sys.modules)
+from fanshear import cli
+seen = {"import": loaded()}
+for label, argv in json.loads(sys.argv[2]):
+    sys.stdout = io.StringIO()
+    try:
+        status = cli.main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    sys.stdout = sys.__stdout__
+    seen[label] = [status, "argparse" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_import_and_plain_commands_load_neither_dataclasses_nor_argparse(fan_file, tmp_path):
+    # python -S, so that the site module's own imports cannot mask the package's
+    commands = [
+        ("check", ["--json", "check", fan_file("x.fan", "X3_0")]),
+        ("chain", ["--json", "chain", "--dim", "4", "--from", "2,1,0", "--to", "1,1,1",
+                   "--out-dir", str(tmp_path / "chain")]),
+        ("verify", ["--json", "catalog", "verify", "W4_5"]),
+        ("help", ["--help"]),
+    ]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", FOOTPRINT, str(Path(cli.__file__).parents[1]),
+         json.dumps(commands)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "import": [],
+        "check": [0, False],
+        "chain": [0, False],
+        "verify": [0, False],
+        "help": [0, True],
+    }
