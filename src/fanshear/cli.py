@@ -439,11 +439,8 @@ def _main(argv) -> int:
     report = Report()
     try:
         status = args.func(args, report)
-    except ParseError as exc:
-        report.add("error", str(exc))
-        report.emit(args.json)
-        return INPUT_ERROR
-    except (OSError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
+        # ParseError: a fan or relation file that does not parse.
         # OSError: a path that cannot be read or written, such as a missing
         # file, a directory given as a file or a file given as --out-dir.
         # ValueError: a user-facing precondition, such as a splitting or

@@ -209,18 +209,17 @@ def _designations(equator: Fan, ambient_dim: int, support: Sequence[tuple[str, i
 def _basis_cone(
     cone_sets: Sequence[frozenset[str]], pivot: Optional[str], support_names: frozenset[str]
 ) -> frozenset[str]:
+    """The first equator cone holding the support and the pivot, else the first holding the pivot.
+
+    One of the two always exists.  A relation's support is a face of the
+    fan inside ker h, so it lies in an equator cone; every designated
+    pivot is an equator ray, so it lies in an equator cone.
+    """
     wanted = support_names | ({pivot} if pivot else set())
     for cs in cone_sets:
         if wanted <= cs:
             return cs
-    if pivot is not None:
-        for cs in cone_sets:
-            if pivot in cs:
-                return cs
-    for cs in cone_sets:
-        if support_names <= cs:
-            return cs
-    return cone_sets[0]
+    return next(cs for cs in cone_sets if pivot in cs)
 
 
 def _splitting(
@@ -332,8 +331,6 @@ def find_splittings(fan: Fan) -> tuple[Splitting, ...]:
                 tau = _basis_cone(eq_cone_sets, pivot, support_names)
                 if pivot is None:
                     pivot = fan.sort_names(tau)[0]
-                if pivot not in tau:
-                    continue
                 basis_names = (pivot, *[n for n in fan.sort_names(tau) if n != pivot])
                 rest = [n for n in eq_names if n not in tau]
                 if partner is None:

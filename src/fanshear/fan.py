@@ -742,16 +742,32 @@ def _candidate_cones(
 
     With reverse, the opposite order: that of their complements, as two
     subsets compare by the least element of their symmetric difference.
+
+    Depth-first over the faces of the collections' complex: a face grows
+    only by names after its last one (from high to low with reverse), and
+    a face that holds no collection gains one only if it ends at the name
+    just added, so only those collections are tested.
     """
-    if dimension > len(names):
-        return  # itertools would first allocate `dimension` indices
     order = {n: i for i, n in enumerate(names)}
-    masks = [sum(1 << order[n] for n in c) for c in collections]
-    flip, size = ((1 << len(names)) - 1, len(names) - dimension) if reverse else (0, dimension)
-    for subset in combinations(range(len(names)), size):
-        mask = flip ^ sum(1 << i for i in subset)
-        if not any(c & mask == c for c in masks):
-            yield tuple(n for i, n in enumerate(names) if mask >> i & 1)
+    ending: list[list[int]] = [[] for _ in names]
+    for c in collections:
+        if not c:
+            return  # every subset contains the empty collection
+        mask = sum(1 << order[n] for n in c)
+        ending[mask.bit_length() - 1].append(mask)
+
+    def grow(face: int, chosen: tuple[str, ...], start: int) -> Iterator[tuple[str, ...]]:
+        if len(chosen) == dimension:
+            yield chosen
+            return
+        last = len(names) - dimension + len(chosen)
+        for i in range(last, start - 1, -1) if reverse else range(start, last + 1):
+            grown = face | 1 << i
+            if not any(c & grown == c for c in ending[i]):
+                yield from grow(grown, chosen + (names[i],), i + 1)
+
+    if 0 <= dimension <= len(names):
+        yield from grow(0, (), 0)
 
 
 def fan_from_relations(

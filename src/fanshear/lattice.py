@@ -6,6 +6,9 @@ the primitives the rest of the package is built on: primitivity and
 basis-extension tests, deterministic integer row reduction, integral linear
 solving, unimodular maps, the shear matrices used to deform fans, and a
 Fourier-Motzkin feasibility test for strict/weak homogeneous inequalities.
+row_echelon is the one elimination behind cone inverses, basis extension,
+class groups, ranks and integral solving; det keeps Bareiss elimination
+for the signed value, and linear_feasible keeps Fourier-Motzkin.
 unimodular_inverse decides unimodularity and inverts in one row reduction;
 a fan runs it once per facet-connected set of cones and pivots from there
 to the rest.  matrix_inverse, which change_of_basis and
@@ -100,14 +103,15 @@ def row_echelon(
     echelon and det(transform) = +-1.  Pivoting is deterministic: among the
     active rows of a column, pick the smallest nonzero absolute value,
     breaking ties by lowest row index; the eventual pivot is made positive
-    and the entries above it are reduced into [0, pivot).
+    and the entries above it are reduced into [0, pivot).  Each row carries
+    its transform row as m extra columns, so one set of row operations
+    builds both; only the first n columns are pivoted on.
     """
-    rows = [list(r) for r in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if any(len(r) != n for r in rows):
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    if any(len(r) != n for r in matrix):
         raise ValueError("ragged matrix")
-    transform = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    rows = [[*r, *[1 if i == j else 0 for j in range(m)]] for i, r in enumerate(matrix)]
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -120,13 +124,11 @@ def row_echelon(
             _, p = min(candidates)
             if p != r:
                 rows[r], rows[p] = rows[p], rows[r]
-                transform[r], transform[p] = transform[p], transform[r]
             cleared = True
             for i in range(r + 1, m):
                 q = rows[i][c] // rows[r][c]
                 if q:
                     rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                    transform[i] = [a - q * b for a, b in zip(transform[i], transform[r])]
                 if rows[i][c]:
                     cleared = False
             if cleared:
@@ -134,15 +136,18 @@ def row_echelon(
         if rows[r][c]:
             if rows[r][c] < 0:
                 rows[r] = [-a for a in rows[r]]
-                transform[r] = [-a for a in transform[r]]
             for i in range(r):
                 q = rows[i][c] // rows[r][c]
                 if q:
                     rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                    transform[i] = [a - q * b for a, b in zip(transform[i], transform[r])]
             pivots.append(c)
             r += 1
-    return transform, rows, pivots
+    return [row[n:] for row in rows], [row[:n] for row in rows], pivots
+
+
+def _unit_pivots(echelon: Sequence[Sequence[int]], pivots: Sequence[int], rank: int) -> bool:
+    """Whether row_echelon found exactly rank pivots, each equal to 1."""
+    return len(pivots) == rank and all(echelon[i][c] == 1 for i, c in enumerate(pivots))
 
 
 def solve_integer(
@@ -152,89 +157,44 @@ def solve_integer(
 
     Raises NoIntegerSolution when no rational or no integral solution
     exists, UnderdeterminedSystem when the solution is not unique.
+
+    One row_echelon of [coeffs | rhs].  Its first n columns reduce as
+    coeffs alone would, since a column's pivot is chosen from that column
+    only; a pivot beyond them is a nonzero right-hand side against a zero
+    row, so the system is inconsistent.
     """
     m = len(coeffs)
     n = len(coeffs[0]) if m else 0
     k = len(rhs[0]) if rhs else 0
     if len(rhs) != m:
         raise ValueError("rhs row count mismatch")
-    transform, echelon, pivots = row_echelon(coeffs)
-    reduced_rhs = [
-        [dot(transform[i], [rhs[t][j] for t in range(m)]) for j in range(k)]
-        for i in range(m)
-    ]
-    rank = len(pivots)
-    for i in range(rank, m):
-        if any(reduced_rhs[i][j] != 0 for j in range(k)):
-            raise NoIntegerSolution("inconsistent linear system")
-    if rank < n:
+    _, echelon, pivots = row_echelon([[*a, *b] for a, b in zip(coeffs, rhs)])
+    if pivots and pivots[-1] >= n:
+        raise NoIntegerSolution("inconsistent linear system")
+    if len(pivots) < n:
         raise UnderdeterminedSystem("solution space is positive-dimensional")
     # rank == n, so the pivot columns are 0..n-1 in order.
     solution = [[0] * k for _ in range(n)]
     for i in range(n - 1, -1, -1):
-        piv = echelon[i][i]
+        row = echelon[i]
         for j in range(k):
-            acc = reduced_rhs[i][j] - sum(
-                echelon[i][t] * solution[t][j] for t in range(i + 1, n)
-            )
-            if acc % piv:
+            acc = row[n + j] - sum(row[t] * solution[t][j] for t in range(i + 1, n))
+            if acc % row[i]:
                 raise NoIntegerSolution("no integral solution")
-            solution[i][j] = acc // piv
+            solution[i][j] = acc // row[i]
     return solution
 
 
 def elementary_divisors_all_one(vectors: Sequence[Sequence[int]]) -> bool:
     """Whether the row span is a rank-len(vectors) direct summand of Z^d.
 
-    Diagonalizes by unimodular row and column operations, pivoting on the
-    smallest nonzero absolute value in the working submatrix (ties broken
-    by lowest row, then column, index), then checks every diagonal entry
-    is a unit.
+    One row_echelon of the d x m matrix whose columns are the vectors.  Its
+    transform is unimodular, so the elementary divisors are those of the
+    triangular top block, and that block's diagonal holds the pivots: they
+    are all one exactly when there are m pivots, each equal to 1.
     """
-    work = [list(v) for v in vectors]
-    m = len(work)
-    if m == 0:
-        return True
-    n = len(work[0])
-    for t in range(m):
-        while True:
-            entries = [
-                (abs(work[i][j]), i, j)
-                for i in range(t, m)
-                for j in range(t, n)
-                if work[i][j]
-            ]
-            if not entries:
-                return False  # rank dropped below m
-            _, pi, pj = min(entries)
-            if pi != t:
-                work[t], work[pi] = work[pi], work[t]
-            if pj != t:
-                for row in work:
-                    row[t], row[pj] = row[pj], row[t]
-            done = True
-            for i in range(m):
-                if i == t or not work[i][t]:
-                    continue
-                q = work[i][t] // work[t][t]
-                if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[t])]
-                if work[i][t]:
-                    done = False
-            for j in range(n):
-                if j == t or not work[t][j]:
-                    continue
-                q = work[t][j] // work[t][t]
-                if q:
-                    for row in work:
-                        row[j] -= q * row[t]
-                if work[t][j]:
-                    done = False
-            if done:
-                break
-        if abs(work[t][t]) != 1:
-            return False
-    return True
+    _, echelon, pivots = row_echelon(list(zip(*vectors)))
+    return _unit_pivots(echelon, pivots, len(vectors))
 
 
 def extends_to_basis(vectors: Sequence[Sequence[int]]) -> bool:
@@ -333,7 +293,7 @@ def unimodular_inverse(columns: Sequence[Sequence[int]]) -> Optional[Matrix]:
     if any(len(c) != n for c in columns):
         raise ValueError("matrix must be square")
     transform, echelon, pivots = row_echelon(list(zip(*columns)))
-    if len(pivots) != n or any(echelon[i][i] != 1 for i in range(n)):
+    if not _unit_pivots(echelon, pivots, n):
         return None
     return tuple(map(tuple, transform))
 

@@ -15,7 +15,9 @@ by pair with Fourier-Motzkin, the check make_fan falls back on when its
 completeness certificate fails, and completeness by facet connectivity.
 Cone inverses and fibration functionals are recomputed by a determinant
 test and a general integral solve, independent of the one row reduction
-per cone whose result the library keeps.
+per cone whose result the library keeps.  The collection-free d-subsets
+that fan_from_relations tries are recomputed by scanning every
+combination against every collection.
 """
 
 import random
@@ -138,6 +140,21 @@ def face_walk_collections(fan):
     return tuple(
         frozenset(n for n, b in zip(names, bits) if b & m) for m in found
     )
+
+
+def candidate_cones_by_combinations(names, dimension, collections, reverse=False):
+    """Combinations-scan oracle of fan._candidate_cones: the d-subsets of
+    names containing no collection, in combinations order, or with reverse
+    in the combinations order of their complements."""
+    order = {n: i for i, n in enumerate(names)}
+    masks = [sum(1 << order[n] for n in c) for c in collections]
+    flip, size = ((1 << len(names)) - 1, len(names) - dimension) if reverse else (0, dimension)
+    out = []
+    for subset in combinations(range(len(names)), size):
+        mask = flip ^ sum(1 << i for i in subset)
+        if not any(c & mask == c for c in masks):
+            out.append(tuple(n for i, n in enumerate(names) if mask >> i & 1))
+    return out
 
 
 def projective_space_fan(d):

@@ -1,10 +1,11 @@
 import math
 from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import det_solve_inverse
+from conftest import det_solve_inverse, fraction_rank, fraction_solve
 from fanshear.errors import DimensionMismatch
 from fanshear.lattice import (
     UnimodularMap,
@@ -88,6 +89,32 @@ def test_extends_to_basis_edge_cases():
     assert not extends_to_basis([(1, 0), (0, 1), (1, 1)])  # more vectors than dim
     with pytest.raises(DimensionMismatch):
         extends_to_basis([(1, 0), (1, 0, 0)])
+
+
+@st.composite
+def basis_candidates(draw):
+    """Up to d vectors in Z^d, d <= 5, sometimes with a zero or a repeated vector."""
+    d = draw(st.integers(1, 5))
+    vecs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=d))
+    if vecs:
+        i, j = draw(st.integers(0, len(vecs) - 1)), draw(st.integers(0, len(vecs) - 1))
+        twist = draw(st.sampled_from(["none", "zero", "repeat"]))
+        if twist == "zero":
+            vecs[i] = (0,) * d
+        elif twist == "repeat":
+            vecs[i] = vecs[j]
+    return d, vecs
+
+
+@settings(max_examples=300, deadline=2000)
+@given(basis_candidates())
+def test_extends_to_basis_matches_maximal_minors(case):
+    # m vectors extend to a basis exactly when their m x m minors have gcd 1
+    d, vecs = case
+    minors = (
+        det([[v[c] for c in cols] for v in vecs]) for cols in combinations(range(d), len(vecs))
+    )
+    assert extends_to_basis(vecs) is (reduce(math.gcd, minors, 0) == 1)
 
 
 def random_unimodular(seed_entries, dim):
@@ -233,6 +260,84 @@ def test_row_echelon_transform_is_unimodular():
     ]
     assert recomputed == echelon
     assert pivots == sorted(pivots)
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Tall, wide and square matrices, some of them of deficient rank."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.integers(0, max(0, min(m, n) - 1)))
+    base = draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=b, max_size=b))
+    mix = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=b, max_size=b), min_size=m, max_size=m
+    ))
+    return [[sum(c * row[j] for c, row in zip(cs, base)) for j in range(n)] for cs in mix]
+
+
+@settings(max_examples=300, deadline=2000)
+@given(echelon_inputs())
+def test_row_echelon_is_a_reduced_echelon_form(matrix):
+    transform, echelon, pivots = row_echelon(matrix)
+    rank = len(pivots)
+    assert rank == fraction_rank(matrix)
+    assert [[sum(a * b for a, b in zip(t, col)) for col in zip(*matrix)] for t in transform] == echelon
+    assert abs(det(transform)) == 1
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, c in enumerate(pivots):
+        assert echelon[i][c] > 0 and not any(echelon[i][:c])
+        assert all(0 <= echelon[h][c] < echelon[i][c] for h in range(i))
+    assert not any(map(any, echelon[rank:]))
+
+
+@st.composite
+def linear_systems(draw):
+    """coeffs (m x n) and rhs (m x k): often of the form coeffs @ X, sometimes rank-deficient."""
+    m, n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+
+    def matrix(rows, cols, entries=st.integers(-3, 3)):
+        return draw(st.lists(
+            st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        ))
+
+    coeffs = matrix(m, n)
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        for row in coeffs:
+            row[i] = row[j] if i != j else 0
+    if draw(st.booleans()):
+        x = matrix(n, k)
+        rhs = [[sum(row[t] * x[t][j] for t in range(n)) for j in range(k)] for row in coeffs]
+    else:
+        rhs = matrix(m, k)
+    return coeffs, rhs
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (NoIntegerSolution, UnderdeterminedSystem) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=2000)
+@given(linear_systems())
+def test_solve_integer_matches_rational_elimination(system):
+    coeffs, rhs = system
+    n, k = len(coeffs[0]), len(rhs[0])
+    rank = fraction_rank(coeffs)
+    if fraction_rank([a + b for a, b in zip(coeffs, rhs)]) > rank:
+        expected = (NoIntegerSolution, "inconsistent linear system")
+    elif rank < n:
+        expected = (UnderdeterminedSystem, "solution space is positive-dimensional")
+    else:
+        columns = list(zip(*coeffs))
+        by_column = [fraction_solve(columns, [row[j] for row in rhs]) for j in range(k)]
+        expected = [[by_column[j][i] for j in range(k)] for i in range(n)]
+        if any(x.denominator != 1 for row in expected for x in row):
+            expected = (NoIntegerSolution, "no integral solution")
+    assert _outcome(lambda: solve_integer(coeffs, rhs)) == expected
 
 
 def test_solve_integer_unique():

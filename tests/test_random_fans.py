@@ -7,12 +7,14 @@ validators, the two Fano criteria, and the shear machinery.
 """
 
 import random
-from itertools import combinations
+import time
+from itertools import combinations, islice
 
 import pytest
 
 from conftest import (
     brute_collections,
+    candidate_cones_by_combinations,
     carries_cones,
     check_certified,
     check_splittings_against_oracles,
@@ -493,13 +495,51 @@ def test_relation_walk_gives_up_at_the_boundary_of_a_half_fan():
 
 
 def test_candidate_cones_reverse_order(corpus):
-    for fan in list(corpus.values())[:12]:
+    fans = list(corpus.values()) + [
+        random_plane_fan(seed, insertions) for seed, insertions in PLANE_CASES
+    ] + [
+        random_subdivided_fan(seed, name, insertions)
+        for seed, name, insertions in SUBDIVIDED_CASES + LARGE_SUBDIVIDED_CASES
+    ] + [
+        random_face_subdivided_fan(seed, name, insertions)
+        for seed, name, insertions in SUBDIVIDED_CASES
+    ]
+    for fan in fans:
         names = fan.ray_names()
         collections = primitive_collections(fan)
-        for used in (collections, collections[:2], ()):
+        for used in (collections, collections[:2], collections[1::2], ()):
             forward = list(_candidate_cones(names, fan.dimension, used))
             backward = list(_candidate_cones(names, fan.dimension, used, reverse=True))
+            assert forward == candidate_cones_by_combinations(names, fan.dimension, used)
+            assert backward == candidate_cones_by_combinations(
+                names, fan.dimension, used, reverse=True
+            )
             assert backward == forward[::-1]
+
+
+def test_candidate_cones_edge_cases():
+    names = [f"g{i}" for i in range(24)]
+    assert list(_candidate_cones(names[:3], 4, [])) == []
+    assert list(_candidate_cones(names[:3], 2, [frozenset()])) == []
+    assert list(_candidate_cones(names[:3], 0, [])) == [()]
+    # lazy: the first of C(24, 12) candidates comes without walking the rest
+    start = time.process_time()
+    first = islice(_candidate_cones(names, 12, [frozenset({"g0", "g23"})], reverse=True), 1)
+    assert list(first) == [tuple(names[12:])]
+    assert time.process_time() - start < 0.5
+
+
+def test_relation_roundtrip_at_42_rays():
+    # 738 relations: the scale at which scanning every 4-subset took seconds
+    fan = random_subdivided_fan(3, "W4_1", 35)
+    relations = [
+        FormalRelation(r.collection, tuple((k, n) for n, k in r.support))
+        for r in primitive_relations(fan)
+    ]
+    assert (len(fan.rays), len(relations)) == (42, 738)
+    for basis in (fan.max_cones[0].ray_names, None):
+        rebuilt = fan_from_relations(fan.dimension, fan.ray_names(), relations, basis)
+        assert fan_isomorphism(rebuilt, fan) is not None
 
 
 def _error_of(call):
