@@ -17,7 +17,6 @@ from typing import Optional
 
 from . import deform, divisor, scroll
 from ._record import frozen
-from .deform import FiberKind
 from .divisor import FanoClass
 from .errors import FanError, UnknownName
 from .fan import (
@@ -261,23 +260,16 @@ def verify_weakened(item: CatalogEntry) -> WeakenedReport:
         return WeakenedReport(item.name, tuple(stages), (), extras, cls_ok)
 
     k = expected.endpoint_k
-    chosen = kind = None
-    for split in deform.find_splittings(fan):
-        kind = deform.fiber_type(split).kind
-        if kind is not FiberKind.OTHER and deform.endpoint_conditions(split, k):
-            chosen = split
-            break
-    stages.append(
-        Stage(
-            "splitting",
-            chosen is not None,
-            "" if chosen is None else
-            f"pivot {chosen.pivot_name}, partner {chosen.partner_name}, "
-            f"fiber {kind.value}",
-        )
-    )
-    if chosen is None:
+    splittings = deform.find_splittings(fan)
+    found = deform._first_deformable(splittings, k)
+    if found is None:
+        stages.append(Stage("splitting", False, ""))
         return WeakenedReport(item.name, tuple(stages), (), extras, False)
+    chosen = splittings[found]
+    stages.append(Stage(
+        "splitting", True, f"pivot {chosen.pivot_name}, partner {chosen.partner_name}, "
+        f"fiber {deform.fiber_type(chosen).kind.value}",
+    ))
 
     end = deform.endpoint(chosen, k)
     endpoint_rel_strings = tuple(format_relation(r) for r in primitive_relations(end))

@@ -145,14 +145,7 @@ def _cmd_deform(args, report: Report) -> int:
         candidates = [(args.splitting, splittings[args.splitting])]
     else:
         candidates = list(enumerate(splittings))
-    chosen = None
-    for index, split in candidates:
-        if deform.fiber_type(split).kind is FiberKind.OTHER:
-            continue
-        conditions = deform.endpoint_conditions(split, args.k)
-        if conditions:
-            chosen = (index, split)
-            break
+    chosen = deform._first_deformable([split for _, split in candidates], args.k)
     if chosen is None:
         report.add("conditions", "violated")
         for index, split in candidates:
@@ -161,7 +154,7 @@ def _cmd_deform(args, report: Report) -> int:
             if deform.fiber_type(split).kind is FiberKind.OTHER:
                 report.add("violation", f"splitting {index}: fiber type Other")
         return MATH_FAIL
-    index, split = chosen
+    index, split = candidates[chosen]
     _describe_splitting(report, index, split)
     report.add("conditions", "satisfied")
     end = deform.endpoint(split, args.k)

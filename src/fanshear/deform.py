@@ -32,7 +32,6 @@ from typing import Optional, Sequence
 
 from . import lattice
 from ._record import frozen
-from .divisor import class_group
 from .errors import ConditionsNotSatisfied, FanError, InternalError, ResultNotAFan
 from .fan import (
     Cone,
@@ -388,12 +387,15 @@ def fiber_type(split: Splitting) -> FiberType:
     ProjectiveSpace when the equator is a projective-space fan (the sum of
     all its rays vanishes and they form its only primitive collection);
     BundleOverP1 when (pivot, partner) is a fibration axis of the equator,
-    so that it splits over the line with the designated pair as its poles
-    and the pair's divisor classes agree and the stars of the two rays are
-    equivalent.  Other otherwise.  A projective-space equator needs neither
-    check: the lattice automorphisms of P^n permute its n + 1 rays freely
-    (any n of them form a basis and all n + 1 sum to zero), so every pair
-    of rays has one class and equivalent stars.  Cached per splitting.
+    so that it splits over the line with the designated pair as its poles.
+    Other otherwise.  In the first two cases the pair has one divisor
+    class and equivalent stars, so neither is compared.  The lattice
+    automorphisms of P^n permute its n + 1 rays freely (any n of them form
+    a basis and all n + 1 sum to zero).  On an axis with functional g,
+    div(chi^g) = D_pivot - D_partner, so the two classes agree; and
+    v -> v + g(v) * (partner - pivot) is a unimodular involution that
+    swaps the pair and fixes every other ray, so it carries each cone of
+    the pivot's star onto one of the partner's.  Cached per splitting.
     """
     return split._fiber_type
 
@@ -409,10 +411,7 @@ def _classify_fiber(split: Splitting) -> FiberType:
         return FiberType(FiberKind.PROJECTIVE_SPACE, (pivot, partner))
     if _axis(equator, pivot, partner) is None:
         return other
-    classes = class_group(equator).class_of_ray
-    if classes[pivot] == classes[partner] and star_equivalent(equator, pivot, partner):
-        return FiberType(FiberKind.BUNDLE_OVER_P1, (pivot, partner))
-    return other
+    return FiberType(FiberKind.BUNDLE_OVER_P1, (pivot, partner))
 
 
 def _prime_name(name: str, taken: set[str]) -> str:
@@ -484,6 +483,18 @@ def endpoint_conditions(split: Splitting, k: int) -> ConditionsReport:
         violation = f"{k}*{name}[{d}] + {name}[1] = {k}*({g[d - 1]}) + ({g[0]}) = {value} < 0"
         return ConditionsReport(False, (violation,))
     return ConditionsReport(True, ())
+
+
+def _first_deformable(splittings: Sequence[Splitting], k: int) -> Optional[int]:
+    """Index of the first splitting whose fiber is not Other and whose conditions hold for k.
+
+    The fiber type is read first: a negative k raises only on a splitting
+    whose fiber is not Other.
+    """
+    for i, split in enumerate(splittings):
+        if fiber_type(split).kind is not FiberKind.OTHER and endpoint_conditions(split, k):
+            return i
+    return None
 
 
 def endpoint(split: Splitting, k: int) -> Fan:

@@ -782,35 +782,27 @@ def fan_from_relations(
     remaining generators are solved from the relations, and the maximal
     cones are all unimodular d-subsets avoiding every relation's lhs.  When
     basis_cone is omitted, candidates are tried greedily in subset order
-    until one yields a consistent solution and a valid complete fan.
+    until one yields a consistent solution and a valid complete fan.  Each
+    candidate splits the one relation matrix by column.
     """
     names = list(generator_names)
     if len(set(names)) != len(names):
         raise ValueError("duplicate generator names")
-    known = set(names)
-    for rel in relations:
-        for n in rel.lhs:
-            if n not in known:
-                raise ValueError(f"relation uses unknown generator {n!r}")
-        for _, n in rel.rhs:
-            if n not in known:
-                raise ValueError(f"relation uses unknown generator {n!r}")
+    matrix = _relation_matrix(names, relations)
     collections = [frozenset(rel.lhs) for rel in relations]
 
     if basis_cone is not None:
-        return _solve_presentation(dimension, names, relations, collections, tuple(basis_cone))
+        return _solve_presentation(dimension, names, matrix, collections, tuple(basis_cone))
 
     candidates = _candidate_cones(names, dimension, collections)
     # Rank with a row per generator: row_echelon's transform is n x n.
-    net = [[r.lhs.count(n) - sum(k for k, m in r.rhs if m == n) for r in relations]
-           for n in names]
-    if len(lattice.row_echelon(net)[2]) < len(names) - dimension:
+    if len(lattice.row_echelon(list(zip(*matrix)))[2]) < len(names) - dimension:
         # No candidate's unknowns can be pinned: raise the last one's error.
         candidates = islice(_candidate_cones(names, dimension, collections, reverse=True), 1)
     last_error: Exception | None = None
     for candidate in candidates:
         try:
-            return _solve_presentation(dimension, names, relations, collections, candidate)
+            return _solve_presentation(dimension, names, matrix, collections, candidate)
         except (InconsistentRelations, UnderdeterminedRelations, ResultNotComplete,
                 ResultSingular, BadFaceStructure, DanglingRay, SingularCone,
                 NonPrimitiveRay) as exc:
@@ -820,10 +812,24 @@ def fan_from_relations(
     raise InconsistentRelations("no candidate basis cone avoids the given collections")
 
 
+def _relation_matrix(names: Sequence[str], relations: Sequence[FormalRelation]) -> list[list[int]]:
+    """Net coefficient of each name (column) in each relation's sum(lhs) - sum(rhs) = 0."""
+    column = {n: j for j, n in enumerate(names)}
+    matrix = []
+    for rel in relations:
+        row = [0] * len(names)
+        for k, n in [*((1, n) for n in rel.lhs), *((-k, n) for k, n in rel.rhs)]:
+            if n not in column:
+                raise ValueError(f"relation uses unknown generator {n!r}")
+            row[column[n]] += k
+        matrix.append(row)
+    return matrix
+
+
 def _solve_presentation(
     dimension: int,
     names: Sequence[str],
-    relations: Sequence[FormalRelation],
+    matrix: list[list[int]],
     collections: Sequence[frozenset[str]],
     basis: tuple[str, ...],
 ) -> Fan:
@@ -831,48 +837,36 @@ def _solve_presentation(
         raise ValueError(f"basis cone needs {dimension} generators")
     if any(n not in names for n in basis):
         raise ValueError("basis cone uses unknown generator")
-    assigned: dict[str, Vector] = {}
-    for i, n in enumerate(basis):
-        assigned[n] = tuple(1 if j == i else 0 for j in range(dimension))
-    unknowns = [n for n in names if n not in assigned]
-
-    # Net coefficient of each generator in "sum(lhs) - sum(rhs) = 0".
-    rows = []
-    rhs_rows = []
-    for rel in relations:
-        net: dict[str, int] = {}
-        for n in rel.lhs:
-            net[n] = net.get(n, 0) + 1
-        for k, n in rel.rhs:
-            net[n] = net.get(n, 0) - k
-        rows.append([net.get(n, 0) for n in unknowns])
-        constant = [0] * dimension
-        for n, c in net.items():
-            if n in assigned:
-                vec = assigned[n]
-                constant = [a - c * b for a, b in zip(constant, vec)]
-        rhs_rows.append(constant)
+    unit = {n: i for i, n in enumerate(basis)}  # a repeated name keeps its last position
+    assigned: dict[str, Vector] = {
+        n: tuple(1 if j == i else 0 for j in range(dimension)) for n, i in unit.items()
+    }
+    # The unknowns' columns are the coefficients; the basis columns, times
+    # their unit vectors and negated, the right-hand side.
+    unknowns = [j for j, n in enumerate(names) if n not in unit]
+    fixed = [names.index(n) if unit[n] == i else None for i, n in enumerate(basis)]
+    rhs = [[0 if j is None else -row[j] for j in fixed] for row in matrix]
 
     if unknowns:
         unpinned = UnderdeterminedRelations(
-            f"generators {unknowns} are not pinned down by the relations"
+            f"generators {[names[j] for j in unknowns]} are not pinned down by the relations"
         )
-        if not rows:
+        if not matrix:
             # No relation: solve_integer sees no column, so it would pin nothing.
             raise unpinned
         try:
-            solution = lattice.solve_integer(rows, rhs_rows)
+            solution = lattice.solve_integer(
+                [[row[j] for j in unknowns] for row in matrix], rhs
+            )
         except lattice.NoIntegerSolution as exc:
             raise InconsistentRelations(str(exc)) from exc
         except lattice.UnderdeterminedSystem as exc:
             raise unpinned from exc
-        for n, row in zip(unknowns, solution):
-            assigned[n] = tuple(row)
-    else:
+        for j, row in zip(unknowns, solution):
+            assigned[names[j]] = tuple(row)
+    elif any(map(any, rhs)):
         # All generators fixed by the basis; relations must hold identically.
-        for const in rhs_rows:
-            if any(const):
-                raise InconsistentRelations("relations contradict the basis assignment")
+        raise InconsistentRelations("relations contradict the basis assignment")
 
     for n in names:
         vec = assigned[n]

@@ -33,6 +33,7 @@ from fanshear.errors import (
     NoContainingCone,
     NonPrimitiveRay,
     NotAPrimitiveCollection,
+    ResultNotComplete,
     ResultSingular,
     SingularCone,
     UnderdeterminedRelations,
@@ -818,6 +819,55 @@ def test_singular_reconstruction_names_the_first_singular_subset():
         "collection-free subset ('e2', 'a') is not unimodular; "
         "the relation list cannot be a complete primitive-collection list"
     )
+
+
+def _rel(lhs, *rhs):
+    return FormalRelation(tuple(lhs), tuple(rhs))
+
+
+# (dimension, names, relations, basis cone, error type, message)
+RELATION_ERRORS = [
+    (2, ["x1", "x1"], [], None, ValueError, "duplicate generator names"),
+    # each relation's lhs is checked before its rhs, relation by relation
+    (2, ["x1", "x2"], [_rel(["x1"], (1, "zr")), _rel(["zl"])], None,
+     ValueError, "relation uses unknown generator 'zr'"),
+    (2, ["x1", "x2"], [_rel(["zl"], (1, "zr"))], None,
+     ValueError, "relation uses unknown generator 'zl'"),
+    (2, ["x1", "x2", "x3"], [_rel(["x1", "x2", "x3"])], ("x1",),
+     ValueError, "basis cone needs 2 generators"),
+    (2, ["x1", "x2", "x3"], [_rel(["x1", "x2", "x3"])], ("x1", "q"),
+     ValueError, "basis cone uses unknown generator"),
+    (2, ["x1", "x2"], [_rel(["x1", "x2"])], ("x1", "x2"),
+     InconsistentRelations, "relations contradict the basis assignment"),
+    (2, ["x1", "x2", "x3"], [_rel(["x1", "x2"]), _rel(["x1", "x2"], (1, "x3"))], ("x1", "x3"),
+     InconsistentRelations, "inconsistent linear system"),
+    (2, ["e1", "e2", "a"], [_rel(["a"], (2, "e1"))], ("e1", "e2"),
+     InconsistentRelations, "generator a solves to the non-primitive vector (2, 0)"),
+    (2, ["e1", "e2", "a"], [_rel(["a"])], ("e1", "e2"),
+     InconsistentRelations, "generator a solves to the non-primitive vector (0, 0)"),
+    (2, ["e1", "e2", "a"], [_rel(["a"], (1, "e1"))], ("e1", "e2"),
+     InconsistentRelations, "generators e1 and a solve to the same vector"),
+    # a repeated basis name takes the unit vector of its last position
+    (2, ["e1", "e2", "a"], [_rel(["e2"], (1, "e1")), _rel(["a"], (2, "e1"))], ("e1", "e1"),
+     InconsistentRelations, "generator a solves to the non-primitive vector (0, 2)"),
+    (2, ["x1", "x2", "x3"], [_rel(["x1"]), _rel(["x2"])], None,
+     InconsistentRelations, "no candidate basis cone avoids the given collections"),
+    (2, ["x1", "x2", "x3", "x4"], [_rel(["x1", "x2"])], ("x1", "x3"),
+     UnderdeterminedRelations, "generators ['x2', 'x4'] are not pinned down by the relations"),
+    (2, ["e1", "e2", "a"], [], ("e1", "e2"),
+     UnderdeterminedRelations, "generators ['a'] are not pinned down by the relations"),
+    (2, ["e1", "e2", "a"], [_rel(["e1", "a"])], ("e1", "e2"),
+     ResultNotComplete, "reconstructed cone complex does not cover R^d"),
+]
+
+
+@pytest.mark.parametrize("dimension,names,relations,basis,error,message", RELATION_ERRORS)
+def test_reconstruction_error_types_and_messages(dimension, names, relations, basis, error,
+                                                 message):
+    with pytest.raises(error) as caught:
+        fan_from_relations(dimension, names, relations, basis)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def test_reconstruction_roundtrip(corpus):

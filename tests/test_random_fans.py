@@ -565,7 +565,8 @@ def test_short_presentations_raise_the_full_loops_error(corpus, name):
         collections = [frozenset(r.lhs) for r in kept]
         errors = [
             _error_of(lambda: fan_module._solve_presentation(
-                fan.dimension, names, kept, collections, candidate))
+                fan.dimension, names, fan_module._relation_matrix(names, kept), collections,
+                candidate))
             for candidate in _candidate_cones(names, fan.dimension, collections)
         ]
         assert errors and None not in errors

@@ -6,7 +6,7 @@ from fanshear.deform import endpoint_conditions, find_splittings
 from fanshear.errors import DimensionMismatch, PreconditionViolated
 from fanshear.fan import fan_isomorphism, primitive_relations
 from fanshear.scroll import BundleSpec, bundle_fan, deformation_chain, reduce_step
-from fanshear import builtin, divisor, scroll
+from fanshear import builtin, deform, divisor, scroll
 from fanshear.cli import main
 
 
@@ -160,14 +160,22 @@ def test_chain_fans_are_bundle_fans():
 
 
 def test_d7_chain_computes_no_class_group(monkeypatch, capsys):
-    # every equator of a bundle is a projective space, whose fiber pair
-    # needs neither divisor classes nor a star comparison
+    # a fiber pair on a projective-space equator, or on a fibration axis of
+    # the equator, has one divisor class and equivalent stars by construction:
+    # no fiber type computes a class group or compares stars
     scroll._bundle_fan_cached.cache_clear()
     scroll._reduce_step_cached.cache_clear()
-    calls = []
-    real = divisor._class_group
-    monkeypatch.setattr(divisor, "_class_group", lambda fan: calls.append(fan) or real(fan))
+    classes, stars = [], []
+    real_classes, real_stars = divisor._class_group, deform.star_equivalent
+    monkeypatch.setattr(
+        divisor, "_class_group", lambda fan: classes.append(fan) or real_classes(fan)
+    )
+    monkeypatch.setattr(
+        deform, "star_equivalent", lambda *args: stars.append(args) or real_stars(*args)
+    )
     status = main(["chain", "--dim", "7", "--from", "9,5,3,2,1,0", "--to", "1,1,1,1,1,1"])
     assert status == 0
     assert "steps: 8" in capsys.readouterr().out
-    assert calls == []
+    # the catalog's bundle equators once took 18 class groups and 18 star comparisons
+    assert main(["catalog", "verify", "all"]) == 0
+    assert (classes, stars) == ([], [])
