@@ -27,8 +27,8 @@ def frozen(cls):
     still set fields with object.__setattr__); the repr is
     `Qualname(field=value!r, ...)`; == compares the field tuples of two
     instances of the same class and is NotImplemented otherwise; the hash is
-    the field tuple's; assigning or deleting an attribute raises
-    AttributeError.
+    the field tuple's unless cls defines its own __hash__; assigning or
+    deleting an attribute raises AttributeError.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
@@ -49,6 +49,8 @@ def frozen(cls):
     namespace = {"_setattr": object.__setattr__, "_defaults": defaults}
     exec(source, namespace)
     for name in ("__init__", "__repr__", "__eq__", "__hash__"):
+        if name == "__hash__" and cls.__dict__.get(name) is not None:
+            continue  # the class's own hash
         method = namespace[name]
         method.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, method)

@@ -16,10 +16,11 @@ down} is a primitive collection and an integral functional h vanishes
 off it with h(up) = 1 and h(down) = -1; every maximal cone then holds
 exactly one of the two.  find_splittings (for the fan's axes and for the
 fibration pairs it designates on each equator), split_with_frame and the
-bundle case of fiber_type all use it.  Each splitting computes its normal-form
-transform once and reads the base fan, both half-fans and the equator
-off it.  The equator is never revalidated: it is made of faces of the
-validated input fan, and it is smooth and complete (see _splitting).
+bundle case of fiber_type all use it.  find_splittings is assembled from
+per-axis searches.  Each splitting computes its normal-form transform once
+and reads the base fan, both half-fans and the equator off it.  The
+equator is never revalidated: it is made of faces of the validated input
+fan, and it is smooth and complete (see _splitting).
 """
 
 from __future__ import annotations
@@ -298,10 +299,8 @@ def find_splittings(fan: Fan) -> tuple[Splitting, ...]:
     Searches the two-element primitive collections {u, v} whose complement
     rays span the kernel hyperplane of an integral functional taking +1 on
     u; each orientation of each such axis yields splittings, one per
-    candidate fiber-pair designation.  The designations are read off the
-    equator of one splitting in the support cone's frame, which is reused
-    when a designation asks for that same frame.  Empty when the fan admits
-    no such fibration.
+    candidate fiber-pair designation (_axis_splittings).  Empty when the fan
+    admits no such fibration.
     """
     if not is_complete(fan):
         raise ValueError("find_splittings requires a complete fan")
@@ -309,44 +308,46 @@ def find_splittings(fan: Fan) -> tuple[Splitting, ...]:
         return ()
     out = []
     for collection in primitive_collections(fan):
-        if len(collection) != 2:
-            continue
-        first, second = fan.sort_names(collection)
-        for up, down in ((first, second), (second, first)):
-            axis = _axis(fan, up, down)
-            if axis is None:
-                continue
-            eq_names, eq_cone_sets = axis
-            relation = primitive_relation(fan, collection)
-            support_names = frozenset(n for n, _ in relation.support)
-            support_cone = _basis_cone(eq_cone_sets, None, support_names)
-            support_split = _splitting(
-                fan, up, down, eq_names, eq_cone_sets, fan.sort_names(support_cone),
-                tuple(n for n in eq_names if n not in support_cone),
-            )
-            for pivot, partner in _designations(
-                support_split.equator, fan.dimension, relation.support
-            ):
-                tau = _basis_cone(eq_cone_sets, pivot, support_names)
-                if pivot is None:
-                    pivot = fan.sort_names(tau)[0]
-                basis_names = (pivot, *[n for n in fan.sort_names(tau) if n != pivot])
-                rest = [n for n in eq_names if n not in tau]
-                if partner is None:
-                    rest_names = tuple(rest)
-                else:
-                    if partner in tau:
-                        continue
-                    rest_names = (partner, *[n for n in rest if n != partner])
-                if (basis_names, rest_names) == (
-                    support_split.basis_names, support_split.rest_names
-                ):
-                    out.append(support_split)
-                else:
-                    out.append(_splitting(
-                        fan, up, down, eq_names, eq_cone_sets, basis_names, rest_names
-                    ))
+        if len(collection) == 2:
+            axis = fan.sort_names(collection)
+            for up, down in (axis, axis[::-1]):
+                out.extend(_axis_splittings(fan, collection, up, down))
     return tuple(out)
+
+
+def _axis_splittings(fan: Fan, collection: frozenset[str], up: str, down: str):
+    """find_splittings' splittings on the oriented axis (up, down), built one at a time.
+
+    The designations are read off the equator of one splitting in the
+    support cone's frame, which is reused when a designation asks for it.
+    """
+    axis = _axis(fan, up, down)
+    if axis is None:
+        return
+    eq_names, eq_cone_sets = axis
+    relation = primitive_relation(fan, collection)
+    support_names = frozenset(n for n, _ in relation.support)
+    support_cone = _basis_cone(eq_cone_sets, None, support_names)
+    support_split = _splitting(
+        fan, up, down, eq_names, eq_cone_sets, fan.sort_names(support_cone),
+        tuple(n for n in eq_names if n not in support_cone),
+    )
+    for pivot, partner in _designations(support_split.equator, fan.dimension, relation.support):
+        tau = _basis_cone(eq_cone_sets, pivot, support_names)
+        if pivot is None:
+            pivot = fan.sort_names(tau)[0]
+        basis_names = (pivot, *[n for n in fan.sort_names(tau) if n != pivot])
+        rest = [n for n in eq_names if n not in tau]
+        if partner is None:
+            rest_names = tuple(rest)
+        elif partner in tau:
+            continue
+        else:
+            rest_names = (partner, *[n for n in rest if n != partner])
+        if (basis_names, rest_names) == (support_split.basis_names, support_split.rest_names):
+            yield support_split
+        else:
+            yield _splitting(fan, up, down, eq_names, eq_cone_sets, basis_names, rest_names)
 
 
 def split_with_frame(

@@ -43,6 +43,9 @@ class DivisorClassData:
     picard_rank: int
     class_of_ray: Mapping[str, tuple[int, ...]]
 
+    def __hash__(self):  # a mapping has no hash: class_of_ray's sorted items stand in
+        return hash((self.relation_matrix, self.picard_rank, *sorted(self.class_of_ray.items())))
+
 
 @frozen
 class IrrelevantData:

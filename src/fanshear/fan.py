@@ -34,8 +34,8 @@ without the filter, which finds the same first frame.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, islice
-from operator import mul
+from itertools import combinations, islice, repeat
+from operator import mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import lattice
@@ -328,7 +328,8 @@ def _cone_inverses(fan: Fan) -> tuple[lattice.Matrix, ...]:
     inverted by lattice.unimodular_inverse, and a walk over the facets
     pivots from it: B = F+b across F from A = F+a has det B = c_a * det A
     for c = inv(A) @ b, and if c_a = +-1, row b of inv(B) is c_a * inv(A)[a]
-    and row f is inv(A)[f] - c_f * (row b), O(d^2) work.  So a fan whose
+    and row f is inv(A)[f] - c_f * (row b), or inv(A)[f] itself when
+    c_f = 0, O(d^2) work.  So a fan whose
     cones are connected through facets costs one elimination.  Any other
     pivot leaves B to the elimination, which raises SingularCone for the
     first cone in input order not unimodular.
@@ -356,9 +357,9 @@ def _cone_inverses(fan: Fan) -> tuple[lattice.Matrix, ...]:
                     pivot = coords[i]
                     if pivot not in (1, -1):
                         continue
-                    row_b = tuple(pivot * x for x in inv[i])
+                    row_b = inv[i] if pivot == 1 else tuple(-x for x in inv[i])
                     rows = {
-                        r: tuple(x - c * y for x, y in zip(row, row_b))
+                        r: tuple(map(sub, row, map(mul, repeat(c), row_b))) if c else row
                         for r, row, c in zip(rays, inv, coords)
                     }
                     rows[b] = row_b

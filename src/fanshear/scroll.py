@@ -3,10 +3,13 @@
 The fan of P(O + O(p_1) + ... + O(p_{d-1})) over P1 has d+2 rays and
 exactly two primitive relations: the fiber relation (all fiber rays sum to
 zero) and the twist relation b1 + c1 = p_1 e_1 + ... + p_{d-1} e_{d-1}.
-A single shear step with k = 1 lowers the twists; iterating it drives any
-twist vector to entries in {0, 1}, and the twist sum is invariant mod d,
-which is exactly the obstruction to connecting two bundles by a chain of
-such one-parameter deformations.
+bundle_fan builds it in closed form (Kleinschmidt 1988), b1 = e_d and
+c1 = (p, -1), with every d-subset of rays holding neither left-hand side
+as a cone; make_fan validates it and fan_from_relations is the tests'
+oracle.  A single shear step with k = 1 lowers the twists; iterating it
+drives any twist vector to entries in {0, 1}, and the twist sum is
+invariant mod d, which is exactly the obstruction to connecting two
+bundles by a chain of such one-parameter deformations.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ from functools import lru_cache
 from typing import Optional
 
 from ._record import frozen
-from .deform import endpoint, find_splittings
+from .deform import _axis_splittings, endpoint
 from .errors import DimensionMismatch, InternalError, PreconditionViolated
-from .fan import Fan, FormalRelation, PrimitiveRelation, fan_from_relations, primitive_relation
+from .fan import (
+    Fan, FormalRelation, PrimitiveRelation, Ray, _candidate_cones, make_fan, primitive_relation,
+)
 
 
 @frozen
@@ -76,8 +81,12 @@ def bundle_presentation(
 
 @lru_cache(maxsize=None)
 def _bundle_fan_cached(spec: BundleSpec) -> Fan:
-    names, relations, basis = bundle_presentation(spec)
-    return fan_from_relations(spec.dimension, names, relations, basis)
+    d = spec.dimension
+    names, relations, _ = bundle_presentation(spec)
+    unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    generators = [*unit[:-1], (*[-1] * (d - 1), 0), unit[-1], (*spec.twists, -1)]
+    cones = _candidate_cones(names, d, [frozenset(r.lhs) for r in relations])
+    return make_fan(d, list(map(Ray, names, generators)), list(cones))
 
 
 def bundle_fan(spec: BundleSpec) -> Fan:
@@ -92,11 +101,7 @@ def bundle_fan(spec: BundleSpec) -> Fan:
 @lru_cache(maxsize=None)
 def _reduce_step_cached(spec: BundleSpec) -> ReduceStep:
     fan = bundle_fan(spec)
-    split = next(
-        s
-        for s in find_splittings(fan)
-        if s.upper_names == ("b1",) and s.lower_names == ("c1",)
-    )
+    split = next(_axis_splittings(fan, frozenset({"b1", "c1"}), "b1", "c1"))
     sheared = endpoint(split, 1)
     new_lower = next(n for n in sheared.ray_names() if n not in fan.ray_names())
     relation = primitive_relation(sheared, frozenset({"b1", new_lower}))

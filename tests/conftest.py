@@ -17,7 +17,10 @@ Cone inverses and fibration functionals are recomputed by a determinant
 test and a general integral solve, independent of the one row reduction
 per cone whose result the library keeps.  The collection-free d-subsets
 that fan_from_relations tries are recomputed by scanning every
-combination against every collection.
+combination against every collection.  Bundle fans are rebuilt from their
+relations, find_splittings is rerun as the one pass over every axis it
+was before its per-axis searches, and a reduction step's splitting is
+picked out of that full list.
 """
 
 import random
@@ -28,18 +31,21 @@ from itertools import combinations, combinations_with_replacement, permutations
 import pytest
 
 from fanshear import builtin, bundle_fan, lattice
-from fanshear.deform import FiberKind, FiberType, fiber_type, find_splittings
+from fanshear import deform
+from fanshear.deform import FiberKind, FiberType, endpoint, fiber_type, find_splittings
 from fanshear.divisor import class_group
 from fanshear.errors import BadFaceStructure
 from fanshear.fan import (
     Ray,
     _certified_complete,
+    fan_from_relations,
     is_complete,
     make_fan,
     primitive_collections,
+    primitive_relation,
 )
 from fanshear.lattice import UnimodularMap, change_of_basis, shear_map
-from fanshear.scroll import BundleSpec
+from fanshear.scroll import BundleSpec, bundle_presentation
 
 
 def fraction_rank(rows):
@@ -415,6 +421,59 @@ def check_splittings_against_oracles(fan):
         assert rebuilt == equator
         assert is_complete(rebuilt)
     return len(splits)
+
+
+def find_splittings_in_one_pass(fan):
+    """find_splittings as one loop over every orientation of every axis."""
+    out = []
+    for collection in primitive_collections(fan):
+        if len(collection) != 2:
+            continue
+        first, second = fan.sort_names(collection)
+        for up, down in ((first, second), (second, first)):
+            axis = deform._axis(fan, up, down)
+            if axis is None:
+                continue
+            eq_names, eq_cone_sets = axis
+            relation = primitive_relation(fan, collection)
+            support_names = frozenset(n for n, _ in relation.support)
+            support_cone = deform._basis_cone(eq_cone_sets, None, support_names)
+            support_split = deform._splitting(
+                fan, up, down, eq_names, eq_cone_sets, fan.sort_names(support_cone),
+                tuple(n for n in eq_names if n not in support_cone),
+            )
+            for pivot, partner in deform._designations(
+                support_split.equator, fan.dimension, relation.support
+            ):
+                tau = deform._basis_cone(eq_cone_sets, pivot, support_names)
+                if pivot is None:
+                    pivot = fan.sort_names(tau)[0]
+                basis_names = (pivot, *[n for n in fan.sort_names(tau) if n != pivot])
+                rest = [n for n in eq_names if n not in tau]
+                if partner is None:
+                    rest_names = tuple(rest)
+                elif partner in tau:
+                    continue
+                else:
+                    rest_names = (partner, *[n for n in rest if n != partner])
+                out.append(deform._splitting(
+                    fan, up, down, eq_names, eq_cone_sets, basis_names, rest_names
+                ))
+    return tuple(out)
+
+
+def reduce_step_by_search(spec):
+    """The (b1, c1) splitting and the sheared fan of a reduction step, by the slow path.
+
+    The bundle fan is rebuilt from its relations, and the splitting is the
+    first of all its splittings with upper ray b1 and lower ray c1.
+    """
+    fan = fan_from_relations(spec.dimension, *bundle_presentation(spec))
+    split = next(
+        s for s in find_splittings_in_one_pass(fan)
+        if s.upper_names == ("b1",) and s.lower_names == ("c1",)
+    )
+    return split, endpoint(split, 1)
 
 
 def support_functional(fan, cone, divisor):

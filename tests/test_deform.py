@@ -6,6 +6,7 @@ from conftest import (
     check_certified,
     check_splittings_against_oracles,
     fiber_type_by_search,
+    find_splittings_in_one_pass,
     fourier_motzkin_calls,
 )
 
@@ -106,6 +107,10 @@ def test_splittings_match_oracles_on_corpus(corpus):
     # search of the equator, and the equator against make_fan and
     # is_complete from scratch
     assert sum(check_splittings_against_oracles(fan) for fan in corpus.values()) > 200
+
+
+def test_per_axis_searches_assemble_the_one_pass_splittings(corpus):
+    assert all(find_splittings(fan) == find_splittings_in_one_pass(fan) for fan in corpus.values())
 
 
 @pytest.mark.parametrize(

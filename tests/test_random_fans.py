@@ -21,6 +21,7 @@ from conftest import (
     direction_in_fan,
     face_walk_collections,
     fan_isomorphism_by_frames,
+    find_splittings_in_one_pass,
     fourier_motzkin_calls,
     relabelled_image,
     solve_fibration_functional,
@@ -243,6 +244,37 @@ def test_subdivided_fan_splittings_match_oracles():
         assert check_splittings_against_oracles(fan)
         kinds |= {fiber_type(split).kind for split in find_splittings(fan)}
     assert kinds == {FiberKind.BUNDLE_OVER_P1, FiberKind.OTHER}
+
+
+def test_per_axis_searches_assemble_the_one_pass_splittings_on_subdivisions():
+    for seed, name, insertions in SUBDIVIDED_CASES:
+        for fan in (random_subdivided_fan(seed, name, insertions),
+                    random_face_subdivided_fan(seed, name, insertions)):
+            assert find_splittings(fan) == find_splittings_in_one_pass(fan)
+
+
+def test_a_large_face_subdivision_tests_one_axis(monkeypatch):
+    # 127 rays and 7382 two-element collections: the cone masks reject all
+    # but the one axis, and each of its two orientations reads one
+    # functional and builds one splitting
+    functionals, splittings = [], []
+    real_functional, real_splitting = (
+        deform_module._fibration_functional, deform_module._splitting
+    )
+    monkeypatch.setattr(
+        deform_module, "_fibration_functional",
+        lambda *a: functionals.append(a[1:]) or real_functional(*a),
+    )
+    monkeypatch.setattr(
+        deform_module, "_splitting", lambda *a: splittings.append(a[1:3]) or real_splitting(*a)
+    )
+    fan = random_face_subdivided_fan(1, "W4_1", 120)
+    functionals.clear()
+    splittings.clear()
+    assert len(fan.rays) == 127
+    assert sum(len(c) == 2 for c in primitive_collections(fan)) == 7382
+    assert find_splittings(fan)
+    assert len(functionals) <= 2 and len(splittings) <= 2
 
 
 def test_axis_test_rejects_a_cone_off_the_axis_without_a_functional(monkeypatch):

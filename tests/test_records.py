@@ -68,9 +68,12 @@ def test_equal_records_are_equal_and_hash_equal():
         copy = type(record)(*fields(record))
         assert copy is not record and copy == record and not copy != record
         if isinstance(record, DivisorClassData):
-            # class_of_ray is a mapping proxy, so the field tuple has no hash
-            with pytest.raises(TypeError):
-                hash(record)
+            # class_of_ray is a mapping proxy, so the hash reads its sorted items
+            matrix, rank, classes = fields(record)
+            assert hash(copy) == hash(record) == hash((matrix, rank, *sorted(classes.items())))
+            reordered = DivisorClassData(matrix, rank, dict(reversed(classes.items())))
+            assert reordered == record and hash(reordered) == hash(record)
+            assert {record: 1}[copy] == 1
         else:
             assert hash(copy) == hash(record) == hash(fields(record))
 

@@ -1,12 +1,17 @@
+from itertools import product
+
 import pytest
 
-from conftest import bundle_specs_for_reduction
+from conftest import bundle_specs_for_reduction, reduce_step_by_search
 
 from fanshear.deform import endpoint_conditions, find_splittings
 from fanshear.errors import DimensionMismatch, PreconditionViolated
 from fanshear.fan import fan_isomorphism, primitive_relations
-from fanshear.scroll import BundleSpec, bundle_fan, deformation_chain, reduce_step
+from fanshear.scroll import (
+    BundleSpec, bundle_fan, bundle_presentation, deformation_chain, reduce_step,
+)
 from fanshear import builtin, deform, divisor, scroll
+from fanshear import fan as fan_module
 from fanshear.cli import main
 
 
@@ -48,6 +53,20 @@ def test_bundle_fan_frozen_vectors():
     fan = bundle_fan(BundleSpec((1, 1)))
     assert fan.generator("a1") == (-1, -1, 0)
     assert fan.generator("c1") == (1, 1, -1)
+
+
+def test_closed_form_matches_the_fan_rebuilt_from_relations():
+    # every twist vector with entries <= 4 at d = 2..5 and <= 2 at d = 6, 7,
+    # built past the cache so that none of the 1752 fans is kept
+    specs = [
+        BundleSpec(twists)
+        for d in range(2, 8)
+        for twists in product(range(5 if d <= 5 else 3), repeat=d - 1)
+    ]
+    assert len(specs) == 1752
+    for spec in specs:
+        rebuilt = fan_module.fan_from_relations(spec.dimension, *bundle_presentation(spec))
+        assert scroll._bundle_fan_cached.__wrapped__(spec) == rebuilt
 
 
 def test_bundle_spec_validation():
@@ -100,6 +119,44 @@ def test_reduction_formula_and_invariants(spec):
     assert (sum(step.renormalized.twists) - sum(spec.twists)) % d == 0
     assert all(p >= 0 for p in step.renormalized.twists)
     assert step.renormalized.sorted().twists < step.spec.twists
+
+
+def test_reduce_step_shears_the_splitting_the_full_search_picks():
+    # the first (b1, c1) splitting of the fan rebuilt from relations, picked
+    # out of every splitting, at d = 2..4 and along chains at d = 5..7
+    specs = bundle_specs_for_reduction() + [
+        spec
+        for start, end in [((6, 3, 2, 0), (3, 3, 0, 0)), ((5, 5, 2, 1, 0), (3, 2, 1, 1, 0)),
+                           ((8, 6, 4, 2, 0, 0), (4, 4, 4, 4, 2, 2))]
+        for spec in deformation_chain(BundleSpec(start), BundleSpec(end)).specs
+        if max(spec.twists) >= 2
+    ]
+    assert {spec.dimension for spec in specs} == {2, 3, 4, 5, 6, 7}
+    for spec in specs:
+        split, sheared = reduce_step_by_search(spec)
+        axis = deform._axis_splittings(bundle_fan(spec), frozenset({"b1", "c1"}), "b1", "c1")
+        assert next(axis) == split
+        assert reduce_step(spec).fan == sheared
+
+
+def test_d7_chain_rebuilds_nothing_from_relations(monkeypatch):
+    # the bundle fans come in closed form (every fan_from_relations call
+    # solves in _solve_presentation) and each step builds one splitting
+    scroll._bundle_fan_cached.cache_clear()
+    scroll._reduce_step_cached.cache_clear()
+    solved, splittings = [], []
+    real_solve, real_splitting = fan_module._solve_presentation, deform._splitting
+    monkeypatch.setattr(
+        fan_module, "_solve_presentation", lambda *a: solved.append(a) or real_solve(*a)
+    )
+    monkeypatch.setattr(
+        deform, "_splitting", lambda *a: splittings.append(a) or real_splitting(*a)
+    )
+    chain = deformation_chain(BundleSpec((8, 6, 4, 2, 0, 0)), BundleSpec((4, 4, 4, 4, 2, 2)))
+    steps = scroll._reduce_step_cached.cache_info().misses
+    assert chain is not None and steps == 11
+    assert solved == []
+    assert len(splittings) <= 2 * steps
 
 
 @pytest.mark.parametrize("twists", [(2,), (3, 1), (2, 2, 0)])
