@@ -135,7 +135,7 @@ FIXED_ENTRIES: tuple[CatalogEntry, ...] = (
 
 _FIXED_BY_NAME = {e.name: e for e in FIXED_ENTRIES}
 _HIRZEBRUCH_RE = re.compile(r"hirzebruch\((\d+)\)\Z")
-_BUNDLE_RE = re.compile(r"bundle\((\d+);([\d,]+)\)\Z")
+_BUNDLE_RE = re.compile(r"bundle\((\d+);(\d+(?:,\d+)*)\)\Z")
 
 
 def names() -> tuple[str, ...]:
@@ -176,6 +176,8 @@ def entry(name: str) -> CatalogEntry:
     if m:
         d = int(m.group(1))
         twists = tuple(int(p) for p in m.group(2).split(","))
+        if d < 2:
+            raise UnknownName(f"bundle({d};...): a bundle needs d ≥ 2")
         if len(twists) != d - 1:
             raise UnknownName(f"bundle({d};...) needs {d - 1} twists")
         return _bundle_entry(name, BundleSpec(twists))

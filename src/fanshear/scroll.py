@@ -9,12 +9,14 @@ as a cone; make_fan validates it and fan_from_relations is the tests'
 oracle.  A single shear step with k = 1 lowers the twists; iterating it
 drives any twist vector to entries in {0, 1}, and the twist sum is
 invariant mod d, which is exactly the obstruction to connecting two
-bundles by a chain of such one-parameter deformations.
+bundles by a chain of such one-parameter deformations.  Nothing is kept
+between calls: deformation_chain builds each fan on its path once and
+leaves them on the chain it returns.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional
 
 from ._record import frozen
@@ -79,8 +81,12 @@ def bundle_presentation(
     return names, (fiber, twist), names[: d - 1] + ("b1",)
 
 
-@lru_cache(maxsize=None)
-def _bundle_fan_cached(spec: BundleSpec) -> Fan:
+def bundle_fan(spec: BundleSpec) -> Fan:
+    """The fan of the projectivized split bundle with the given twists.
+
+    >>> len(bundle_fan(BundleSpec((0, 0))).rays)
+    5
+    """
     d = spec.dimension
     names, relations, _ = bundle_presentation(spec)
     unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
@@ -89,18 +95,8 @@ def _bundle_fan_cached(spec: BundleSpec) -> Fan:
     return make_fan(d, list(map(Ray, names, generators)), list(cones))
 
 
-def bundle_fan(spec: BundleSpec) -> Fan:
-    """The fan of the projectivized split bundle with the given twists.
-
-    >>> len(bundle_fan(BundleSpec((0, 0))).rays)
-    5
-    """
-    return _bundle_fan_cached(spec)
-
-
-@lru_cache(maxsize=None)
-def _reduce_step_cached(spec: BundleSpec) -> ReduceStep:
-    fan = bundle_fan(spec)
+def _reduce(spec: BundleSpec, fan: Fan) -> ReduceStep:
+    # spec is descending with some twist >= 2, and fan is its bundle fan
     split = next(_axis_splittings(fan, frozenset({"b1", "c1"}), "b1", "c1"))
     sheared = endpoint(split, 1)
     new_lower = next(n for n in sheared.ray_names() if n not in fan.ray_names())
@@ -127,43 +123,45 @@ def reduce_step(spec: BundleSpec) -> ReduceStep:
     """
     if max(spec.twists) < 2:
         raise PreconditionViolated("a reduction step needs some twist >= 2")
-    return _reduce_step_cached(spec.sorted())
+    spec = spec.sorted()
+    return _reduce(spec, bundle_fan(spec))
 
 
 @frozen
 class DeformationChain:
     specs: tuple[BundleSpec, ...]
 
-    @property
+    @cached_property
     def fans(self) -> tuple[Fan, ...]:
-        return tuple(bundle_fan(s) for s in self.specs)
-
-
-def _descend(spec: BundleSpec) -> list[BundleSpec]:
-    chain = [spec]
-    while max(chain[-1].twists) >= 2:
-        chain.append(reduce_step(chain[-1]).renormalized)
-    return chain
+        return tuple(map(bundle_fan, self.specs))
 
 
 def deformation_chain(start: BundleSpec, end: BundleSpec) -> Optional[DeformationChain]:
     """A chain of bundles linked by single reduction steps, or None.
 
-    Exists exactly when the twist sums agree mod d: both endpoints are
-    reduced to their normal form (all twists 0 or 1, determined by the sum
-    mod d) and the two descents are spliced at the shared normal form.
+    Exists exactly when the twist sums agree mod d: start is reduced to its
+    normal form (all twists 0 or 1, determined by the sum mod d), end is
+    reduced until it meets that descent, and the chain runs down the first
+    descent to the meeting spec and back up the second.  Each bundle fan on
+    the way is built once and kept on the chain.
     """
     if start.dimension != end.dimension:
         raise DimensionMismatch("bundle specs of different dimensions")
-    d = start.dimension
     start, end = start.sorted(), end.sorted()
-    if (sum(start.twists) - sum(end.twists)) % d != 0:
+    if (sum(start.twists) - sum(end.twists)) % start.dimension != 0:
         return None
-    down = _descend(start)
-    up = _descend(end)
-    if down[-1] != up[-1]:
-        raise InternalError("congruent twist sums reached different normal forms")
-    while len(down) > 1 and len(up) > 1 and down[-2] == up[-2]:
-        down.pop()
-        up.pop()
-    return DeformationChain(tuple(down + up[-2::-1]))
+    fans: dict[BundleSpec, Fan] = {}
+    down = [start]
+    while max(down[-1].twists) >= 2:
+        fans[down[-1]] = fan = bundle_fan(down[-1])
+        down.append(_reduce(down[-1], fan).renormalized)
+    meets = {spec: i for i, spec in enumerate(down)}
+    up = [end]
+    while up[-1] not in meets:
+        if max(up[-1].twists) < 2:
+            raise InternalError("congruent twist sums reached different normal forms")
+        fans[up[-1]] = fan = bundle_fan(up[-1])
+        up.append(_reduce(up[-1], fan).renormalized)
+    chain = DeformationChain((*down[: meets[up[-1]] + 1], *up[-2::-1]))
+    object.__setattr__(chain, "fans", tuple(fans.get(s) or bundle_fan(s) for s in chain.specs))
+    return chain

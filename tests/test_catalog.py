@@ -24,6 +24,12 @@ def test_unknown_name():
         builtin("W4_10")
     with pytest.raises(UnknownName):
         builtin("bundle(3;1)")  # wrong twist count
+    for name in ["bundle(3;1,,0)", "bundle(3;,1,0)"]:  # empty twist
+        with pytest.raises(UnknownName, match="no catalog entry"):
+            builtin(name)
+    for name in ["bundle(0;1)", "bundle(1;5)"]:
+        with pytest.raises(UnknownName, match="needs d ≥ 2"):
+            builtin(name)
 
 
 @pytest.mark.parametrize(

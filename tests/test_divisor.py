@@ -233,8 +233,8 @@ sc.reduce_step(sc.BundleSpec((2, 0)))
 """,
     "scroll_chain": """
 import fanshear.scroll as sc
-sc._descend = lambda spec: [spec]
-sc.deformation_chain(sc.BundleSpec((3, 0)), sc.BundleSpec((0, 0)))
+sc._reduce = lambda spec, fan: sc.ReduceStep(spec, None, fan, sc.BundleSpec((1, 1)))
+sc.deformation_chain(sc.BundleSpec((0, 0)), sc.BundleSpec((3, 0)))
 """,
 }
 

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import product
 
 import pytest
@@ -56,8 +58,7 @@ def test_bundle_fan_frozen_vectors():
 
 
 def test_closed_form_matches_the_fan_rebuilt_from_relations():
-    # every twist vector with entries <= 4 at d = 2..5 and <= 2 at d = 6, 7,
-    # built past the cache so that none of the 1752 fans is kept
+    # every twist vector with entries <= 4 at d = 2..5 and <= 2 at d = 6, 7
     specs = [
         BundleSpec(twists)
         for d in range(2, 8)
@@ -66,7 +67,7 @@ def test_closed_form_matches_the_fan_rebuilt_from_relations():
     assert len(specs) == 1752
     for spec in specs:
         rebuilt = fan_module.fan_from_relations(spec.dimension, *bundle_presentation(spec))
-        assert scroll._bundle_fan_cached.__wrapped__(spec) == rebuilt
+        assert bundle_fan(spec) == rebuilt
 
 
 def test_bundle_spec_validation():
@@ -142,18 +143,19 @@ def test_reduce_step_shears_the_splitting_the_full_search_picks():
 def test_d7_chain_rebuilds_nothing_from_relations(monkeypatch):
     # the bundle fans come in closed form (every fan_from_relations call
     # solves in _solve_presentation) and each step builds one splitting
-    scroll._bundle_fan_cached.cache_clear()
-    scroll._reduce_step_cached.cache_clear()
-    solved, splittings = [], []
-    real_solve, real_splitting = fan_module._solve_presentation, deform._splitting
+    solved, splittings, reduced = [], [], []
+    real_solve, real_splitting, real_reduce = (
+        fan_module._solve_presentation, deform._splitting, scroll._reduce
+    )
     monkeypatch.setattr(
         fan_module, "_solve_presentation", lambda *a: solved.append(a) or real_solve(*a)
     )
     monkeypatch.setattr(
         deform, "_splitting", lambda *a: splittings.append(a) or real_splitting(*a)
     )
+    monkeypatch.setattr(scroll, "_reduce", lambda *a: reduced.append(a) or real_reduce(*a))
     chain = deformation_chain(BundleSpec((8, 6, 4, 2, 0, 0)), BundleSpec((4, 4, 4, 4, 2, 2)))
-    steps = scroll._reduce_step_cached.cache_info().misses
+    steps = len(reduced)
     assert chain is not None and steps == 11
     assert solved == []
     assert len(splittings) <= 2 * steps
@@ -216,12 +218,45 @@ def test_chain_fans_are_bundle_fans():
         assert fan_isomorphism(fan, bundle_fan(spec)) is not None
 
 
+D7_CHAIN = ((8, 6, 4, 2, 0, 0), (4, 4, 4, 4, 2, 2))
+
+
+def test_no_fan_outlives_its_call():
+    # nothing in the package keeps a fan once the chain and the step are dropped
+    chain = deformation_chain(*map(BundleSpec, D7_CHAIN))
+    refs = [weakref.ref(fan) for fan in chain.fans]
+    refs.append(weakref.ref(reduce_step(BundleSpec((2, 0))).fan))
+    del chain
+    gc.collect()
+    assert len(refs) == 11
+    assert [ref for ref in refs if ref() is not None] == []
+
+
+def test_each_bundle_fan_is_built_once(monkeypatch, tmp_path):
+    visited = set()
+    for spec in map(BundleSpec, D7_CHAIN):
+        visited.add(spec)
+        while max(spec.twists) >= 2:
+            spec = reduce_step(spec).renormalized
+            visited.add(spec)
+    built, real_bundle_fan = [], scroll.bundle_fan
+    monkeypatch.setattr(scroll, "bundle_fan", lambda spec: built.append(spec) or real_bundle_fan(spec))
+    start, end = (",".join(map(str, twists)) for twists in D7_CHAIN)
+    argv = ["chain", "--dim", "7", "--from", start, "--to", end, "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(list(tmp_path.glob("V*.fan"))) == 10
+    assert len(built) == len(set(built)) <= len(visited)
+    # the chain carries the fans its descents built
+    built.clear()
+    chain = deformation_chain(*map(BundleSpec, D7_CHAIN))
+    before = len(built)
+    assert len(chain.fans) == 10 and len(built) == before
+
+
 def test_d7_chain_computes_no_class_group(monkeypatch, capsys):
     # a fiber pair on a projective-space equator, or on a fibration axis of
     # the equator, has one divisor class and equivalent stars by construction:
     # no fiber type computes a class group or compares stars
-    scroll._bundle_fan_cached.cache_clear()
-    scroll._reduce_step_cached.cache_clear()
     classes, stars = [], []
     real_classes, real_stars = divisor._class_group, deform.star_equivalent
     monkeypatch.setattr(
