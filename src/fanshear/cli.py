@@ -191,10 +191,10 @@ def _parse_twists(text: str) -> BundleSpec:
 def _cmd_chain(args, report: Report) -> int:
     start = _parse_twists(getattr(args, "from"))
     end = _parse_twists(args.to)
+    if args.dim < 2:
+        raise ParseError(f"a chain needs --dim >= 2, got {args.dim}")
     if start.dimension != args.dim or end.dimension != args.dim:
-        raise ParseError(
-            f"twist vectors must have {args.dim - 1} entries for dim {args.dim}"
-        )
+        raise ParseError(f"twist vectors must have {args.dim - 1} entries for dim {args.dim}")
     report.add("dim", args.dim)
     report.add("from", ",".join(map(str, start.twists)))
     report.add("to", ",".join(map(str, end.twists)))

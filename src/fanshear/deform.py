@@ -11,16 +11,18 @@ the designated fiber partner of the pivot ray, the result is the general
 fiber of a one-parameter degeneration of the original variety, provided
 the inequality conditions checked by endpoint_conditions hold.
 
-One test decides whether (up, down) is an oriented fibration axis: {up,
-down} is a primitive collection and an integral functional h vanishes
-off it with h(up) = 1 and h(down) = -1; every maximal cone then holds
-exactly one of the two.  find_splittings (for the fan's axes and for the
-fibration pairs it designates on each equator), split_with_frame and the
-bundle case of fiber_type all use it.  find_splittings is assembled from
-per-axis searches.  Each splitting computes its normal-form transform once
-and reads the base fan, both half-fans and the equator off it.  The
-equator is never revalidated: it is made of faces of the validated input
-fan, and it is smooth and complete (see _splitting).
+One test decides whether (up, down) is an oriented fibration axis:
+every maximal cone holds exactly one of the two, read off their cone
+masks, and an integral functional h vanishes off {up, down} with
+h(up) = 1 and h(down) = -1.  find_splittings (for the fan's axes and
+for the fibration pairs it designates on each equator), split_with_frame
+and the bundle case of fiber_type all use it.  find_splittings is
+assembled from per-axis searches over the pairs of rays, and an equator
+is a projective space when it has d + 1 rays, so MMCS never runs here.
+Each splitting computes its normal-form transform once and reads the
+base fan, both half-fans and the equator off it.  The equator is never
+revalidated: it is made of faces of the validated input fan, and it is
+smooth and complete (see _splitting).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import enum
 import re
 from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from . import lattice
@@ -41,7 +43,6 @@ from .fan import (
     _frame_search,
     is_complete,
     make_fan,
-    primitive_collections,
     primitive_relation,
 )
 from .lattice import UnimodularMap, Vector
@@ -112,7 +113,7 @@ class Splitting:
 def _fibration_functional(fan: Fan, up: str, down: str) -> Optional[Vector]:
     """Integral functional vanishing off {up, down}, +1 on up, -1 on down, or None.
 
-    Precondition: {up, down} is a primitive collection of the fan, as _axis
+    Precondition: some maximal cone holds up and none holds both, as _axis
     has checked.  A maximal cone holding up then does not hold down, so
     such a functional vanishes on that cone's other d - 1 rays and takes 1
     on up: it can only be the row of up in the cone's cached inverse.  One
@@ -127,17 +128,17 @@ def _fibration_functional(fan: Fan, up: str, down: str) -> Optional[Vector]:
     return h
 
 
-def _is_projective_space(fan: Fan, ray_count: int) -> bool:
-    """Whether the fan is the projective-space fan on ray_count rays."""
-    if len(fan.rays) != ray_count:
-        return False
-    total = [0] * fan.dimension
-    for r in fan.rays:
-        total = [a + b for a, b in zip(total, r.generator)]
-    if any(total):
-        return False
-    cols = primitive_collections(fan)
-    return len(cols) == 1 and cols[0] == frozenset(fan.ray_names())
+def _is_projective_space(fan: Fan) -> bool:
+    """Whether the smooth complete fan is a projective-space fan: d + 1 rays in R^d.
+
+    Every equator is smooth and complete (_splitting).  Such a fan's rays
+    positively span R^d, so sum(c_i * v_i) = 0 with every c_i > 0, and
+    this line is the whole relation space of d + 1 rays spanning R^d.  So
+    any d of them are independent, the d + 1 cones on d of them tile R^d
+    and all are unimodular cones of the fan, and by Cramer's rule the c_i
+    are equal: the rays sum to 0, the fan of P^d.
+    """
+    return len(fan.rays) == fan.dimension + 1
 
 
 def star_equivalent(fan: Fan, a: str, b: str) -> bool:
@@ -158,19 +159,16 @@ def star_equivalent(fan: Fan, a: str, b: str) -> bool:
 def _axis(fan: Fan, up: str, down: str):
     """Equator ray names and ordered equator cone sets of the axis (up, down), or None.
 
-    (up, down) is an oriented fibration axis of the complete fan when {up,
-    down} is a primitive collection and an integral functional h vanishes
-    off it with h(up) = 1 and h(down) = -1.  Then every maximal cone holds
-    exactly one of up and down: not both, as a collection is no face, and
-    not neither, as d rays in ker h span no full cone.  Each equator cone,
-    a maximal cone minus its axis ray, spans ker h, so by completeness it
-    is a facet of exactly one cone on each side of ker h: one with up and
-    one with down.
+    (up, down) is an oriented fibration axis of the complete fan when each
+    maximal cone holds exactly one of them (with no dangling ray, none
+    holding both says {up, down} is a primitive collection) and an
+    integral functional h vanishes off it with h(up) = 1 and h(down) = -1.
+    Each equator cone, a maximal cone minus its axis ray, spans ker h, so
+    by completeness it is a facet of exactly one cone on each side of
+    ker h: one with up and one with down.
     """
-    if frozenset({up, down}) not in fan._relations:
-        return None
-    stars = fan._cones_of_ray
-    if stars[up] | stars[down] != (1 << len(fan.max_cones)) - 1:
+    up_star, down_star = fan._cones_of_ray.get(up, 0), fan._cones_of_ray.get(down, 0)
+    if up_star & down_star or up_star | down_star != (1 << len(fan.max_cones)) - 1:
         return None
     if _fibration_functional(fan, up, down) is None:
         return None
@@ -178,7 +176,7 @@ def _axis(fan: Fan, up: str, down: str):
     return eq_names, tuple(dict.fromkeys(cs - {up, down} for cs in fan.cone_sets))
 
 
-def _designations(equator: Fan, ambient_dim: int, support: Sequence[tuple[str, int]]):
+def _designations(equator: Fan, support: Sequence[tuple[str, int]]):
     """Candidate (pivot, partner) labelings for one axis orientation.
 
     Projective-space equators get a single canonical designation whose
@@ -189,21 +187,15 @@ def _designations(equator: Fan, ambient_dim: int, support: Sequence[tuple[str, i
     still classify the fiber as Other.  Only frame-independent data is
     read, so the equator may be given in any normal form of the axis.
     """
-    if _is_projective_space(equator, ambient_dim):
-        if support:
-            pivot = max(support, key=lambda item: (item[1], -equator._order[item[0]]))[0]
-        else:
-            pivot = equator.rays[0].name
-        return [(pivot, None)]
-    pairs = []
-    for collection in primitive_collections(equator):
-        if len(collection) != 2:
-            continue
-        x, y = equator.sort_names(collection)
-        pairs.extend((p, q) for p, q in ((x, y), (y, x)) if _axis(equator, p, q) is not None)
-    if pairs:
-        return pairs
-    return [(None, None)]
+    if _is_projective_space(equator):
+        first = (equator.rays[0].name, 0)
+        pivot = max(support, key=lambda item: (item[1], -equator._order[item[0]]), default=first)
+        return [(pivot[0], None)]
+    pairs = [
+        (p, q) for x, y in combinations(equator.ray_names(), 2)
+        for p, q in ((x, y), (y, x)) if _axis(equator, p, q) is not None
+    ]
+    return pairs or [(None, None)]
 
 
 def _basis_cone(
@@ -296,26 +288,23 @@ def _check_invariants(split: Splitting) -> None:
 def find_splittings(fan: Fan) -> tuple[Splitting, ...]:
     """All normal-form realizations of the fan as a fibration over the line.
 
-    Searches the two-element primitive collections {u, v} whose complement
-    rays span the kernel hyperplane of an integral functional taking +1 on
-    u; each orientation of each such axis yields splittings, one per
-    candidate fiber-pair designation (_axis_splittings).  Empty when the fan
-    admits no such fibration.
+    Searches the pairs of rays {u, v}, in combinations order, that form a
+    primitive collection whose other rays span the kernel of an integral
+    functional taking +1 on u; each orientation of each such axis yields
+    splittings, one per candidate fiber-pair designation
+    (_axis_splittings).  Empty when the fan admits no such fibration.
     """
     if not is_complete(fan):
         raise ValueError("find_splittings requires a complete fan")
     if fan.dimension < 2:
         return ()
-    out = []
-    for collection in primitive_collections(fan):
-        if len(collection) == 2:
-            axis = fan.sort_names(collection)
-            for up, down in (axis, axis[::-1]):
-                out.extend(_axis_splittings(fan, collection, up, down))
-    return tuple(out)
+    return tuple(
+        split for x, y in combinations(fan.ray_names(), 2)
+        for up, down in ((x, y), (y, x)) for split in _axis_splittings(fan, up, down)
+    )
 
 
-def _axis_splittings(fan: Fan, collection: frozenset[str], up: str, down: str):
+def _axis_splittings(fan: Fan, up: str, down: str):
     """find_splittings' splittings on the oriented axis (up, down), built one at a time.
 
     The designations are read off the equator of one splitting in the
@@ -325,14 +314,14 @@ def _axis_splittings(fan: Fan, collection: frozenset[str], up: str, down: str):
     if axis is None:
         return
     eq_names, eq_cone_sets = axis
-    relation = primitive_relation(fan, collection)
+    relation = primitive_relation(fan, (up, down))
     support_names = frozenset(n for n, _ in relation.support)
     support_cone = _basis_cone(eq_cone_sets, None, support_names)
     support_split = _splitting(
         fan, up, down, eq_names, eq_cone_sets, fan.sort_names(support_cone),
         tuple(n for n in eq_names if n not in support_cone),
     )
-    for pivot, partner in _designations(support_split.equator, fan.dimension, relation.support):
+    for pivot, partner in _designations(support_split.equator, relation.support):
         tau = _basis_cone(eq_cone_sets, pivot, support_names)
         if pivot is None:
             pivot = fan.sort_names(tau)[0]
@@ -385,8 +374,8 @@ def split_with_frame(
 def fiber_type(split: Splitting) -> FiberType:
     """Classify the equator fan relative to the designated fiber pair.
 
-    ProjectiveSpace when the equator is a projective-space fan (the sum of
-    all its rays vanishes and they form its only primitive collection);
+    ProjectiveSpace when the equator is a projective-space fan (it has one
+    ray more than its dimension: _is_projective_space);
     BundleOverP1 when (pivot, partner) is a fibration axis of the equator,
     so that it splits over the line with the designated pair as its poles.
     Other otherwise.  In the first two cases the pair has one divisor
@@ -408,7 +397,7 @@ def _classify_fiber(split: Splitting) -> FiberType:
     if partner is None:
         return other
     equator = split.equator
-    if _is_projective_space(equator, split.dimension):
+    if _is_projective_space(equator):
         return FiberType(FiberKind.PROJECTIVE_SPACE, (pivot, partner))
     if _axis(equator, pivot, partner) is None:
         return other

@@ -12,13 +12,15 @@ tests and frame searches all read it.  A complete fan is accepted in
 O(C*d) by a certificate: its facets pair up on opposite sides and one
 point is covered once.  On a valid fan that certificate is also the
 completeness test.  Any other input, half-fans included, falls back to a
-Fourier-Motzkin test of every pair of cones.  Completeness is its own
-query: half-fans are fans too.
+Fourier-Motzkin test of every pair of cones, in one direction.
+Completeness is its own query: half-fans are fans too.
 
-The primitive collections are the minimal transversals of the cone
-complements, found over ray bitmasks by MMCS with no face store.  Each
-relation is read, in ray and cone indices, in the cone that a walk
-across facets finds holding the collection's generator sum.
+A ray set is a primitive collection when no cone holds it but one holds
+it less any one ray, as primitive_relation reads off the cone masks.
+Only the lists, primitive_collections and primitive_relations, run MMCS
+for the minimal transversals of the cone complements, over ray bitmasks
+with no face store.  Each relation is read, in ray and cone indices, in
+the cone that a walk across facets finds holding the collection's sum.
 
 Isomorphism colours the rays of both fans first.  A ray starts from its
 star size and the labels of its walls (the relation a + b = sum(c_f * f)
@@ -162,13 +164,12 @@ class Fan:
         return _certified_complete(self)
 
     @cached_property
-    def _relations(self) -> dict[frozenset[str], PrimitiveRelation | int]:
-        """Per primitive collection its relation, or its ray mask until then."""
-        names = self.ray_names()
-        return {
-            frozenset(names[b.bit_length() - 1] for b in _bits(m)): m
-            for m in _minimal_transversals(self)
-        }
+    def _collections(self) -> tuple[frozenset[str], ...]:
+        return _minimal_transversals(self)
+
+    @cached_property
+    def _relations(self) -> dict[frozenset[str], PrimitiveRelation]:
+        return {}  # per primitive collection its relation, filled by _relation
 
     @cached_property
     def _class_group(self) -> DivisorClassData:
@@ -217,9 +218,12 @@ def _validate_face_pair(fan: Fan, a: int, b: int) -> bool:
     """Whether the maximal cones a and b meet exactly in the cone on their common rays.
 
     Uses the dual characterization: the pair is glued along a common face
-    iff some functional, strictly positive on the rays of a outside the
+    iff some functional u, strictly positive on the rays of a outside the
     common set and zero on the common set, is nonpositive on every ray of
-    b outside the common set.
+    b outside the common set.  One direction decides for simplicial
+    cones: u >= 0 on a and <= 0 on b puts a & b in a & ker u, the cone on
+    the common rays; the separation lemma (Fulton, Introduction to Toric
+    Varieties, 1.2) gives such a u for a pair meeting in a common face.
     """
     rays_a, rays_b, inv_a = fan._cone_rays[a], fan._cone_rays[b], fan._inverses[a]
     free_positions = [i for i, r in enumerate(rays_a) if r not in rays_b]
@@ -227,13 +231,9 @@ def _validate_face_pair(fan: Fan, a: int, b: int) -> bool:
     if len(free_positions) == 1:
         row = inv_a[free_positions[0]]
         return all(lattice.dot(row, g) <= 0 for g in off_rays)
-    strict = [
-        tuple(1 if j == t else 0 for t in range(len(free_positions)))
-        for j in range(len(free_positions))
-    ]
-    weak = [
-        tuple(-lattice.dot(inv_a[i], g) for i in free_positions) for g in off_rays
-    ]
+    free = range(len(free_positions))
+    strict = [tuple(int(j == t) for t in free) for j in free]
+    weak = [tuple(-lattice.dot(inv_a[i], g) for i in free_positions) for g in off_rays]
     return lattice.linear_feasible(strict, weak)
 
 
@@ -250,7 +250,7 @@ def make_fan(
     checks, a complete fan is accepted by the certificate of
     _certified_complete, which is also its cached completeness, with no
     Fourier-Motzkin call.  Any other input falls back to testing every pair
-    of cones, by index, with _validate_face_pair.
+    of cones, by index, with _validate_face_pair, in one direction.
 
     Raises NonPrimitiveRay, SingularCone, BadFaceStructure or DanglingRay
     when the data violates the fan invariants.
@@ -314,7 +314,7 @@ def make_fan(
     if fan._is_complete:
         return fan
     for a, b in combinations(range(len(cone_objs)), 2):
-        if not (_validate_face_pair(fan, a, b) and _validate_face_pair(fan, b, a)):
+        if not _validate_face_pair(fan, a, b):
             first, second = (fan.sort_names(cone_objs[j].ray_names) for j in (a, b))
             raise BadFaceStructure(f"cones {first} and {second} do not meet in a common face")
     return fan
@@ -448,11 +448,11 @@ def primitive_collections(fan: Fan) -> tuple[frozenset[str], ...]:
     These are the minimal non-faces of the fan (Batyrev's primitive
     collections), so each has at most d+1 rays.  Cached per fan.
     """
-    return tuple(fan._relations)
+    return fan._collections
 
 
-def _minimal_transversals(fan: Fan) -> list[int]:
-    """The minimal non-faces as ray masks, in primitive_collections order.
+def _minimal_transversals(fan: Fan) -> tuple[frozenset[str], ...]:
+    """The minimal non-faces, in primitive_collections order.
 
     A non-face meets every cone's complement, so the minimal ones are the
     minimal transversals of the complements, found by MMCS (Murakami and
@@ -463,7 +463,8 @@ def _minimal_transversals(fan: Fan) -> list[int]:
     _extend(stars, fan._cone_masks, 0, (1 << len(stars)) - 1,
             (1 << len(fan.max_cones)) - 1, [], found)
     found.sort(key=lambda m: (m.bit_count(), [b.bit_length() for b in _bits(m)]))
-    return found
+    names = fan.ray_names()
+    return tuple(frozenset(names[b.bit_length() - 1] for b in _bits(m)) for m in found)
 
 
 def _extend(stars, cones, chosen: int, candidates: int, uncovered: int,
@@ -495,16 +496,24 @@ def _extend(stars, cones, chosen: int, candidates: int, uncovered: int,
 def primitive_relation(fan: Fan, collection: Iterable[str]) -> PrimitiveRelation:
     """Express the collection's generator sum over the cone containing it.
 
-    Cached per fan and collection.
+    Membership is read off the cone masks; cached per fan and collection.
     """
     fs = frozenset(collection)
-    if fs not in fan._relations:
-        raise NotAPrimitiveCollection(f"{fan.sort_names(fs)} is not a primitive collection")
+    if not _is_collection(fan, fs):
+        shown = fan.sort_names(fs) if fs <= fan._order.keys() else tuple(sorted(fs))
+        raise NotAPrimitiveCollection(f"{shown} is not a primitive collection")
     return _relation(fan, fs)
 
 
 def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
-    return tuple(_relation(fan, fs) for fs in fan._relations)
+    return tuple(_relation(fan, fs) for fs in fan._collections)
+
+
+def _is_collection(fan: Fan, names: frozenset[str]) -> bool:
+    """Whether names are rays spanning no cone while all but any one of them span one."""
+    return names <= fan._order.keys() and not fan.spans_cone(names) and all(
+        fan.spans_cone(names - {n}) for n in names
+    )
 
 
 def _relation(fan: Fan, fs: frozenset[str]) -> PrimitiveRelation:
@@ -513,11 +522,11 @@ def _relation(fan: Fan, fs: frozenset[str]) -> PrimitiveRelation:
     _scan_for_sum is the fallback.  Every cone holding the sum gives the
     same positive coordinates, those of the face holding it inside.
     """
-    relation = fan._relations[fs]
-    if not isinstance(relation, int):
+    relation = fan._relations.get(fs)
+    if relation is not None:
         return relation
     rays = fan.rays
-    members = [b.bit_length() - 1 for b in _bits(relation)]
+    members = sorted(map(fan._order.__getitem__, fs))
     total = tuple(map(sum, zip(*(rays[i].generator for i in members))))
     found = _walk_to_sum(fan, members, total) or _scan_for_sum(fan, total)
     if found is None:

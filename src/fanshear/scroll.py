@@ -97,7 +97,7 @@ def bundle_fan(spec: BundleSpec) -> Fan:
 
 def _reduce(spec: BundleSpec, fan: Fan) -> ReduceStep:
     # spec is descending with some twist >= 2, and fan is its bundle fan
-    split = next(_axis_splittings(fan, frozenset({"b1", "c1"}), "b1", "c1"))
+    split = next(_axis_splittings(fan, "b1", "c1"))
     sheared = endpoint(split, 1)
     new_lower = next(n for n in sheared.ray_names() if n not in fan.ray_names())
     relation = primitive_relation(sheared, frozenset({"b1", new_lower}))

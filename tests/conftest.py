@@ -442,9 +442,7 @@ def find_splittings_in_one_pass(fan):
                 fan, up, down, eq_names, eq_cone_sets, fan.sort_names(support_cone),
                 tuple(n for n in eq_names if n not in support_cone),
             )
-            for pivot, partner in deform._designations(
-                support_split.equator, fan.dimension, relation.support
-            ):
+            for pivot, partner in deform._designations(support_split.equator, relation.support):
                 tau = deform._basis_cone(eq_cone_sets, pivot, support_names)
                 if pivot is None:
                     pivot = fan.sort_names(tau)[0]

@@ -1,6 +1,7 @@
 import pytest
 
 from fanshear import builtin, deform
+from fanshear import fan as fan_module
 from fanshear.catalog import (
     CatalogEntry, ExpectedOutcome, entry, names, reconstruct, verify_weakened,
 )
@@ -10,6 +11,22 @@ from fanshear.divisor import FanoClass, classify_fano
 from fanshear.errors import UnknownName
 from fanshear.fan import is_complete, primitive_collections, primitive_relation
 from fanshear.fileformats import parse_fan, serialize_fan
+
+
+def test_verify_runs_at_most_two_collection_searches_per_entry(capsys, monkeypatch):
+    # the catalog's collections against the fan's, and the endpoint's relations
+    runs = []
+    real = fan_module._minimal_transversals
+    monkeypatch.setattr(
+        fan_module, "_minimal_transversals", lambda fan: runs.append(fan) or real(fan)
+    )
+    for name in names():
+        runs.clear()
+        assert main(["catalog", "verify", name]) == 0
+        assert len(runs) <= 2, name
+    runs.clear()
+    assert main(["catalog", "verify", "all"]) == 0
+    assert len(runs) <= 2 * len(names())
 
 
 def test_fixed_names():

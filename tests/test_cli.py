@@ -310,6 +310,27 @@ def test_chain_bad_twists_exit_two(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("dim", ["0", "1"])
+def test_chain_below_dim_two_exits_two(capsys, dim):
+    status, out = run(capsys, "chain", "--dim", dim, "--from", "1", "--to", "0")
+    assert status == 2
+    assert out.splitlines()[-1] == f"error: a chain needs --dim >= 2, got {dim}"
+
+
+def test_split_runs_no_collection_search(tmp_path, capsys, monkeypatch):
+    runs = []
+    real = fan_module._minimal_transversals
+    monkeypatch.setattr(
+        fan_module, "_minimal_transversals", lambda fan: runs.append(fan) or real(fan)
+    )
+    for name in ["X3_0", "W4_1", "W4_3", "W4_9", "hirzebruch(2)"]:
+        path = tmp_path / "in.fan"
+        path.write_text(serialize_fan(builtin(name)))
+        status, out = run(capsys, "split", str(path))
+        assert status == 0 and "splitting" in out
+    assert runs == []
+
+
 # --- catalog ------------------------------------------------------------------------
 
 def test_catalog_list(capsys):

@@ -502,8 +502,18 @@ def test_projective_space_relation_degree():
 
 
 def test_not_a_primitive_collection():
-    with pytest.raises(NotAPrimitiveCollection):
-        primitive_relation(p2_fan(), {"e1", "e2"})
+    for names in [{"e1", "e2"}, ["nope"], ["e1", "nope"]]:
+        with pytest.raises(NotAPrimitiveCollection):
+            primitive_relation(p2_fan(), names)
+
+
+def test_primitive_relation_runs_no_collection_search(monkeypatch):
+    # membership is read off the cone masks; only the lists run MMCS
+    known = builtin("W4_5")
+    relations = primitive_relations(known)
+    monkeypatch.setattr(fan_module, "_minimal_transversals", lambda fan: pytest.fail("MMCS ran"))
+    fan = make_fan(known.dimension, known.rays, known.max_cones)
+    assert [primitive_relation(fan, rel.collection) for rel in relations] == list(relations)
 
 
 def test_no_containing_cone_on_incomplete_fan():

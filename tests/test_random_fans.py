@@ -23,6 +23,7 @@ from conftest import (
     fan_isomorphism_by_frames,
     find_splittings_in_one_pass,
     fourier_motzkin_calls,
+    pairwise_glued,
     relabelled_image,
     solve_fibration_functional,
     star_equivalent_by_frames,
@@ -230,6 +231,34 @@ def test_collections_of_a_large_subdivision_are_minimal_non_faces():
         assert len(c) <= fan.dimension + 1
         assert not is_face(c)
         assert all(is_face(c - {n}) for n in c)
+
+
+def test_membership_matches_the_collection_list(corpus):
+    # each collection, each with one ray removed or added, and every pair
+    fans = [*corpus.values(), *(random_subdivided_fan(*case) for case in SUBDIVIDED_CASES)]
+    for fan in fans:
+        names = fan.ray_names()
+        collections = primitive_collections(fan)
+        queries = [frozenset(pair) for pair in combinations(names, 2)]
+        for c in collections:
+            queries += [c, *(c - {n} for n in c), *(c | {n} for n in names if n not in c)]
+        for query in queries:
+            assert fan_module._is_collection(fan, query) == (query in collections)
+
+
+def test_an_incomplete_fan_tests_each_cone_pair_once():
+    # every other cone of a star subdivision, without the rays left
+    # dangling: no certificate, so each pair of cones gets one direction
+    # of the Fourier-Motzkin test, with the two-direction oracle's verdict
+    for insertions in (10, 40):
+        fan = random_subdivided_fan(0, "W4_1", insertions)
+        cones = fan.max_cones[::2]
+        used = {n for cone in cones for n in cone.ray_names}
+        with fourier_motzkin_calls() as calls:
+            half = make_fan(fan.dimension, [r for r in fan.rays if r.name in used], cones)
+        assert not is_complete(half)
+        assert len(calls) <= len(cones) * (len(cones) - 1) // 2
+        assert pairwise_glued(half)
 
 
 def test_subdivided_fan_splittings_match_oracles():

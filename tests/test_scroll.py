@@ -135,7 +135,7 @@ def test_reduce_step_shears_the_splitting_the_full_search_picks():
     assert {spec.dimension for spec in specs} == {2, 3, 4, 5, 6, 7}
     for spec in specs:
         split, sheared = reduce_step_by_search(spec)
-        axis = deform._axis_splittings(bundle_fan(spec), frozenset({"b1", "c1"}), "b1", "c1")
+        axis = deform._axis_splittings(bundle_fan(spec), "b1", "c1")
         assert next(axis) == split
         assert reduce_step(spec).fan == sheared
 
@@ -159,6 +159,18 @@ def test_d7_chain_rebuilds_nothing_from_relations(monkeypatch):
     assert chain is not None and steps == 11
     assert solved == []
     assert len(splittings) <= 2 * steps
+
+
+def test_d7_chain_runs_no_collection_search(monkeypatch):
+    # axes, equators and the sheared relations are all tested by membership
+    runs = []
+    real = fan_module._minimal_transversals
+    monkeypatch.setattr(
+        fan_module, "_minimal_transversals", lambda fan: runs.append(fan) or real(fan)
+    )
+    chain = deformation_chain(BundleSpec((8, 6, 4, 2, 0, 0)), BundleSpec((4, 4, 4, 4, 2, 2)))
+    assert len(chain.fans) == 10
+    assert runs == []
 
 
 @pytest.mark.parametrize("twists", [(2,), (3, 1), (2, 2, 0)])
