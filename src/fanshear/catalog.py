@@ -134,8 +134,8 @@ FIXED_ENTRIES: tuple[CatalogEntry, ...] = (
 )
 
 _FIXED_BY_NAME = {e.name: e for e in FIXED_ENTRIES}
-_HIRZEBRUCH_RE = re.compile(r"hirzebruch\((\d+)\)\Z")
-_BUNDLE_RE = re.compile(r"bundle\((\d+);(\d+(?:,\d+)*)\)\Z")
+_HIRZEBRUCH_RE = re.compile(r"hirzebruch\(([0-9]+)\)\Z")
+_BUNDLE_RE = re.compile(r"bundle\(([0-9]+);([0-9]+(?:,[0-9]+)*)\)\Z")
 
 
 def names() -> tuple[str, ...]:

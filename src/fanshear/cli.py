@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -183,8 +184,8 @@ def _cmd_iso(args, report: Report) -> int:
 
 def _parse_twists(text: str) -> BundleSpec:
     try:
-        return BundleSpec(tuple(int(t) for t in text.split(",")))
-    except ValueError as exc:
+        return BundleSpec(tuple(fileformats._parse_int(t) for t in text.split(",")))
+    except (ParseError, ValueError) as exc:
         raise ParseError(f"bad twist vector {text!r}: {exc}") from None
 
 
@@ -450,7 +451,20 @@ def _main(argv) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console entry point: exit with main's status.
+
+    A reader that closes the pipe early (`fanshear chain ... | head -1`)
+    ends the command with status 1 and no traceback.  As the Python signal
+    module's documentation recommends, stdout is then pointed at devnull,
+    so that the interpreter's last flush at exit cannot fail again.
+    """
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ ignored, serialization is canonical (input order, base-10, single spaces).
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .errors import ParseError
@@ -35,11 +36,15 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", lineno) from None
+# int() alone also reads "1_0" and non-ASCII digits such as "１"
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_int(token: str, lineno: Optional[int] = None) -> int:
+    """An optionally signed ASCII decimal integer; lineno only labels a ParseError."""
+    if not _INTEGER.fullmatch(token):
+        raise ParseError(f"expected an integer, got {token!r}", lineno)
+    return int(token)
 
 
 def parse_fan(text: str) -> Fan:

@@ -9,9 +9,11 @@ as a cone; make_fan validates it and fan_from_relations is the tests'
 oracle.  A single shear step with k = 1 lowers the twists; iterating it
 drives any twist vector to entries in {0, 1}, and the twist sum is
 invariant mod d, which is exactly the obstruction to connecting two
-bundles by a chain of such one-parameter deformations.  Nothing is kept
-between calls: deformation_chain builds each fan on its path once and
-leaves them on the chain it returns.
+bundles by a chain of such one-parameter deformations.  reduce_step does
+the shear and is the oracle of the reduction formula (_renormalized),
+which deformation_chain follows in O(d) per step without building a fan;
+a chain builds its bundle fans when its fans attribute is first read.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -95,8 +97,37 @@ def bundle_fan(spec: BundleSpec) -> Fan:
     return make_fan(d, list(map(Ray, names, generators)), list(cones))
 
 
-def _reduce(spec: BundleSpec, fan: Fan) -> ReduceStep:
-    # spec is descending with some twist >= 2, and fan is its bundle fan
+def _renormalized(spec: BundleSpec) -> BundleSpec:
+    """The twists reduce_step reaches from spec, by the reduction formula.
+
+    spec is descending with some twist >= 2.  The shear deforms
+    O(p_1) + O(0) into O(p_1 - 1) + O(1): the new twist relation has
+    coefficients q = (p_1 - 1, p_2, ..., p_(d-1), 1) on the fiber rays
+    (e1, ..., e(d-1), a1), less min(q) times the fiber relation.  Those are
+    the two branches of the reduction formula, and reduce_step, which
+    shears the fan, checks its twists against this.
+
+    >>> _renormalized(BundleSpec((2, 0))), _renormalized(BundleSpec((2, 1)))
+    (BundleSpec(twists=(1, 1)), BundleSpec(twists=(0, 0)))
+    """
+    q = (spec.twists[0] - 1, *spec.twists[1:], 1)
+    low = min(q)
+    return BundleSpec(tuple(sorted((c - low for c in q), reverse=True))[:-1])
+
+
+def reduce_step(spec: BundleSpec) -> ReduceStep:
+    """Shear the bundle once with k = 1 and renormalize the twists.
+
+    The twists are reordered descending first (relabeling fiber rays is an
+    automorphism of the bundle); PreconditionViolated when no twist is at
+    least 2, since the step would not lower anything.  The step shears the
+    bundle fan and reads the twists off the new relation; InternalError
+    when they disagree with the reduction formula.
+    """
+    if max(spec.twists) < 2:
+        raise PreconditionViolated("a reduction step needs some twist >= 2")
+    spec = spec.sorted()
+    fan = bundle_fan(spec)
     split = next(_axis_splittings(fan, "b1", "c1"))
     sheared = endpoint(split, 1)
     new_lower = next(n for n in sheared.ray_names() if n not in fan.ray_names())
@@ -110,21 +141,13 @@ def _reduce(spec: BundleSpec, fan: Fan) -> ReduceStep:
     coefficients = sorted((support.get(n, 0) for n in fiber_names), reverse=True)
     if coefficients[-1] != 0:
         raise InternalError("twist relation support covers every fiber ray")
-    renormalized = BundleSpec(tuple(coefficients[:-1]))
+    renormalized, formula = BundleSpec(tuple(coefficients[:-1])), _renormalized(spec)
+    if renormalized != formula:
+        raise InternalError(
+            f"the shear of {spec.twists} gives twists {renormalized.twists}, "
+            f"the reduction formula {formula.twists}"
+        )
     return ReduceStep(spec, relation, sheared, renormalized)
-
-
-def reduce_step(spec: BundleSpec) -> ReduceStep:
-    """Shear the bundle once with k = 1 and renormalize the twists.
-
-    The twists are reordered descending first (relabeling fiber rays is an
-    automorphism of the bundle); PreconditionViolated when no twist is at
-    least 2, since the step would not lower anything.
-    """
-    if max(spec.twists) < 2:
-        raise PreconditionViolated("a reduction step needs some twist >= 2")
-    spec = spec.sorted()
-    return _reduce(spec, bundle_fan(spec))
 
 
 @frozen
@@ -142,26 +165,22 @@ def deformation_chain(start: BundleSpec, end: BundleSpec) -> Optional[Deformatio
     Exists exactly when the twist sums agree mod d: start is reduced to its
     normal form (all twists 0 or 1, determined by the sum mod d), end is
     reduced until it meets that descent, and the chain runs down the first
-    descent to the meeting spec and back up the second.  Each bundle fan on
-    the way is built once and kept on the chain.
+    descent to the meeting spec and back up the second.  Both descents
+    follow the reduction formula, so no fan is built here: the chain's
+    fans are built when its fans attribute is first read.
     """
     if start.dimension != end.dimension:
         raise DimensionMismatch("bundle specs of different dimensions")
     start, end = start.sorted(), end.sorted()
     if (sum(start.twists) - sum(end.twists)) % start.dimension != 0:
         return None
-    fans: dict[BundleSpec, Fan] = {}
     down = [start]
     while max(down[-1].twists) >= 2:
-        fans[down[-1]] = fan = bundle_fan(down[-1])
-        down.append(_reduce(down[-1], fan).renormalized)
+        down.append(_renormalized(down[-1]))
     meets = {spec: i for i, spec in enumerate(down)}
     up = [end]
     while up[-1] not in meets:
         if max(up[-1].twists) < 2:
             raise InternalError("congruent twist sums reached different normal forms")
-        fans[up[-1]] = fan = bundle_fan(up[-1])
-        up.append(_reduce(up[-1], fan).renormalized)
-    chain = DeformationChain((*down[: meets[up[-1]] + 1], *up[-2::-1]))
-    object.__setattr__(chain, "fans", tuple(fans.get(s) or bundle_fan(s) for s in chain.specs))
-    return chain
+        up.append(_renormalized(up[-1]))
+    return DeformationChain((*down[: meets[up[-1]] + 1], *up[-2::-1]))

@@ -41,7 +41,8 @@ def test_unknown_name():
         builtin("W4_10")
     with pytest.raises(UnknownName):
         builtin("bundle(3;1)")  # wrong twist count
-    for name in ["bundle(3;1,,0)", "bundle(3;,1,0)"]:  # empty twist
+    # an empty twist, and digits that are not ASCII
+    for name in ["bundle(3;1,,0)", "bundle(3;,1,0)", "hirzebruch(\uff11)", "bundle(3;1,\u0660)"]:
         with pytest.raises(UnknownName, match="no catalog entry"):
             builtin(name)
     for name in ["bundle(0;1)", "bundle(1;5)"]:

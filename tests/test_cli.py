@@ -94,6 +94,15 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "line 2" in out
 
 
+def test_an_underscored_coordinate_exits_two(tmp_path, capsys):
+    # int() alone reads 1_0 as 10, and the cone (a, b) is then singular
+    path = tmp_path / "broken.fan"
+    path.write_text("dim 2\nray a 1_0 1\nray b 0 1\ncone a b\n")
+    status, out = run(capsys, "check", str(path))
+    assert status == 2
+    assert out == "error: line 2: expected an integer, got '1_0'\n"
+
+
 def test_missing_file_exits_two(capsys):
     status, _ = run(capsys, "check", "does-not-exist.fan")
     assert status == 2
@@ -308,6 +317,28 @@ def test_chain_out_dir_on_a_file_exits_two(tmp_path, capsys):
 def test_chain_bad_twists_exit_two(capsys):
     status, _ = run(capsys, "chain", "--dim", "3", "--from", "1", "--to", "0,0")
     assert status == 2
+
+
+@pytest.mark.parametrize("twists", ["1_0,0", "\uff11,0", "1, 0"])
+def test_chain_twists_are_ascii_integers(capsys, twists):
+    status, out = run(capsys, "chain", "--dim", "3", "--from", twists, "--to", "1,0")
+    assert status == 2
+    assert out.startswith(f"error: bad twist vector {twists!r}: expected an integer, got ")
+
+
+def test_a_closed_pipe_exits_one_without_a_traceback():
+    # the reader closes its end before the command writes, so the write fails
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from fanshear.cli import run; run()",
+         "chain", "--dim", "2", "--from", "400", "--to", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("dim", ["0", "1"])

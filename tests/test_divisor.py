@@ -233,8 +233,13 @@ sc.reduce_step(sc.BundleSpec((2, 0)))
 """,
     "scroll_chain": """
 import fanshear.scroll as sc
-sc._reduce = lambda spec, fan: sc.ReduceStep(spec, None, fan, sc.BundleSpec((1, 1)))
+sc._renormalized = lambda spec: sc.BundleSpec((1, 1))
 sc.deformation_chain(sc.BundleSpec((0, 0)), sc.BundleSpec((3, 0)))
+""",
+    "scroll_formula": """
+import fanshear.scroll as sc
+sc._renormalized = lambda spec: sc.BundleSpec((0, 0))
+sc.reduce_step(sc.BundleSpec((2, 0)))
 """,
 }
 

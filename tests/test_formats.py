@@ -60,6 +60,9 @@ def test_roundtrip_field_by_field():
         ("dim 2\nray x 1 0\nray x 0 1\n", "duplicate ray name"),
         ("dim 2\nray x 1 0\ncone x y\n", "unknown ray 'y'"),
         ("dim 2\nray x 1 z\n", "expected an integer"),
+        ("dim 2\nray x 1_0 1\n", "expected an integer, got '1_0'"),
+        ("dim 2\nray x \uff11 0\n", "expected an integer"),
+        ("dim \u0662\n", "expected an integer"),
         ("dim 2\nwat 1\n", "unknown keyword"),
         ("dim 2\ndim 3\n", "duplicate dim"),
         ("", "missing dim"),
@@ -112,6 +115,7 @@ def test_relation_file_without_basis():
         ("dim 2\nrel a+b = 0\n", "rel before gens"),
         ("dim 2\ngens a b\nrel a+c = 0\n", "unknown generator 'c'"),
         ("dim 2\ngens a b\nrel a b\n", "needs an '='"),
+        ("dim 2\ngens a b\nrel a+b = 1_0*a\n", "line 3: expected an integer, got '1_0'"),
         ("gens a b\n", "missing dim"),
         ("dim 2\ngens a b\nbasis a q\n", "unknown generator 'q'"),
         # a repeated header is rejected, not overwritten by the last one

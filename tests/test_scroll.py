@@ -1,6 +1,6 @@
 import gc
 import weakref
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -122,6 +122,21 @@ def test_reduction_formula_and_invariants(spec):
     assert step.renormalized.sorted().twists < step.spec.twists
 
 
+def test_reduction_formula_matches_the_shear():
+    # _renormalized is deformation_chain's closed form of reduce_step's twists:
+    # every descending twist vector with some twist >= 2, entries <= 6 at
+    # d = 2..5 and <= 4 at d = 6, 7
+    specs = [
+        BundleSpec(twists)
+        for d in range(2, 8)
+        for twists in combinations_with_replacement(range(6 if d <= 5 else 4, -1, -1), d - 1)
+        if max(twists) >= 2
+    ]
+    assert len(specs) == 638
+    for spec in specs:
+        assert scroll._renormalized(spec) == reduce_step(spec).renormalized, spec
+
+
 def test_reduce_step_shears_the_splitting_the_full_search_picks():
     # the first (b1, c1) splitting of the fan rebuilt from relations, picked
     # out of every splitting, at d = 2..4 and along chains at d = 5..7
@@ -140,12 +155,16 @@ def test_reduce_step_shears_the_splitting_the_full_search_picks():
         assert reduce_step(spec).fan == sheared
 
 
+D7_CHAIN = ((8, 6, 4, 2, 0, 0), (4, 4, 4, 4, 2, 2))
+
+
 def test_d7_chain_rebuilds_nothing_from_relations(monkeypatch):
-    # the bundle fans come in closed form (every fan_from_relations call
-    # solves in _solve_presentation) and each step builds one splitting
-    solved, splittings, reduced = [], [], []
-    real_solve, real_splitting, real_reduce = (
-        fan_module._solve_presentation, deform._splitting, scroll._reduce
+    # the chain steps by the reduction formula: it builds no splitting, shears
+    # nothing and solves no presentation (every fan_from_relations call
+    # solves in _solve_presentation), also when its bundle fans are read
+    solved, splittings, sheared = [], [], []
+    real_solve, real_splitting, real_shear = (
+        fan_module._solve_presentation, deform._splitting, deform.shear_lower
     )
     monkeypatch.setattr(
         fan_module, "_solve_presentation", lambda *a: solved.append(a) or real_solve(*a)
@@ -153,12 +172,10 @@ def test_d7_chain_rebuilds_nothing_from_relations(monkeypatch):
     monkeypatch.setattr(
         deform, "_splitting", lambda *a: splittings.append(a) or real_splitting(*a)
     )
-    monkeypatch.setattr(scroll, "_reduce", lambda *a: reduced.append(a) or real_reduce(*a))
-    chain = deformation_chain(BundleSpec((8, 6, 4, 2, 0, 0)), BundleSpec((4, 4, 4, 4, 2, 2)))
-    steps = len(reduced)
-    assert chain is not None and steps == 11
-    assert solved == []
-    assert len(splittings) <= 2 * steps
+    monkeypatch.setattr(deform, "shear_lower", lambda *a: sheared.append(a) or real_shear(*a))
+    chain = deformation_chain(*map(BundleSpec, D7_CHAIN))
+    assert chain is not None and len(chain.fans) == 10
+    assert (solved, splittings, sheared) == ([], [], [])
 
 
 def test_d7_chain_runs_no_collection_search(monkeypatch):
@@ -230,9 +247,6 @@ def test_chain_fans_are_bundle_fans():
         assert fan_isomorphism(fan, bundle_fan(spec)) is not None
 
 
-D7_CHAIN = ((8, 6, 4, 2, 0, 0), (4, 4, 4, 4, 2, 2))
-
-
 def test_no_fan_outlives_its_call():
     # nothing in the package keeps a fan once the chain and the step are dropped
     chain = deformation_chain(*map(BundleSpec, D7_CHAIN))
@@ -245,24 +259,20 @@ def test_no_fan_outlives_its_call():
 
 
 def test_each_bundle_fan_is_built_once(monkeypatch, tmp_path):
-    visited = set()
-    for spec in map(BundleSpec, D7_CHAIN):
-        visited.add(spec)
-        while max(spec.twists) >= 2:
-            spec = reduce_step(spec).renormalized
-            visited.add(spec)
     built, real_bundle_fan = [], scroll.bundle_fan
     monkeypatch.setattr(scroll, "bundle_fan", lambda spec: built.append(spec) or real_bundle_fan(spec))
     start, end = (",".join(map(str, twists)) for twists in D7_CHAIN)
     argv = ["chain", "--dim", "7", "--from", start, "--to", end, "--out-dir", str(tmp_path)]
     assert main(argv) == 0
     assert len(list(tmp_path.glob("V*.fan"))) == 10
-    assert len(built) == len(set(built)) <= len(visited)
-    # the chain carries the fans its descents built
+    assert len(built) == len(set(built)) == 10
+    # a chain builds its fans only when they are read, one per spec
     built.clear()
     chain = deformation_chain(*map(BundleSpec, D7_CHAIN))
-    before = len(built)
-    assert len(chain.fans) == 10 and len(built) == before
+    assert built == []
+    assert len(chain.fans) == len(chain.specs) == 10
+    assert built == list(chain.specs)
+    assert chain.fans is chain.fans and len(built) == 10
 
 
 def test_d7_chain_computes_no_class_group(monkeypatch, capsys):
