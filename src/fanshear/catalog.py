@@ -222,7 +222,9 @@ def verify_weakened(item: CatalogEntry) -> WeakenedReport:
     equal to item.expected.classification and, when item.expected names an
     endpoint_k, the existence of a splitting whose endpoint conditions hold
     for that k and an endpoint whose Fano-ness is item.expected's
-    endpoint_is_fano.  Primitive collections are recomputed and any
+    endpoint_is_fano.  The splittings are built in find_splittings order
+    up to the first deformable one (deform._first_deformable), which is the
+    one deformed.  Primitive collections are recomputed and any
     difference from the presented list is reported (informationally)
     rather than assumed away.
     """
@@ -262,12 +264,11 @@ def verify_weakened(item: CatalogEntry) -> WeakenedReport:
         return WeakenedReport(item.name, tuple(stages), (), extras, cls_ok)
 
     k = expected.endpoint_k
-    splittings = deform.find_splittings(fan)
-    found = deform._first_deformable(splittings, k)
+    found = deform._first_deformable(deform._splittings(fan), k)
     if found is None:
         stages.append(Stage("splitting", False, ""))
         return WeakenedReport(item.name, tuple(stages), (), extras, False)
-    chosen = splittings[found]
+    _, chosen = found
     stages.append(Stage(
         "splitting", True, f"pivot {chosen.pivot_name}, partner {chosen.partner_name}, "
         f"fiber {deform.fiber_type(chosen).kind.value}",

@@ -23,6 +23,7 @@ import gc
 import json
 import os
 import sys
+from itertools import islice, tee
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -72,6 +73,12 @@ def _read(path: str) -> str:
     # One plain read: pathlib's first call in a process costs more CPU.
     with open(path, "rb") as f:
         return f.read().decode()
+
+
+def _write(path: str | Path, text: str) -> None:
+    # One plain write, like _read: Path.write_text costs more CPU cold.
+    with open(path, "wb") as f:
+        f.write(text.encode())
 
 
 def _load_fan(path: str) -> Fan:
@@ -136,34 +143,39 @@ def _cmd_split(args, report: Report) -> int:
 
 def _cmd_deform(args, report: Report) -> int:
     fan = _load_fan(args.fanfile)
-    splittings = deform.find_splittings(fan)
+    splittings = deform._splittings(fan)
     report.add("file", args.fanfile)
     report.add("k", args.k)
+    first = 0
     if args.splitting is not None:
-        if not 0 <= args.splitting < len(splittings):
+        picked = None
+        if args.splitting >= 0:
+            picked = next(islice(splittings, args.splitting, None), None)
+        if picked is None:
             report.add("error", f"no splitting with index {args.splitting}")
             return INPUT_ERROR
-        candidates = [(args.splitting, splittings[args.splitting])]
-    else:
-        candidates = list(enumerate(splittings))
-    chosen = deform._first_deformable([split for _, split in candidates], args.k)
-    if chosen is None:
+        splittings, first = (picked,), args.splitting
+    # The search stops at the first deformable splitting; only when there is
+    # none are the candidates it built listed again, from the tee's buffer.
+    search, built = tee(splittings)
+    found = deform._first_deformable(search, args.k)
+    if found is None:
         report.add("conditions", "violated")
-        for index, split in candidates:
+        for index, split in enumerate(built, first):
             for violation in deform.endpoint_conditions(split, args.k).violations:
                 report.add("violation", f"splitting {index}: {violation}")
             if deform.fiber_type(split).kind is FiberKind.OTHER:
                 report.add("violation", f"splitting {index}: fiber type Other")
         return MATH_FAIL
-    index, split = candidates[chosen]
-    _describe_splitting(report, index, split)
+    index, split = found
+    _describe_splitting(report, first + index, split)
     report.add("conditions", "satisfied")
     end = deform.endpoint(split, args.k)
     for rel in primitive_relations(end):
         report.add("endpoint_relation", fileformats.format_relation(rel))
     report.add("endpoint_fano", divisor.classify_fano(end).status.value)
     out = Path(args.out)
-    out.write_text(fileformats.serialize_fan(end))
+    _write(out, fileformats.serialize_fan(end))
     report.add("endpoint_written", str(out))
     return OK
 
@@ -213,7 +225,7 @@ def _cmd_chain(args, report: Report) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for i, fan in enumerate(chain.fans):
             path = out_dir / f"V{i}.fan"
-            path.write_text(fileformats.serialize_fan(fan))
+            _write(path, fileformats.serialize_fan(fan))
             report.add("written", str(path))
     return OK
 
@@ -261,7 +273,7 @@ def _cmd_catalog(args, report: Report) -> int:
         if item.expected.endpoint_type_label:
             report.add("endpoint_type_label", item.expected.endpoint_type_label)
         if args.out:
-            Path(args.out).write_text(fileformats.serialize_fan(fan))
+            _write(args.out, fileformats.serialize_fan(fan))
             report.add("written", args.out)
         return OK
     # verify
@@ -281,11 +293,28 @@ def _cmd_fromrel(args, report: Report) -> int:
     fan = fan_from_relations(dimension, gens, relations, basis)
     serialized = fileformats.serialize_fan(fan)
     if args.out:
-        Path(args.out).write_text(serialized)
+        _write(args.out, serialized)
         report.add("written", args.out)
         return OK
     sys.stdout.write(serialized)
     return OK
+
+
+def _ascii_int(token: str) -> int:
+    """An integer option's value, in fileformats' ASCII integer grammar.
+
+    Unlike int(), it refuses underscores, whitespace and non-ASCII digits.
+    It raises ValueError, which _parse_plain and argparse both read as a
+    bad value, and is named "int", so argparse's message stays
+    "invalid int value".
+    """
+    try:
+        return fileformats._parse_int(token)
+    except ParseError:
+        raise ValueError(f"invalid int value: {token!r}") from None
+
+
+_ascii_int.__name__ = "int"
 
 
 # The grammar, written once: per command its handler, help text,
@@ -306,12 +335,12 @@ COMMANDS = {
               [("fanfile", None, False)], []),
     "deform": (_cmd_deform, "shear with parameter k and write the endpoint fan",
                [("fanfile", None, False)],
-               [("--k", int, None, True), ("--splitting", int, None, False),
+               [("--k", _ascii_int, None, True), ("--splitting", _ascii_int, None, False),
                 ("--out", None, "out.fan", False)]),
     "iso": (_cmd_iso, "decide unimodular equivalence of two fan files",
             [("fanfile1", None, False), ("fanfile2", None, False)], []),
     "chain": (_cmd_chain, "deformation chain between bundle twist vectors", [],
-              [("--dim", int, None, True), ("--from", None, None, True),
+              [("--dim", _ascii_int, None, True), ("--from", None, None, True),
                ("--to", None, None, True), ("--out-dir", None, None, False)]),
     "catalog": (_cmd_catalog, "list, show or verify built-in fans",
                 [("action", ["list", "show", "verify"], False), ("name", None, True)],

@@ -19,6 +19,10 @@ for the fibration pairs it designates on each equator), split_with_frame
 and the bundle case of fiber_type all use it.  find_splittings is
 assembled from per-axis searches over the pairs of rays, and an equator
 is a projective space when it has d + 1 rays, so MMCS never runs here.
+The search is lazy: _splittings yields the splittings in find_splittings
+order, each built when it is reached, and _first_deformable, the one stop
+rule of catalog verification and of the deform command, draws them only
+up to the first whose fiber is not Other and whose inequality holds.
 Each splitting computes its normal-form transform once and reads the
 base fan, both half-fans and the equator off it.  The equator is never
 revalidated: it is made of faces of the validated input fan, and it is
@@ -28,10 +32,9 @@ smooth and complete (see _splitting).
 from __future__ import annotations
 
 import enum
-import re
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import lattice
 from ._record import frozen
@@ -294,11 +297,20 @@ def find_splittings(fan: Fan) -> tuple[Splitting, ...]:
     splittings, one per candidate fiber-pair designation
     (_axis_splittings).  Empty when the fan admits no such fibration.
     """
+    return tuple(_splittings(fan))
+
+
+def _splittings(fan: Fan) -> Iterator[Splitting]:
+    """find_splittings' splittings, in its order, each built when it is reached.
+
+    Not a generator function, so an incomplete fan raises ValueError at
+    the call, before anything is built.
+    """
     if not is_complete(fan):
         raise ValueError("find_splittings requires a complete fan")
     if fan.dimension < 2:
-        return ()
-    return tuple(
+        return iter(())
+    return (
         split for x, y in combinations(fan.ray_names(), 2)
         for up, down in ((x, y), (y, x)) for split in _axis_splittings(fan, up, down)
     )
@@ -404,9 +416,16 @@ def _classify_fiber(split: Splitting) -> FiberType:
     return FiberType(FiberKind.BUNDLE_OVER_P1, (pivot, partner))
 
 
+# Spelled out: importing the string module compiles a regular expression.
+_ASCII_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+
+
 def _prime_name(name: str, taken: set[str]) -> str:
-    match = re.match(r"[A-Za-z]+", name)
-    pos = match.end() if match else len(name)
+    """name with a prime after its leading ASCII letters (at the end when there are none).
+
+    While that name is taken, the prime moves one character right.
+    """
+    pos = len(name) - len(name.lstrip(_ASCII_LETTERS)) or len(name)
     candidate = name[:pos] + "'" + name[pos:]
     while candidate in taken:
         pos += 1
@@ -475,15 +494,19 @@ def endpoint_conditions(split: Splitting, k: int) -> ConditionsReport:
     return ConditionsReport(True, ())
 
 
-def _first_deformable(splittings: Sequence[Splitting], k: int) -> Optional[int]:
-    """Index of the first splitting whose fiber is not Other and whose conditions hold for k.
+def _first_deformable(
+    splittings: Iterable[Splitting], k: int
+) -> Optional[tuple[int, Splitting]]:
+    """(index, splitting) of the first splitting deformable with parameter k, or None.
 
-    The fiber type is read first: a negative k raises only on a splitting
-    whose fiber is not Other.
+    Deformable means its fiber is not Other and its conditions hold for k.
+    The splittings are drawn one at a time, and none after that one is
+    drawn.  The fiber type is read first: a negative k raises only on a
+    splitting whose fiber is not Other.
     """
     for i, split in enumerate(splittings):
         if fiber_type(split).kind is not FiberKind.OTHER and endpoint_conditions(split, k):
-            return i
+            return i, split
     return None
 
 

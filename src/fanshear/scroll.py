@@ -4,12 +4,14 @@ The fan of P(O + O(p_1) + ... + O(p_{d-1})) over P1 has d+2 rays and
 exactly two primitive relations: the fiber relation (all fiber rays sum to
 zero) and the twist relation b1 + c1 = p_1 e_1 + ... + p_{d-1} e_{d-1}.
 bundle_fan builds it in closed form (Kleinschmidt 1988), b1 = e_d and
-c1 = (p, -1), with every d-subset of rays holding neither left-hand side
-as a cone; make_fan validates it and fan_from_relations is the tests'
-oracle.  A single shear step with k = 1 lowers the twists; iterating it
-drives any twist vector to entries in {0, 1}, and the twist sum is
-invariant mod d, which is exactly the obstruction to connecting two
-bundles by a chain of such one-parameter deformations.  reduce_step does
+c1 = (p, -1).  Its cones, the d-subsets of rays holding neither
+left-hand side, are each d - 1 of the fiber rays e1, ..., e(d-1), a1 with
+b1 or with c1, listed in combinations order; make_fan validates it and
+fan_from_relations is the tests' oracle.  A single shear step with k = 1
+lowers the twists; iterating it drives any twist vector to entries in
+{0, 1}, and the twist sum is invariant mod d, which is exactly the
+obstruction to connecting two bundles by a chain of such one-parameter
+deformations.  reduce_step does
 the shear and is the oracle of the reduction formula (_renormalized),
 which deformation_chain follows in O(d) per step without building a fan;
 a chain builds its bundle fans when its fans attribute is first read.
@@ -19,13 +21,14 @@ Nothing is kept between calls.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 from typing import Optional
 
 from ._record import frozen
 from .deform import _axis_splittings, endpoint
 from .errors import DimensionMismatch, InternalError, PreconditionViolated
 from .fan import (
-    Fan, FormalRelation, PrimitiveRelation, Ray, _candidate_cones, make_fan, primitive_relation,
+    Fan, FormalRelation, PrimitiveRelation, Ray, make_fan, primitive_relation,
 )
 
 
@@ -90,11 +93,11 @@ def bundle_fan(spec: BundleSpec) -> Fan:
     5
     """
     d = spec.dimension
-    names, relations, _ = bundle_presentation(spec)
+    names = bundle_ray_names(d)
     unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     generators = [*unit[:-1], (*[-1] * (d - 1), 0), unit[-1], (*spec.twists, -1)]
-    cones = _candidate_cones(names, d, [frozenset(r.lhs) for r in relations])
-    return make_fan(d, list(map(Ray, names, generators)), list(cones))
+    cones = [(*face, base) for face in combinations(names[:d], d - 1) for base in ("b1", "c1")]
+    return make_fan(d, list(map(Ray, names, generators)), cones)
 
 
 def _renormalized(spec: BundleSpec) -> BundleSpec:

@@ -20,10 +20,12 @@ that fan_from_relations tries are recomputed by scanning every
 combination against every collection.  Bundle fans are rebuilt from their
 relations, find_splittings is rerun as the one pass over every axis it
 was before its per-axis searches, and a reduction step's splitting is
-picked out of that full list.
+picked out of that full list.  Primed names are recomputed with a regular
+expression for the leading ASCII letters.
 """
 
 import random
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -458,6 +460,21 @@ def find_splittings_in_one_pass(fan):
                     fan, up, down, eq_names, eq_cone_sets, basis_names, rest_names
                 ))
     return tuple(out)
+
+
+def prime_name_by_regex(name, taken):
+    """deform._prime_name by a regular expression: the prime goes after the leading [A-Za-z]+.
+
+    With no leading ASCII letter it goes at the end; while the name is
+    taken, it moves one character right.
+    """
+    match = re.match(r"[A-Za-z]+", name)
+    pos = match.end() if match else len(name)
+    candidate = name[:pos] + "'" + name[pos:]
+    while candidate in taken:
+        pos += 1
+        candidate = candidate[:pos] + "'" + candidate[pos:]
+    return candidate
 
 
 def reduce_step_by_search(spec):

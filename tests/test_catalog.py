@@ -13,6 +13,29 @@ from fanshear.fan import is_complete, primitive_collections, primitive_relation
 from fanshear.fileformats import parse_fan, serialize_fan
 
 
+SPLITTINGS_BUILT_BY_VERIFY = {
+    "X3_0": 1, "W4_1": 1, "W4_2": 7, "W4_3": 7, "W4_4": 1,
+    "W4_5": 2, "W4_6": 2, "W4_7": 2, "W4_8": 2, "W4_9": 1,
+}
+
+
+def test_verify_builds_splittings_only_up_to_the_first_deformable(capsys, monkeypatch):
+    # find_splittings builds 68 on the ten entries (14 each on W4_2 and
+    # W4_3); verification stops at the splitting it deforms
+    built = []
+    real = deform._splitting
+    monkeypatch.setattr(deform, "_splitting", lambda *args: built.append(args) or real(*args))
+    counts = {}
+    for name in names():
+        built.clear()
+        assert main(["catalog", "verify", name]) == 0
+        counts[name] = len(built)
+    assert counts == SPLITTINGS_BUILT_BY_VERIFY
+    built.clear()
+    assert main(["catalog", "verify", "all"]) == 0
+    assert len(built) == sum(SPLITTINGS_BUILT_BY_VERIFY.values()) == 26
+
+
 def test_verify_runs_at_most_two_collection_searches_per_entry(capsys, monkeypatch):
     # the catalog's collections against the fan's, and the endpoint's relations
     runs = []

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import projective_space_fan
 
-from fanshear import builtin, cli
+from fanshear import builtin, cli, deform
 from fanshear import fan as fan_module
 from fanshear.cli import main
 from fanshear.fan import fan_isomorphism
@@ -211,6 +211,73 @@ def test_deform_explicit_splitting_index(fan_file, tmp_path, capsys):
         "--out", str(tmp_path / "o.fan"),
     )
     assert status == 2
+
+
+@pytest.mark.parametrize("index", ["4", "99", "-1"])
+def test_deform_splitting_index_out_of_range_exits_two(fan_file, tmp_path, capsys, index):
+    # X3_0 has four splittings, 0 to 3
+    path = fan_file("x.fan", "X3_0")
+    out_path = tmp_path / "o.fan"
+    status, out = run(capsys, "deform", path, "--k", "1", "--splitting", index,
+                      "--out", str(out_path))
+    assert status == 2
+    assert out.splitlines()[-1] == f"error: no splitting with index {index}"
+    assert not out_path.exists()
+
+
+@pytest.fixture
+def built_splittings(monkeypatch):
+    built = []
+    real = deform._splitting
+    monkeypatch.setattr(deform, "_splitting", lambda *args: built.append(args) or real(*args))
+    return built
+
+
+def test_deform_builds_splittings_only_up_to_the_one_it_deforms(
+    fan_file, tmp_path, capsys, built_splittings
+):
+    path = fan_file("w.fan", "W4_2")
+    splittings = deform.find_splittings(builtin("W4_2"))
+    first = deform._first_deformable(splittings, 1)[0]
+    built_splittings.clear()
+    status, out = run(capsys, "deform", path, "--k", "1", "--out", str(tmp_path / "o.fan"))
+    assert status == 0 and f"splitting: {first}" in out.splitlines()
+    # 12 splittings, 14 built by the full search
+    assert 0 < first < len(splittings) - 1 and len(built_splittings) == 7
+    built_splittings.clear()
+    status, out = run(capsys, "deform", path, "--k", "1", "--splitting", "2",
+                      "--out", str(tmp_path / "o.fan"))
+    assert status == 1 and len(built_splittings) == 5
+    assert [line.split(":")[1] for line in out.splitlines() if line.startswith("violation")] == [
+        " splitting 2"
+    ]
+
+
+def test_deform_lists_every_violation_when_no_splitting_is_deformable(
+    fan_file, tmp_path, capsys, built_splittings
+):
+    path = fan_file("x.fan", "X3_0")
+    status, out = run(capsys, "deform", path, "--k", "9", "--out", str(tmp_path / "o.fan"))
+    assert status == 1
+    violated = {line.split(":")[1] for line in out.splitlines() if line.startswith("violation")}
+    assert violated == {f" splitting {i}" for i in range(4)} and len(built_splittings) == 4
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (["deform", "x.fan", "--k", "0_1"], "--k", "'0_1'"),
+    (["deform", "x.fan", "--k", "1", "--splitting", "1_0"], "--splitting", "'1_0'"),
+    (["deform", "x.fan", "--k", " 1"], "--k", "' 1'"),
+    (["chain", "--dim", "\uff13", "--from", "1,0", "--to", "1,0"], "--dim", "'\uff13'"),
+    (["chain", "--dim", "\u0663", "--from", "1,0", "--to", "1,0"], "--dim", "'\u0663'"),
+])
+def test_integer_options_are_ascii_integers(capsys, argv, flag, value):
+    # int() would read 1, 10, 1, 3 and 3; the plain parser gives these to argparse
+    assert cli._parse_plain(argv) is None
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.endswith(f"error: argument {flag}: invalid int value: {value}")
 
 
 def test_split_reports_zero_when_no_fibration(tmp_path, capsys):

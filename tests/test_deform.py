@@ -1,6 +1,7 @@
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     check_certified,
@@ -8,6 +9,7 @@ from conftest import (
     fiber_type_by_search,
     find_splittings_in_one_pass,
     fourier_motzkin_calls,
+    prime_name_by_regex,
 )
 
 from fanshear import builtin, lattice
@@ -15,6 +17,7 @@ from fanshear.cli import main
 from fanshear.deform import (
     FiberKind,
     _axis,
+    _prime_name,
     endpoint,
     endpoint_conditions,
     fiber_type,
@@ -297,6 +300,28 @@ def test_moved_rays_are_renamed_and_primed():
     sheared = shear_lower(split, (1, 0))
     names = set(sheared.ray_names())
     assert "c'1" in names and "c1" not in names
+
+
+# ASCII letters, digits, a prime, and letters and a digit outside ASCII
+NAME_CHARACTERS = st.sampled_from("abcXYZ019'_éßΩ１")
+
+
+@given(st.text(NAME_CHARACTERS, max_size=6), st.lists(st.text(NAME_CHARACTERS, max_size=8)),
+       st.integers(0, 3))
+@example("c1", [], 0)
+@example("c1", [], 2)
+@example("", [], 0)
+@example("", [], 2)
+@example("12", [], 1)
+@example("Ωc1", ["Ωc1'"], 1)
+@example("éa", [], 1)
+@example("abc", [], 0)
+def test_prime_name_matches_the_regex_oracle(name, others, moves):
+    # the oracle's own first candidates are taken too, so the prime must move
+    taken = set(others)
+    for _ in range(moves):
+        taken.add(prime_name_by_regex(name, taken))
+    assert _prime_name(name, taken) == prime_name_by_regex(name, taken)
 
 
 # --- endpoint conditions ------------------------------------------------------------

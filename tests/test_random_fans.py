@@ -35,6 +35,8 @@ from fanshear import fan as fan_module
 from fanshear.deform import (
     FiberKind,
     _fibration_functional,
+    _first_deformable,
+    _splittings,
     endpoint,
     endpoint_conditions,
     fiber_type,
@@ -352,6 +354,25 @@ def test_star_equivalence_matches_frame_oracle_on_equators(corpus):
                 assert verdict == star_equivalent_by_frames(equator, a, b), (equator, a, b)
                 verdicts.add((verdict, a == b))
     assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+def test_the_lazy_search_stops_at_the_first_deformable_splitting(corpus):
+    # every catalog and bundle fan, plane fans and both kinds of subdivision
+    fans = [*corpus.values(), *(random_plane_fan(seed, n) for seed, n in PLANE_CASES)]
+    for seed, name, insertions in SUBDIVIDED_CASES:
+        fans += [random_subdivided_fan(seed, name, insertions),
+                 random_face_subdivided_fan(seed, name, insertions)]
+    chosen = set()
+    for fan in fans:
+        splittings = find_splittings(fan)
+        for k in (0, 1, 2):
+            first = next((
+                (i, split) for i, split in enumerate(splittings)
+                if fiber_type(split).kind is not FiberKind.OTHER and endpoint_conditions(split, k)
+            ), None)
+            assert _first_deformable(_splittings(fan), k) == first
+            chosen.add(first and first[0])
+    assert {None, 0} < chosen  # some fans have no deformable splitting, some skip one
 
 
 @pytest.mark.parametrize("seed,insertions", PLANE_CASES[:8])

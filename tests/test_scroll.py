@@ -70,6 +70,16 @@ def test_closed_form_matches_the_fan_rebuilt_from_relations():
         assert bundle_fan(spec) == rebuilt
 
 
+def test_bundle_cones_come_in_the_candidate_search_order():
+    # each d - 1 fiber rays with b1, then with c1: the d-subsets holding
+    # neither relation's left-hand side, in combinations order
+    for d in range(2, 11):
+        spec = BundleSpec((d, *range(d - 2)))
+        names, relations, _ = bundle_presentation(spec)
+        oracle = fan_module._candidate_cones(names, d, [frozenset(r.lhs) for r in relations])
+        assert [cone.ray_names for cone in bundle_fan(spec).max_cones] == list(oracle)
+
+
 def test_bundle_spec_validation():
     with pytest.raises(ValueError):
         BundleSpec((-1, 2))
