@@ -14,13 +14,14 @@ the inequality conditions checked by endpoint_conditions hold.
 One test decides whether (up, down) is an oriented fibration axis:
 every maximal cone holds exactly one of the two, read off their cone
 masks, and an integral functional h vanishes off {up, down} with
-h(up) = 1 and h(down) = -1.  find_splittings (for the fan's axes and
-for the fibration pairs it designates on each equator), split_with_frame
-and the bundle case of fiber_type all use it.  find_splittings is
-assembled from per-axis searches over the pairs of rays, and an equator
-is a projective space when it has d + 1 rays, so MMCS never runs here.
-The search is lazy: _splittings yields the splittings in find_splittings
-order, each built when it is reached, and _first_deformable, the one stop
+h(up) = 1 and h(down) = -1.  find_splittings (for the fan's axes and,
+read off the input fan, for the fibration pairs it designates on each
+equator), split_with_frame and the bundle case of fiber_type all use it.
+find_splittings is assembled from per-axis searches over the pairs of
+rays, and an equator is a projective space when it has d + 1 rays, so
+MMCS never runs here.  The search is lazy: _splittings yields the
+splittings in find_splittings order, each built when it is reached and
+only in the frame it is yielded in, and _first_deformable, the one stop
 rule of catalog verification and of the deform command, draws them only
 up to the first whose fiber is not Other and whose inequality holds.
 Each splitting computes its normal-form transform once and reads the
@@ -113,20 +114,22 @@ class Splitting:
         return _classify_fiber(self)
 
 
-def _fibration_functional(fan: Fan, up: str, down: str) -> Optional[Vector]:
+def _fibration_functional(
+    fan: Fan, up: str, down: str, outer: Sequence[str] = ()
+) -> Optional[Vector]:
     """Integral functional vanishing off {up, down}, +1 on up, -1 on down, or None.
 
     Precondition: some maximal cone holds up and none holds both, as _axis
     has checked.  A maximal cone holding up then does not hold down, so
     such a functional vanishes on that cone's other d - 1 rays and takes 1
     on up: it can only be the row of up in the cone's cached inverse.  One
-    dot product per ray decides whether that row is one.
+    dot product per ray off outer (see _axis) decides whether that row is one.
     """
     j = fan._cone_index((up,))
     h = fan._inverses[j][fan.max_cones[j].ray_names.index(up)]
     for ray in fan.rays:
         value = 1 if ray.name == up else -1 if ray.name == down else 0
-        if lattice.dot(h, ray.generator) != value:
+        if ray.name not in outer and lattice.dot(h, ray.generator) != value:
             return None
     return h
 
@@ -159,7 +162,7 @@ def star_equivalent(fan: Fan, a: str, b: str) -> bool:
     return _frame_search(fan, anchor, star_a, fan, frames, star_b) is not None
 
 
-def _axis(fan: Fan, up: str, down: str):
+def _axis(fan: Fan, up: str, down: str, outer: Sequence[str] = ()):
     """Equator ray names and ordered equator cone sets of the axis (up, down), or None.
 
     (up, down) is an oriented fibration axis of the complete fan when each
@@ -169,34 +172,41 @@ def _axis(fan: Fan, up: str, down: str):
     Each equator cone, a maximal cone minus its axis ray, spans ker h, so
     by completeness it is a facet of exactly one cone on each side of
     ker h: one with up and one with down.
+
+    With outer an axis of the fan, it decides the same for the equator over
+    outer, on the fan alone: a maximal cone holds an equator ray exactly
+    when its equator cone does, and on ker h_outer the row of up is the
+    only candidate, as tau spans it (that cone is tau + {a}, a in outer).
     """
     up_star, down_star = fan._cones_of_ray.get(up, 0), fan._cones_of_ray.get(down, 0)
     if up_star & down_star or up_star | down_star != (1 << len(fan.max_cones)) - 1:
         return None
-    if _fibration_functional(fan, up, down) is None:
+    if _fibration_functional(fan, up, down, outer) is None:
         return None
-    eq_names = tuple(n for n in fan.ray_names() if n not in (up, down))
-    return eq_names, tuple(dict.fromkeys(cs - {up, down} for cs in fan.cone_sets))
+    axis = {up, down, *outer}
+    eq_names = tuple(n for n in fan.ray_names() if n not in axis)
+    return eq_names, tuple(dict.fromkeys(cs - axis for cs in fan.cone_sets))
 
 
-def _designations(equator: Fan, support: Sequence[tuple[str, int]]):
-    """Candidate (pivot, partner) labelings for one axis orientation.
+def _designations(
+    fan: Fan, axis: tuple[str, str], eq_names: Sequence[str], support: Sequence[tuple[str, int]]
+):
+    """Candidate (pivot, partner) labelings for one axis orientation, read off the fan.
 
-    Projective-space equators get a single canonical designation whose
-    pivot is the largest-coefficient support ray (the partner is fixed once
-    the basis cone is chosen and is reported as None here).  Bundle
-    equators get one designation per ordered fibration pair.  When neither
-    applies, a single fully canonical labeling is emitted so callers can
-    still classify the fiber as Other.  Only frame-independent data is
-    read, so the equator may be given in any normal form of the axis.
+    The equator is a projective space (_is_projective_space) when the fan
+    has d + 2 rays; its one designation's pivot is the largest-coefficient
+    support ray, the first in input order (the equator's) on a tie, and its
+    partner, fixed once the basis cone is chosen, is reported as None.
+    Bundle equators get one designation per ordered fibration axis of the
+    equator (_axis over axis).  Otherwise a single fully canonical labeling
+    lets callers still classify the fiber as Other.
     """
-    if _is_projective_space(equator):
-        first = (equator.rays[0].name, 0)
-        pivot = max(support, key=lambda item: (item[1], -equator._order[item[0]]), default=first)
-        return [(pivot[0], None)]
+    if len(fan.rays) == fan.dimension + 2:
+        pivot = max(support, key=lambda item: (item[1], -fan._order[item[0]]), default=None)
+        return [(pivot[0] if pivot else eq_names[0], None)]
     pairs = [
-        (p, q) for x, y in combinations(equator.ray_names(), 2)
-        for p, q in ((x, y), (y, x)) if _axis(equator, p, q) is not None
+        (p, q) for x, y in combinations(eq_names, 2)
+        for p, q in ((x, y), (y, x)) if _axis(fan, p, q, axis) is not None
     ]
     return pairs or [(None, None)]
 
@@ -224,11 +234,12 @@ def _splitting(
     eq_names: tuple[str, ...],
     eq_cone_sets: tuple[frozenset[str], ...],
     basis_names: tuple[str, ...],
-    rest_names: tuple[str, ...],
+    partner: Optional[str],
 ) -> Splitting:
     """The splitting of the axis (up, down) in the frame basis_names + (up,).
 
-    The one normal-form transform T sends basis_names + (up,) to the
+    Its rest_names are the partner, when given, then the other equator
+    rays in input order.  The one normal-form transform T sends basis_names + (up,) to the
     standard basis: it is the cached inverse of that maximal cone, its rows
     put in frame order.  The base fan, both half-fans and the equator are
     all read off it.  The last coordinate of T v is h(v) for the fibration
@@ -241,6 +252,9 @@ def _splitting(
     a vector with h = 0 in a maximal cone has coefficient 0 on that cone's
     up or down ray, so it lies in an equator cone.
     """
+    rest_names = tuple(n for n in eq_names if n not in basis_names and n != partner)
+    if partner is not None:
+        rest_names = (partner, *rest_names)
     transform = UnimodularMap(fan._inverse_rows(basis_names + (up,)))
     new_rays = tuple(Ray(r.name, transform.apply(r.generator)) for r in fan.rays)
     base = Fan(fan.dimension, new_rays, fan.max_cones)
@@ -319,8 +333,8 @@ def _splittings(fan: Fan) -> Iterator[Splitting]:
 def _axis_splittings(fan: Fan, up: str, down: str):
     """find_splittings' splittings on the oriented axis (up, down), built one at a time.
 
-    The designations are read off the equator of one splitting in the
-    support cone's frame, which is reused when a designation asks for it.
+    The designations are read off the input fan, and each splitting is
+    built once, in the frame it is yielded in.
     """
     axis = _axis(fan, up, down)
     if axis is None:
@@ -328,27 +342,15 @@ def _axis_splittings(fan: Fan, up: str, down: str):
     eq_names, eq_cone_sets = axis
     relation = primitive_relation(fan, (up, down))
     support_names = frozenset(n for n, _ in relation.support)
-    support_cone = _basis_cone(eq_cone_sets, None, support_names)
-    support_split = _splitting(
-        fan, up, down, eq_names, eq_cone_sets, fan.sort_names(support_cone),
-        tuple(n for n in eq_names if n not in support_cone),
-    )
-    for pivot, partner in _designations(support_split.equator, relation.support):
-        tau = _basis_cone(eq_cone_sets, pivot, support_names)
+    for pivot, partner in _designations(fan, (up, down), eq_names, relation.support):
+        # tau holds the pivot, and a designated partner is the other ray of
+        # an equator axis; no equator cone holds both rays of an axis, so
+        # the partner is never in tau.
+        tau = fan.sort_names(_basis_cone(eq_cone_sets, pivot, support_names))
         if pivot is None:
-            pivot = fan.sort_names(tau)[0]
-        basis_names = (pivot, *[n for n in fan.sort_names(tau) if n != pivot])
-        rest = [n for n in eq_names if n not in tau]
-        if partner is None:
-            rest_names = tuple(rest)
-        elif partner in tau:
-            continue
-        else:
-            rest_names = (partner, *[n for n in rest if n != partner])
-        if (basis_names, rest_names) == (support_split.basis_names, support_split.rest_names):
-            yield support_split
-        else:
-            yield _splitting(fan, up, down, eq_names, eq_cone_sets, basis_names, rest_names)
+            pivot = tau[0]
+        basis_names = (pivot, *[n for n in tau if n != pivot])
+        yield _splitting(fan, up, down, eq_names, eq_cone_sets, basis_names, partner)
 
 
 def split_with_frame(
@@ -371,16 +373,11 @@ def split_with_frame(
         raise ValueError(f"({upper}, {lower}) is not a fibration axis of the fan")
     eq_names, eq_cone_sets = axis
     basis = tuple(basis)
-    if frozenset(basis) not in eq_cone_sets:
+    if len(basis) != fan.dimension - 1 or frozenset(basis) not in eq_cone_sets:
         raise ValueError(f"{basis} is not an equator cone")
-    rest = [n for n in eq_names if n not in basis]
-    if partner is not None:
-        if partner not in rest:
-            raise ValueError(f"partner {partner!r} is not an available equator ray")
-        rest_names = (partner, *[n for n in rest if n != partner])
-    else:
-        rest_names = tuple(rest)
-    return _splitting(fan, upper, lower, eq_names, eq_cone_sets, basis, rest_names)
+    if partner is not None and (partner not in eq_names or partner in basis):
+        raise ValueError(f"partner {partner!r} is not an available equator ray")
+    return _splitting(fan, upper, lower, eq_names, eq_cone_sets, basis, partner)
 
 
 def fiber_type(split: Splitting) -> FiberType:
@@ -501,9 +498,10 @@ def _first_deformable(
 
     Deformable means its fiber is not Other and its conditions hold for k.
     The splittings are drawn one at a time, and none after that one is
-    drawn.  The fiber type is read first: a negative k raises only on a
-    splitting whose fiber is not Other.
+    drawn.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     for i, split in enumerate(splittings):
         if fiber_type(split).kind is not FiberKind.OTHER and endpoint_conditions(split, k):
             return i, split

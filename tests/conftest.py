@@ -19,7 +19,9 @@ per cone whose result the library keeps.  The collection-free d-subsets
 that fan_from_relations tries are recomputed by scanning every
 combination against every collection.  Bundle fans are rebuilt from their
 relations, find_splittings is rerun as the one pass over every axis it
-was before its per-axis searches, and a reduction step's splitting is
+was before its per-axis searches, with the fiber-pair designations read
+off the equator of a splitting in the support cone's frame rather than
+off the input fan, and a reduction step's splitting is
 picked out of that full list.  Primed names are recomputed with a regular
 expression for the leading ASCII letters.
 """
@@ -425,8 +427,23 @@ def check_splittings_against_oracles(fan):
     return len(splits)
 
 
+@pytest.fixture
+def built_splittings(monkeypatch):
+    """The argument tuples of every deform._splitting call, in order."""
+    built = []
+    real = deform._splitting
+    monkeypatch.setattr(deform, "_splitting", lambda *args: built.append(args) or real(*args))
+    return built
+
+
 def find_splittings_in_one_pass(fan):
-    """find_splittings as one loop over every orientation of every axis."""
+    """find_splittings as one loop over every orientation of every axis.
+
+    The fiber-pair designations are read off the equator of a splitting
+    in the support cone's frame: a projective-space equator (one ray more
+    than its dimension) designates its largest-coefficient support ray,
+    and any other equator each of its own ordered fibration axes.
+    """
     out = []
     for collection in primitive_collections(fan):
         if len(collection) != 2:
@@ -440,25 +457,32 @@ def find_splittings_in_one_pass(fan):
             relation = primitive_relation(fan, collection)
             support_names = frozenset(n for n, _ in relation.support)
             support_cone = deform._basis_cone(eq_cone_sets, None, support_names)
-            support_split = deform._splitting(
-                fan, up, down, eq_names, eq_cone_sets, fan.sort_names(support_cone),
-                tuple(n for n in eq_names if n not in support_cone),
-            )
-            for pivot, partner in deform._designations(support_split.equator, relation.support):
+            equator = deform._splitting(
+                fan, up, down, eq_names, eq_cone_sets, fan.sort_names(support_cone), None
+            ).equator
+            if len(equator.rays) == equator.dimension + 1:
+                first_ray = (equator.rays[0].name, 0)
+                pivot = max(relation.support,
+                            key=lambda item: (item[1], -equator._order[item[0]]), default=first_ray)
+                designations = [(pivot[0], None)]
+            else:
+                designations = [
+                    (p, q) for x, y in combinations(equator.ray_names(), 2)
+                    for p, q in ((x, y), (y, x)) if deform._axis(equator, p, q) is not None
+                ] or [(None, None)]
+            for pivot, partner in designations:
                 tau = deform._basis_cone(eq_cone_sets, pivot, support_names)
                 if pivot is None:
                     pivot = fan.sort_names(tau)[0]
-                basis_names = (pivot, *[n for n in fan.sort_names(tau) if n != pivot])
-                rest = [n for n in eq_names if n not in tau]
-                if partner is None:
-                    rest_names = tuple(rest)
-                elif partner in tau:
+                if partner in tau:
                     continue
-                else:
-                    rest_names = (partner, *[n for n in rest if n != partner])
-                out.append(deform._splitting(
-                    fan, up, down, eq_names, eq_cone_sets, basis_names, rest_names
-                ))
+                basis_names = (pivot, *[n for n in fan.sort_names(tau) if n != pivot])
+                split = deform._splitting(
+                    fan, up, down, eq_names, eq_cone_sets, basis_names, partner
+                )
+                rest = [n for n in eq_names if n not in tau and n != partner]
+                assert split.rest_names == (*([partner] if partner else []), *rest)
+                out.append(split)
     return tuple(out)
 
 

@@ -14,26 +14,43 @@ from fanshear.fileformats import parse_fan, serialize_fan
 
 
 SPLITTINGS_BUILT_BY_VERIFY = {
-    "X3_0": 1, "W4_1": 1, "W4_2": 7, "W4_3": 7, "W4_4": 1,
-    "W4_5": 2, "W4_6": 2, "W4_7": 2, "W4_8": 2, "W4_9": 1,
+    "X3_0": 1, "W4_1": 1, "W4_2": 5, "W4_3": 5, "W4_4": 1,
+    "W4_5": 1, "W4_6": 1, "W4_7": 1, "W4_8": 1, "W4_9": 1,
 }
 
 
-def test_verify_builds_splittings_only_up_to_the_first_deformable(capsys, monkeypatch):
-    # find_splittings builds 68 on the ten entries (14 each on W4_2 and
+def test_verify_builds_splittings_only_up_to_the_first_deformable(capsys, built_splittings):
+    # find_splittings builds 56 on the ten entries (12 each on W4_2 and
     # W4_3); verification stops at the splitting it deforms
-    built = []
-    real = deform._splitting
-    monkeypatch.setattr(deform, "_splitting", lambda *args: built.append(args) or real(*args))
     counts = {}
     for name in names():
-        built.clear()
+        built_splittings.clear()
         assert main(["catalog", "verify", name]) == 0
-        counts[name] = len(built)
+        counts[name] = len(built_splittings)
     assert counts == SPLITTINGS_BUILT_BY_VERIFY
-    built.clear()
+    built_splittings.clear()
     assert main(["catalog", "verify", "all"]) == 0
-    assert len(built) == sum(SPLITTINGS_BUILT_BY_VERIFY.values()) == 26
+    assert len(built_splittings) == sum(SPLITTINGS_BUILT_BY_VERIFY.values()) == 18
+
+
+def test_find_splittings_builds_only_the_splittings_it_returns(built_splittings):
+    # the designations are read off the input fan, not off an extra splitting
+    total = 0
+    for name in names():
+        built_splittings.clear()
+        found = find_splittings(builtin(name))
+        assert len(built_splittings) == len(found), name
+        total += len(found)
+    assert total == 56
+
+
+def test_verify_all_fills_one_inverse_table_per_fan_it_reads(capsys, monkeypatch):
+    # no equator's table is filled only to read its designations
+    tables = []
+    real = fan_module._cone_inverses
+    monkeypatch.setattr(fan_module, "_cone_inverses", lambda fan: tables.append(fan) or real(fan))
+    assert main(["catalog", "verify", "all"]) == 0
+    assert len(tables) == 38
 
 
 def test_verify_runs_at_most_two_collection_searches_per_entry(capsys, monkeypatch):

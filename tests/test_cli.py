@@ -225,14 +225,6 @@ def test_deform_splitting_index_out_of_range_exits_two(fan_file, tmp_path, capsy
     assert not out_path.exists()
 
 
-@pytest.fixture
-def built_splittings(monkeypatch):
-    built = []
-    real = deform._splitting
-    monkeypatch.setattr(deform, "_splitting", lambda *args: built.append(args) or real(*args))
-    return built
-
-
 def test_deform_builds_splittings_only_up_to_the_one_it_deforms(
     fan_file, tmp_path, capsys, built_splittings
 ):
@@ -242,12 +234,12 @@ def test_deform_builds_splittings_only_up_to_the_one_it_deforms(
     built_splittings.clear()
     status, out = run(capsys, "deform", path, "--k", "1", "--out", str(tmp_path / "o.fan"))
     assert status == 0 and f"splitting: {first}" in out.splitlines()
-    # 12 splittings, 14 built by the full search
-    assert 0 < first < len(splittings) - 1 and len(built_splittings) == 7
+    # 12 splittings, each built once by the full search
+    assert 0 < first < len(splittings) - 1 and len(built_splittings) == 5
     built_splittings.clear()
     status, out = run(capsys, "deform", path, "--k", "1", "--splitting", "2",
                       "--out", str(tmp_path / "o.fan"))
-    assert status == 1 and len(built_splittings) == 5
+    assert status == 1 and len(built_splittings) == 3
     assert [line.split(":")[1] for line in out.splitlines() if line.startswith("violation")] == [
         " splitting 2"
     ]
@@ -341,6 +333,19 @@ def test_negative_k_exits_two(fan_file, tmp_path, capsys):
     status, out = run(capsys, "deform", path, "--k", "-1", "--out", str(tmp_path / "o.fan"))
     assert status == 2
     assert "error: k must be nonnegative" in out
+
+
+def test_negative_k_exits_two_on_a_fan_without_splittings(tmp_path, capsys):
+    # k is checked before any splitting is drawn, so no conditions line
+    path = tmp_path / "p2.fan"
+    path.write_text(
+        "dim 2\nray e1 1 0\nray e2 0 1\nray a1 -1 -1\n"
+        "cone e1 e2\ncone e2 a1\ncone a1 e1\n"
+    )
+    status, out = run(capsys, "deform", str(path), "--k", "-1", "--out", str(tmp_path / "o.fan"))
+    assert status == 2
+    assert out.splitlines()[-1] == "error: k must be nonnegative"
+    assert "conditions" not in out
 
 
 def test_iso_negative(fan_file, capsys):

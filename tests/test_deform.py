@@ -124,6 +124,8 @@ def test_per_axis_searches_assemble_the_one_pass_splittings(corpus):
         ("b1", "c1", ("e1", "a1"), None, "not an equator cone"),
         ("b1", "c1", ("e1", "e2"), "e2", "not an available equator ray"),
         ("b1", "c1", ("e1", "e2"), "c1", "not an available equator ray"),
+        # its set is an equator cone, but a repeated ray makes no frame
+        ("b1", "c1", ("e1", "e2", "e1"), None, r"\('e1', 'e2', 'e1'\) is not an equator cone"),
     ],
 )
 def test_split_with_frame_rejects_bad_frames(upper, lower, basis, partner, message):

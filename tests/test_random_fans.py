@@ -8,7 +8,7 @@ validators, the two Fano criteria, and the shear machinery.
 
 import random
 import time
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations, product
 
 import pytest
 
@@ -34,6 +34,7 @@ from fanshear import deform as deform_module
 from fanshear import fan as fan_module
 from fanshear.deform import (
     FiberKind,
+    _axis,
     _fibration_functional,
     _first_deformable,
     _splittings,
@@ -59,6 +60,7 @@ from fanshear.fan import (
     primitive_relations,
 )
 from fanshear.lattice import UnimodularMap, shear_map
+from fanshear.scroll import BundleSpec, bundle_fan
 
 
 def random_plane_fan(seed, insertions):
@@ -337,6 +339,28 @@ def test_splittings_compute_no_relation_for_a_rejected_axis(monkeypatch):
     assert sum(len(c) == 2 for c in primitive_collections(fan)) == 54
     assert find_splittings(fan) == ()
     assert computed == []
+
+
+def test_equator_axes_read_off_the_input_fan_match_the_equator(corpus):
+    # _axis over a splitting's axis decides, on the input fan, every ordered
+    # pair of equator rays as _axis decides it on the built equator
+    fans = list(corpus.values()) + [
+        bundle_fan(BundleSpec(twists))
+        for d in range(2, 7) for twists in product(range(3), repeat=d - 1)
+    ]
+    for seed, name, insertions in SUBDIVIDED_CASES:
+        fans += [random_subdivided_fan(seed, name, insertions),
+                 random_face_subdivided_fan(seed, name, insertions)]
+    pairs = axes = 0
+    for fan in fans:
+        for split in find_splittings(fan):
+            outer = split.upper_names + split.lower_names
+            for p, q in permutations(split.equator.ray_names(), 2):
+                on_fan = _axis(fan, p, q, outer) is not None
+                assert on_fan == (_axis(split.equator, p, q) is not None), (fan, split, p, q)
+                pairs += 1
+                axes += on_fan
+    assert (pairs, axes) == (22836, 308)
 
 
 def test_star_equivalence_matches_frame_oracle_on_equators(corpus):
