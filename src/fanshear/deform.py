@@ -16,10 +16,13 @@ every maximal cone holds exactly one of the two, read off their cone
 masks, and an integral functional h vanishes off {up, down} with
 h(up) = 1 and h(down) = -1.  find_splittings (for the fan's axes and,
 read off the input fan, for the fibration pairs it designates on each
-equator), split_with_frame and the bundle case of fiber_type all use it.
+equator) and split_with_frame use it, and so does the fiber type, which
+_splitting decides once, on the validated input fan: the equator is a
+projective space when the fan has d + 2 rays, and (pivot, partner) is an
+axis of the equator when _axis over the fan's axis holds.  The splitting
+carries that answer, so classifying it fills no equator's cone inverses.
 find_splittings is assembled from per-axis searches over the pairs of
-rays, and an equator is a projective space when it has d + 1 rays, so
-MMCS never runs here.  The search is lazy: _splittings yields the
+rays, so MMCS never runs here.  The search is lazy: _splittings yields the
 splittings in find_splittings order, each built when it is reached and
 only in the frame it is yielded in, and _first_deformable, the one stop
 rule of catalog verification and of the deform command, draws them only
@@ -33,7 +36,6 @@ smooth and complete (see _splitting).
 from __future__ import annotations
 
 import enum
-from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -83,7 +85,8 @@ class Splitting:
     designated partner), upper_names the rays with positive last
     coordinate and lower_names those with negative last coordinate.  The
     fibration functional vanishes off the axis, so each is a 1-tuple: the
-    unit vector e_d above and a ray with last coordinate -1 below.
+    unit vector e_d above and a ray with last coordinate -1 below.  fiber
+    is the fiber type of the designated pair (fiber_type).
     """
 
     fan: Fan
@@ -95,6 +98,7 @@ class Splitting:
     upper_names: tuple[str, ...]
     lower_names: tuple[str, ...]
     to_normal_form: UnimodularMap
+    fiber: FiberType
 
     @property
     def dimension(self) -> int:
@@ -107,11 +111,6 @@ class Splitting:
     @property
     def partner_name(self) -> Optional[str]:
         return self.rest_names[0] if self.rest_names else None
-
-    @cached_property
-    def _fiber_type(self) -> FiberType:
-        """The cache behind fiber_type: it lives and dies with the splitting."""
-        return _classify_fiber(self)
 
 
 def _fibration_functional(
@@ -134,17 +133,19 @@ def _fibration_functional(
     return h
 
 
-def _is_projective_space(fan: Fan) -> bool:
-    """Whether the smooth complete fan is a projective-space fan: d + 1 rays in R^d.
+def _projective_equator(fan: Fan) -> bool:
+    """Whether the equators of the smooth complete fan's axes are projective-space fans.
 
-    Every equator is smooth and complete (_splitting).  Such a fan's rays
-    positively span R^d, so sum(c_i * v_i) = 0 with every c_i > 0, and
-    this line is the whole relation space of d + 1 rays spanning R^d.  So
-    any d of them are independent, the d + 1 cones on d of them tile R^d
-    and all are unimodular cones of the fan, and by Cramer's rule the c_i
-    are equal: the rays sum to 0, the fan of P^d.
+    An equator is smooth and complete (_splitting) and has the fan's rays
+    but the two axis rays, so it has one ray more than its dimension d - 1
+    exactly when the fan has d + 2 rays.  Then the equator is P^(d-1): its
+    rays positively span R^(d-1), so sum(c_i * v_i) = 0 with every c_i > 0,
+    and this line is the whole relation space of d rays spanning R^(d-1).
+    So any d - 1 of them are independent, the d cones on d - 1 of them tile
+    R^(d-1) and all are unimodular cones of the equator, and by Cramer's
+    rule the c_i are equal: the rays sum to 0.
     """
-    return len(fan.rays) == fan.dimension + 1
+    return len(fan.rays) == fan.dimension + 2
 
 
 def star_equivalent(fan: Fan, a: str, b: str) -> bool:
@@ -193,15 +194,16 @@ def _designations(
 ):
     """Candidate (pivot, partner) labelings for one axis orientation, read off the fan.
 
-    The equator is a projective space (_is_projective_space) when the fan
-    has d + 2 rays; its one designation's pivot is the largest-coefficient
-    support ray, the first in input order (the equator's) on a tie, and its
-    partner, fixed once the basis cone is chosen, is reported as None.
+    The equator is a projective space when the fan has d + 2 rays
+    (_projective_equator); its one designation's pivot is the
+    largest-coefficient support ray, the first in input order (the
+    equator's) on a tie, and its partner, fixed once the basis cone is
+    chosen, is reported as None.
     Bundle equators get one designation per ordered fibration axis of the
     equator (_axis over axis).  Otherwise a single fully canonical labeling
     lets callers still classify the fiber as Other.
     """
-    if len(fan.rays) == fan.dimension + 2:
+    if _projective_equator(fan):
         pivot = max(support, key=lambda item: (item[1], -fan._order[item[0]]), default=None)
         return [(pivot[0] if pivot else eq_names[0], None)]
     pairs = [
@@ -239,9 +241,10 @@ def _splitting(
     """The splitting of the axis (up, down) in the frame basis_names + (up,).
 
     Its rest_names are the partner, when given, then the other equator
-    rays in input order.  The one normal-form transform T sends basis_names + (up,) to the
-    standard basis: it is the cached inverse of that maximal cone, its rows
-    put in frame order.  The base fan, both half-fans and the equator are
+    rays in input order, and its fiber is decided on fan (_fiber_of).  The
+    one normal-form transform T sends basis_names + (up,) to the standard
+    basis: it is the cached inverse of that maximal cone, its rows put in
+    frame order.  The base fan, both half-fans and the equator are
     all read off it.  The last coordinate of T v is h(v) for the fibration
     functional h, since both vanish on the basis and take 1 on up.
 
@@ -277,6 +280,7 @@ def _splitting(
         upper_names=(up,),
         lower_names=(down,),
         to_normal_form=transform,
+        fiber=_fiber_of(fan, (up, down), basis_names[0], rest_names),
     )
     _check_invariants(split)
     return split
@@ -383,8 +387,9 @@ def split_with_frame(
 def fiber_type(split: Splitting) -> FiberType:
     """Classify the equator fan relative to the designated fiber pair.
 
-    ProjectiveSpace when the equator is a projective-space fan (it has one
-    ray more than its dimension: _is_projective_space);
+    The pair is the pivot and the first rest ray, the partner; with no
+    rest ray the fiber is Other.  ProjectiveSpace when the equator is a
+    projective-space fan (one ray more than its dimension);
     BundleOverP1 when (pivot, partner) is a fibration axis of the equator,
     so that it splits over the line with the designated pair as its poles.
     Other otherwise.  In the first two cases the pair has one divisor
@@ -394,22 +399,29 @@ def fiber_type(split: Splitting) -> FiberType:
     div(chi^g) = D_pivot - D_partner, so the two classes agree; and
     v -> v + g(v) * (partner - pivot) is a unimodular involution that
     swaps the pair and fixes every other ray, so it carries each cone of
-    the pivot's star onto one of the partner's.  Cached per splitting.
+    the pivot's star onto one of the partner's.  Decided once, when the
+    splitting is built, on the input fan (_fiber_of): the equator's own
+    cone inverses are not computed for it.
     """
-    return split._fiber_type
+    return split.fiber
 
 
-def _classify_fiber(split: Splitting) -> FiberType:
-    pivot = split.pivot_name
-    partner = split.partner_name
-    other = FiberType(FiberKind.OTHER, None)
-    if partner is None:
-        return other
-    equator = split.equator
-    if _is_projective_space(equator):
+def _fiber_of(
+    fan: Fan, axis: tuple[str, str], pivot: str, rest_names: Sequence[str]
+) -> FiberType:
+    """fiber_type of the splitting of fan over axis with this pivot and these rest rays.
+
+    Read off the validated input fan: the equator is a projective space
+    when the fan has d + 2 rays (_projective_equator), and (pivot, partner)
+    is an axis of the equator when _axis over axis holds on the fan.
+    """
+    if not rest_names:
+        return FiberType(FiberKind.OTHER, None)
+    partner = rest_names[0]
+    if _projective_equator(fan):
         return FiberType(FiberKind.PROJECTIVE_SPACE, (pivot, partner))
-    if _axis(equator, pivot, partner) is None:
-        return other
+    if _axis(fan, pivot, partner, axis) is None:
+        return FiberType(FiberKind.OTHER, None)
     return FiberType(FiberKind.BUNDLE_OVER_P1, (pivot, partner))
 
 

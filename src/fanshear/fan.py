@@ -4,10 +4,13 @@ A Fan is an immutable value: named primitive ray generators plus the ray
 sets of its full-dimensional cones.  make_fan is the only validating
 constructor; everything downstream may assume its invariants (primitive
 rays, unimodular cones, pairwise intersection in a common face, no
-dangling rays).  Every fan, validated or built directly as a splitting's
-fans are, keeps one table of cone inverses by cone index: one row
-reduction inverts a cone and pivots across facets invert the cones it
-reaches.  Cone coordinates, the certificate, relations, splittings, axis
+dangling rays).  A fan whose invariants follow from how it is made is
+built directly, with no make_fan: a splitting's fans, read off a
+validated fan, and a bundle fan, smooth and complete in closed form
+(scroll.bundle_fan); make_fan of their rays and cones is the tests'
+oracle.  Every fan keeps one table of cone inverses by cone index,
+filled when first read: one row reduction inverts a cone and pivots
+across facets invert the cones it reaches.  Cone coordinates, the certificate, relations, splittings, axis
 tests and frame searches all read it.  A complete fan is accepted in
 O(C*d) by a certificate: its facets pair up on opposite sides and one
 point is covered once.  On a valid fan that certificate is also the
@@ -324,12 +327,12 @@ def _cone_inverses(fan: Fan) -> tuple[lattice.Matrix, ...]:
     """The inverse of each maximal cone, in max_cones order: the fan's _inverses.
 
     Every fan fills its table this way, validated by make_fan or built
-    directly, as a splitting's fans are.  A cone no walk has reached is
-    inverted by lattice.unimodular_inverse, and a walk over the facets
-    pivots from it: B = F+b across F from A = F+a has det B = c_a * det A
-    for c = inv(A) @ b, and if c_a = +-1, row b of inv(B) is c_a * inv(A)[a]
-    and row f is inv(A)[f] - c_f * (row b), or inv(A)[f] itself when
-    c_f = 0, O(d^2) work.  So a fan whose
+    directly, as a splitting's fans and bundle fans are.  A cone no walk
+    has reached is inverted by lattice.unimodular_inverse, and a walk over
+    the facets pivots from it: B = F+b across F from A = F+a has
+    det B = c_a * det A for c = inv(A) @ b, and if c_a = +-1, row b of
+    inv(B) is c_a * inv(A)[a] and row f is inv(A)[f] - c_f * (row b), or
+    inv(A)[f] itself when c_f = 0, O(d^2) work.  So a fan whose
     cones are connected through facets costs one elimination.  Any other
     pivot leaves B to the elimination, which raises SingularCone for the
     first cone in input order not unimodular.

@@ -6,16 +6,18 @@ zero) and the twist relation b1 + c1 = p_1 e_1 + ... + p_{d-1} e_{d-1}.
 bundle_fan builds it in closed form (Kleinschmidt 1988), b1 = e_d and
 c1 = (p, -1).  Its cones, the d-subsets of rays holding neither
 left-hand side, are each d - 1 of the fiber rays e1, ..., e(d-1), a1 with
-b1 or with c1, listed in combinations order; make_fan validates it and
-fan_from_relations is the tests' oracle.  A single shear step with k = 1
-lowers the twists; iterating it drives any twist vector to entries in
-{0, 1}, and the twist sum is invariant mod d, which is exactly the
-obstruction to connecting two bundles by a chain of such one-parameter
-deformations.  reduce_step does
-the shear and is the oracle of the reduction formula (_renormalized),
-which deformation_chain follows in O(d) per step without building a fan;
-a chain builds its bundle fans when its fans attribute is first read.
-Nothing is kept between calls.
+b1 or with c1, listed in combinations order.  That closed form is smooth
+and complete (see bundle_fan), so it is not revalidated: make_fan of its
+rays and cones, and fan_from_relations, are the tests' oracles.  A single
+shear step with k = 1 lowers the twists; iterating it drives any twist
+vector to entries in {0, 1}, and the twist sum is invariant mod d, which
+is exactly the obstruction to connecting two bundles by a chain of such
+one-parameter deformations.  reduce_step does the shear and is the oracle
+of the reduction formula (_renormalized), which deformation_chain follows
+in O(d) per step without building a fan; a chain builds its bundle fans
+when its fans attribute is first read.  A descent's length has a closed
+form (_descent_length), so a chain whose descents take more than
+CHAIN_CAP steps is refused before it is walked.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from typing import Optional
 from ._record import frozen
 from .deform import _axis_splittings, endpoint
 from .errors import DimensionMismatch, InternalError, PreconditionViolated
-from .fan import (
-    Fan, FormalRelation, PrimitiveRelation, Ray, make_fan, primitive_relation,
-)
+from .fan import Cone, Fan, FormalRelation, PrimitiveRelation, Ray, primitive_relation
 
 
 @frozen
@@ -89,6 +89,21 @@ def bundle_presentation(
 def bundle_fan(spec: BundleSpec) -> Fan:
     """The fan of the projectivized split bundle with the given twists.
 
+    Built directly, not through make_fan: by Kleinschmidt's classification
+    of smooth complete fans with d + 2 rays (Kleinschmidt, "A
+    classification of toric varieties with few generators", 1988) these
+    cones form a smooth complete fan.  The fiber rays e1, ..., e(d-1), a1
+    span the hyperplane x_d = 0 as the fan of P^(d-1): any d - 1 of them
+    are a basis of it, and their cones tile it.  So a cone of d - 1 fiber
+    rays with b1 = e_d, or with c1, whose last coordinate is -1, is
+    unimodular.  The cones with b1 tile the half-space x_d >= 0.  The
+    cones with c1 are the images of the cones with -e_d under the shear
+    (y, s) -> (y - s*p, s), which fixes the hyperplane pointwise, maps the
+    half-space x_d <= 0 onto itself and sends -e_d to c1; so they tile
+    that half-space, and the two halves meet in the fan of P^(d-1).  Cone
+    inverses and completeness are computed when a consumer first reads
+    them, as on any fan, and _cone_inverses still raises SingularCone.
+
     >>> len(bundle_fan(BundleSpec((0, 0))).rays)
     5
     """
@@ -96,8 +111,10 @@ def bundle_fan(spec: BundleSpec) -> Fan:
     names = bundle_ray_names(d)
     unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     generators = [*unit[:-1], (*[-1] * (d - 1), 0), unit[-1], (*spec.twists, -1)]
-    cones = [(*face, base) for face in combinations(names[:d], d - 1) for base in ("b1", "c1")]
-    return make_fan(d, list(map(Ray, names, generators)), cones)
+    cones = tuple(
+        Cone((*face, base)) for face in combinations(names[:d], d - 1) for base in ("b1", "c1")
+    )
+    return Fan(d, tuple(map(Ray, names, generators)), cones)
 
 
 def _renormalized(spec: BundleSpec) -> BundleSpec:
@@ -153,6 +170,33 @@ def reduce_step(spec: BundleSpec) -> ReduceStep:
     return ReduceStep(spec, relation, sheared, renormalized)
 
 
+def _descent_length(spec: BundleSpec) -> int:
+    """How many reduction steps lead from spec to its normal form, in O(d log d).
+
+    Let x be the d-vector (p, 0) sorted descending and t the balanced
+    vector of the same sum S: S mod d entries floor(S/d) + 1, then
+    floor(S/d).  The length is sum(max(0, x_i - t_i)), the units that lie
+    above balance.  A step (_renormalized) moves one unit from a largest
+    entry, at least 2, to a 0 entry.  So x is not balanced, and in sorted
+    order the unit leaves a place above balance for one below it: the
+    count falls by one.  Subtracting the minimum shifts x and t alike, and
+    the normal form (entries in {0, 1}) is balanced, with count 0.
+
+    >>> _descent_length(BundleSpec((3, 0))), _descent_length(BundleSpec((1, 1)))
+    (2, 0)
+    """
+    x = sorted((*spec.twists, 0), reverse=True)
+    base, extra = divmod(sum(x), len(x))
+    return sum(max(0, v - base - (i < extra)) for i, v in enumerate(x))
+
+
+# The most reduction steps deformation_chain walks.  A step costs a few
+# microseconds and a few hundred bytes, and a descent takes about as many
+# steps as its twists' excess over balance, so a 9-digit twist would run
+# for hours; such a chain is refused before it is walked.
+CHAIN_CAP = 10_000
+
+
 @frozen
 class DeformationChain:
     specs: tuple[BundleSpec, ...]
@@ -170,13 +214,20 @@ def deformation_chain(start: BundleSpec, end: BundleSpec) -> Optional[Deformatio
     reduced until it meets that descent, and the chain runs down the first
     descent to the meeting spec and back up the second.  Both descents
     follow the reduction formula, so no fan is built here: the chain's
-    fans are built when its fans attribute is first read.
+    fans are built when its fans attribute is first read.  ValueError,
+    before any step, when the two descents together take more than
+    CHAIN_CAP steps (_descent_length).
     """
     if start.dimension != end.dimension:
         raise DimensionMismatch("bundle specs of different dimensions")
     start, end = start.sorted(), end.sorted()
     if (sum(start.twists) - sum(end.twists)) % start.dimension != 0:
         return None
+    steps = _descent_length(start) + _descent_length(end)
+    if steps > CHAIN_CAP:
+        raise ValueError(
+            f"the chain's descents take {steps} reduction steps, more than the cap of {CHAIN_CAP}"
+        )
     down = [start]
     while max(down[-1].twists) >= 2:
         down.append(_renormalized(down[-1]))

@@ -6,10 +6,11 @@ elimination so the tests cross-check the integer row-reduction paths.
 Primitive collections are recomputed by plain subset enumeration, which
 is exponential in the ray count and meant for fans of up to ~14 rays,
 and by a walk over every face, which is exponential in the dimension.
-Fiber types are recomputed by a full splitting search of the equator, and
-equators are revalidated with make_fan.  Fan isomorphism and
-star equivalence are recomputed by building the full change-of-basis map
-of every candidate frame, and relabelled_image makes isomorphic pairs.
+Fiber types are recomputed by a full splitting search of the equator and
+by the axis test on the built equator, and equators are revalidated with
+make_fan.  Fan isomorphism and star equivalence are recomputed by
+building the full change-of-basis map of every candidate frame, and
+relabelled_image makes isomorphic pairs.
 The gluing of a fan's cones is rechecked pair
 by pair with Fourier-Motzkin, the check make_fan falls back on when its
 completeness certificate fails, and completeness by facet connectivity.
@@ -18,12 +19,12 @@ test and a general integral solve, independent of the one row reduction
 per cone whose result the library keeps.  The collection-free d-subsets
 that fan_from_relations tries are recomputed by scanning every
 combination against every collection.  Bundle fans are rebuilt from their
-relations, find_splittings is rerun as the one pass over every axis it
-was before its per-axis searches, with the fiber-pair designations read
-off the equator of a splitting in the support cone's frame rather than
-off the input fan, and a reduction step's splitting is
-picked out of that full list.  Primed names are recomputed with a regular
-expression for the leading ASCII letters.
+relations and revalidated with make_fan, find_splittings is rerun as the
+one pass over every axis it was before its per-axis searches, with the
+fiber-pair designations read off the equator of a splitting in the
+support cone's frame rather than off the input fan, and a reduction
+step's splitting is picked out of that full list.  Primed names are
+recomputed with a regular expression for the leading ASCII letters.
 """
 
 import random
@@ -396,6 +397,25 @@ def fiber_type_by_search(split):
     if classes[pivot] == classes[partner] and star_equivalent_by_frames(equator, pivot, partner):
         return FiberType(kind, (pivot, partner))
     return other
+
+
+def fiber_type_on_equator(split):
+    """fiber_type decided on the splitting's built equator.
+
+    No rest ray makes the fiber Other; the equator is a projective space
+    when it has one ray more than its dimension, and a bundle over the
+    line with the pivot and the first rest ray as poles when _axis holds
+    on the equator itself.
+    """
+    pivot, partner = split.pivot_name, split.partner_name
+    if partner is None:
+        return FiberType(FiberKind.OTHER, None)
+    equator = split.equator
+    if len(equator.rays) == equator.dimension + 1:
+        return FiberType(FiberKind.PROJECTIVE_SPACE, (pivot, partner))
+    if deform._axis(equator, pivot, partner) is None:
+        return FiberType(FiberKind.OTHER, None)
+    return FiberType(FiberKind.BUNDLE_OVER_P1, (pivot, partner))
 
 
 def check_splittings_against_oracles(fan):

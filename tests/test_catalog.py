@@ -45,12 +45,13 @@ def test_find_splittings_builds_only_the_splittings_it_returns(built_splittings)
 
 
 def test_verify_all_fills_one_inverse_table_per_fan_it_reads(capsys, monkeypatch):
-    # no equator's table is filled only to read its designations
+    # no equator's table is filled only to read its designations or its fiber
+    # type: the ten entries' fans and their ten endpoints
     tables = []
     real = fan_module._cone_inverses
     monkeypatch.setattr(fan_module, "_cone_inverses", lambda fan: tables.append(fan) or real(fan))
     assert main(["catalog", "verify", "all"]) == 0
-    assert len(tables) == 38
+    assert len(tables) == len({id(fan) for fan in tables}) == 20
 
 
 def test_verify_runs_at_most_two_collection_searches_per_entry(capsys, monkeypatch):
@@ -190,16 +191,18 @@ def test_verify_checks_the_expected_endpoint_fano_status():
     assert [s.name for s in report.stages if not s.ok] == ["endpoint_fano"]
 
 
-def test_verify_all_classifies_each_splitting_once(monkeypatch, capsys):
+def test_verify_all_classifies_each_splitting_once(monkeypatch, capsys, built_splittings):
     asked, computed = [], []
-    real_ask, real_compute = deform.fiber_type, deform._classify_fiber
+    real_ask, real_compute = deform.fiber_type, deform._fiber_of
     monkeypatch.setattr(deform, "fiber_type", lambda s: asked.append(s) or real_ask(s))
-    monkeypatch.setattr(deform, "_classify_fiber", lambda s: computed.append(s) or real_compute(s))
+    monkeypatch.setattr(deform, "_fiber_of", lambda *a: computed.append(a) or real_compute(*a))
     assert main(["catalog", "verify", "all"]) == 0
     capsys.readouterr()
-    # asked and computed hold the splittings, so no id below is reused
-    assert len(computed) == len({id(s) for s in computed}) == len({id(s) for s in asked})
-    assert len(asked) > len(computed)  # endpoint asks again and hits the cache
+    # each built splitting is classified once, as it is built, and every one
+    # is asked; asked holds the splittings, so no id below is reused
+    assert len(computed) == len(built_splittings) == len({id(s) for s in asked}) == 18
+    assert len(asked) > len(computed)  # endpoint asks again and reads the field
+    assert all(real_ask(s) is s.fiber for s in asked)
 
 
 def test_presented_collections_are_exhaustive():

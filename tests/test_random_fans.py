@@ -8,6 +8,7 @@ validators, the two Fano criteria, and the shear machinery.
 
 import random
 import time
+from collections import Counter
 from itertools import combinations, islice, permutations, product
 
 import pytest
@@ -21,6 +22,7 @@ from conftest import (
     direction_in_fan,
     face_walk_collections,
     fan_isomorphism_by_frames,
+    fiber_type_on_equator,
     find_splittings_in_one_pass,
     fourier_motzkin_calls,
     pairwise_glued,
@@ -42,6 +44,7 @@ from fanshear.deform import (
     endpoint_conditions,
     fiber_type,
     find_splittings,
+    split_with_frame,
     star_equivalent,
 )
 from fanshear.divisor import NefAmpleStatus, anticanonical, nef_ample_status
@@ -361,6 +364,38 @@ def test_equator_axes_read_off_the_input_fan_match_the_equator(corpus):
                 pairs += 1
                 axes += on_fan
     assert (pairs, axes) == (22836, 308)
+
+
+def test_carried_fiber_types_match_the_equator_oracle(corpus):
+    # the fiber type a splitting carries, decided on the input fan, against
+    # the axis test on its built equator: every find_splittings splitting, and
+    # split_with_frame on every oriented axis, every equator cone with each of
+    # its rays as pivot, and each available partner or none
+    fans = [*corpus.values(), *(random_plane_fan(seed, n) for seed, n in PLANE_CASES)]
+    for seed, name, insertions in SUBDIVIDED_CASES:
+        fans += [random_subdivided_fan(seed, name, insertions),
+                 random_face_subdivided_fan(seed, name, insertions)]
+    found, framed, kinds = 0, 0, Counter()
+    for fan in fans:
+        splittings = find_splittings(fan)
+        for split in splittings:
+            assert split.fiber == fiber_type_on_equator(split), split
+            found += 1
+        for up, down in dict.fromkeys(s.upper_names + s.lower_names for s in splittings):
+            eq_names, eq_cone_sets = _axis(fan, up, down)
+            for cone in eq_cone_sets:
+                tau = fan.sort_names(cone)
+                for pivot in tau:
+                    basis = (pivot, *(n for n in tau if n != pivot))
+                    for partner in (None, *(n for n in eq_names if n not in cone)):
+                        split = split_with_frame(fan, up, down, basis, partner)
+                        assert split.fiber == fiber_type_on_equator(split), split
+                        framed += 1
+                        kinds[split.fiber.kind] += 1
+    assert len(fans) == 126
+    assert (found, framed) == (262, 7564)
+    assert kinds == {FiberKind.PROJECTIVE_SPACE: 2376, FiberKind.BUNDLE_OVER_P1: 448,
+                     FiberKind.OTHER: 4740}
 
 
 def test_star_equivalence_matches_frame_oracle_on_equators(corpus):

@@ -135,7 +135,11 @@ def test_cached_properties_fill_on_immutable_records():
     assert "cone_sets" not in vars(fan)
     assert fan.cone_sets == tuple(frozenset(c.ray_names) for c in fan.max_cones)
     assert vars(fan)["cone_sets"] is fan.cone_sets
+    chain = deformation_chain(BundleSpec((3, 0)), BundleSpec((0, 0)))
+    assert "fans" not in vars(chain)
+    fans = chain.fans
+    assert len(fans) == len(chain.specs) == 3
+    assert vars(chain)["fans"] is fans is chain.fans
+    # a splitting's fiber type is a field, decided when the splitting is built
     split = find_splittings(fan)[0]
-    assert "_fiber_type" not in vars(split)
-    kind = fiber_type(split)
-    assert vars(split)["_fiber_type"] is kind is fiber_type(split)
+    assert vars(split)["fiber"] is split.fiber is fiber_type(split)

@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 from itertools import combinations_with_replacement, product
 
@@ -8,11 +9,11 @@ from conftest import bundle_specs_for_reduction, reduce_step_by_search
 
 from fanshear.deform import endpoint_conditions, find_splittings
 from fanshear.errors import DimensionMismatch, PreconditionViolated
-from fanshear.fan import fan_isomorphism, primitive_relations
+from fanshear.fan import fan_isomorphism, is_complete, primitive_relations
 from fanshear.scroll import (
     BundleSpec, bundle_fan, bundle_presentation, deformation_chain, reduce_step,
 )
-from fanshear import builtin, deform, divisor, scroll
+from fanshear import builtin, deform, divisor, fileformats, scroll
 from fanshear import fan as fan_module
 from fanshear.cli import main
 
@@ -58,16 +59,25 @@ def test_bundle_fan_frozen_vectors():
 
 
 def test_closed_form_matches_the_fan_rebuilt_from_relations():
-    # every twist vector with entries <= 4 at d = 2..5 and <= 2 at d = 6, 7
+    # every twist vector with entries <= 4 at d = 2..5 and <= 2 at d = 6, 7,
+    # and every descending one with entries <= 3 at d = 8..10; bundle_fan is
+    # built without make_fan, which must accept it unchanged
     specs = [
         BundleSpec(twists)
         for d in range(2, 8)
         for twists in product(range(5 if d <= 5 else 3), repeat=d - 1)
+    ] + [
+        BundleSpec(twists)
+        for d in range(8, 11)
+        for twists in combinations_with_replacement(range(3, -1, -1), d - 1)
     ]
-    assert len(specs) == 1752
+    assert len(specs) == 1752 + 505
     for spec in specs:
+        fan = bundle_fan(spec)
+        assert fan_module.make_fan(spec.dimension, fan.rays, fan.max_cones) == fan
         rebuilt = fan_module.fan_from_relations(spec.dimension, *bundle_presentation(spec))
-        assert bundle_fan(spec) == rebuilt
+        assert fan == rebuilt
+        assert "_inverses" not in vars(fan) and "_is_complete" not in vars(fan)
 
 
 def test_bundle_cones_come_in_the_candidate_search_order():
@@ -188,6 +198,34 @@ def test_d7_chain_rebuilds_nothing_from_relations(monkeypatch):
     assert (solved, splittings, sheared) == ([], [], [])
 
 
+def test_d7_chain_writes_its_fans_without_validating_them(monkeypatch, tmp_path):
+    # the written files read only rays and cones: no make_fan call (wherever
+    # fanshear imported it) and no cone-inverse table
+    validated, tables = [], []
+    real_make, real_inverses = fan_module.make_fan, fan_module._cone_inverses
+    importers = [
+        module for name, module in sys.modules.items()
+        if name.partition(".")[0] == "fanshear" and getattr(module, "make_fan", None) is real_make
+    ]
+    assert {fan_module, deform, fileformats} < set(importers)
+    for module in importers:
+        monkeypatch.setattr(
+            module, "make_fan", lambda *a: validated.append(a) or real_make(*a)
+        )
+    monkeypatch.setattr(
+        fan_module, "_cone_inverses", lambda fan: tables.append(fan) or real_inverses(fan)
+    )
+    start, end = (",".join(map(str, twists)) for twists in D7_CHAIN)
+    argv = ["chain", "--dim", "7", "--from", start, "--to", end, "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(list(tmp_path.glob("V*.fan"))) == 10
+    assert (validated, tables) == ([], [])
+    # reading a written file validates it, and make_fan accepts every one
+    for path in tmp_path.glob("V*.fan"):
+        assert is_complete(fileformats.parse_fan(path.read_text()))
+    assert len(validated) == len(tables) == 10
+
+
 def test_d7_chain_runs_no_collection_search(monkeypatch):
     # axes, equators and the sheared relations are all tested by membership
     runs = []
@@ -239,6 +277,56 @@ def test_chain_trivial():
     chain = deformation_chain(BundleSpec((2, 1)), BundleSpec((1, 2)))
     assert chain is not None
     assert [s.twists for s in chain.specs] == [(2, 1)]
+
+
+def descent_by_steps(spec):
+    """The number of _renormalized steps from spec to its normal form."""
+    steps = 0
+    while max(spec.twists) >= 2:
+        spec, steps = scroll._renormalized(spec), steps + 1
+    return steps
+
+
+def test_descent_length_matches_the_reduction_loop():
+    # every descending twist vector with entries <= 6 at d = 2..5
+    specs = [
+        BundleSpec(twists)
+        for d in range(2, 6)
+        for twists in combinations_with_replacement(range(6, -1, -1), d - 1)
+    ]
+    assert len(specs) == 7 + 28 + 84 + 210
+    lengths = [scroll._descent_length(spec) for spec in specs]
+    assert lengths == [descent_by_steps(spec) for spec in specs]
+    assert max(lengths) == 6
+
+
+def test_chain_walks_up_to_the_cap_and_refuses_past_it(monkeypatch):
+    # (2n,) descends in n steps to (0,), so (2 * CHAIN_CAP,) is just walked
+    steps = []
+    real = scroll._renormalized
+    monkeypatch.setattr(scroll, "_renormalized", lambda spec: steps.append(spec) or real(spec))
+    cap = scroll.CHAIN_CAP
+    chain = deformation_chain(BundleSpec((2 * cap,)), BundleSpec((0,)))
+    assert len(chain.specs) == cap + 1 and len(steps) == cap
+    steps.clear()
+    with pytest.raises(ValueError, match=f"take {cap + 1} reduction steps, more than the cap of {cap}"):
+        deformation_chain(BundleSpec((2 * cap + 2,)), BundleSpec((0,)))
+    with pytest.raises(ValueError, match=f"the cap of {cap}"):
+        deformation_chain(BundleSpec((2 * cap,)), BundleSpec((2,)))
+    assert steps == []
+
+
+def test_a_twelve_digit_twist_exits_two_without_a_step(monkeypatch, capsys):
+    steps = []
+    real = scroll._renormalized
+    monkeypatch.setattr(scroll, "_renormalized", lambda spec: steps.append(spec) or real(spec))
+    status = main(["chain", "--dim", "3", "--from", "999999999999,0", "--to", "0,0"])
+    assert status == 2
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"error: the chain's descents take 666666666666 reduction steps, "
+        f"more than the cap of {scroll.CHAIN_CAP}"
+    )
+    assert steps == []
 
 
 def test_chains_are_reversible():
