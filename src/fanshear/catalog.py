@@ -222,9 +222,11 @@ def verify_weakened(item: CatalogEntry) -> WeakenedReport:
     equal to item.expected.classification and, when item.expected names an
     endpoint_k, the existence of a splitting whose endpoint conditions hold
     for that k and an endpoint whose Fano-ness is item.expected's
-    endpoint_is_fano.  The splittings are built in find_splittings order
-    up to the first deformable one (deform._first_deformable), which is the
-    one deformed.  Primitive collections are recomputed and any
+    endpoint_is_fano.  The candidates are decided in find_splittings
+    order up to the first deformable one (deform._first_deformable), and
+    only its splitting, the one deformed, is built.  The endpoint takes
+    the fan's primitive collections and all but one of its relations
+    (deform.shear_lower).  Primitive collections are recomputed and any
     difference from the presented list is reported (informationally)
     rather than assumed away.
     """
@@ -264,11 +266,11 @@ def verify_weakened(item: CatalogEntry) -> WeakenedReport:
         return WeakenedReport(item.name, tuple(stages), (), extras, cls_ok)
 
     k = expected.endpoint_k
-    found = deform._first_deformable(deform._splittings(fan), k)
+    found = deform._first_deformable(deform._candidates(fan), k)
     if found is None:
         stages.append(Stage("splitting", False, ""))
         return WeakenedReport(item.name, tuple(stages), (), extras, False)
-    _, chosen = found
+    chosen = deform._splitting(found[1])
     stages.append(Stage(
         "splitting", True, f"pivot {chosen.pivot_name}, partner {chosen.partner_name}, "
         f"fiber {deform.fiber_type(chosen).kind.value}",

@@ -11,32 +11,40 @@ the designated fiber partner of the pivot ray, the result is the general
 fiber of a one-parameter degeneration of the original variety, provided
 the inequality conditions checked by endpoint_conditions hold.
 
-One test decides whether (up, down) is an oriented fibration axis:
-every maximal cone holds exactly one of the two, read off their cone
-masks, and an integral functional h vanishes off {up, down} with
-h(up) = 1 and h(down) = -1.  find_splittings (for the fan's axes and,
-read off the input fan, for the fibration pairs it designates on each
-equator) and split_with_frame use it, and so does the fiber type, which
-_splitting decides once, on the validated input fan: the equator is a
-projective space when the fan has d + 2 rays, and (pivot, partner) is an
-axis of the equator when _axis over the fan's axis holds.  The splitting
-carries that answer, so classifying it fills no equator's cone inverses.
-find_splittings is assembled from per-axis searches over the pairs of
-rays, so MMCS never runs here.  The search is lazy: _splittings yields the
-splittings in find_splittings order, each built when it is reached and
-only in the frame it is yielded in, and _first_deformable, the one stop
-rule of catalog verification and of the deform command, draws them only
-up to the first whose fiber is not Other and whose inequality holds.
-Each splitting computes its normal-form transform once and reads the
-base fan, both half-fans and the equator off it.  The equator is never
-revalidated: it is made of faces of the validated input fan, and it is
-smooth and complete (see _splitting).
+One test decides whether (up, down) is an oriented fibration axis
+(_is_axis): every maximal cone holds exactly one of the two, read off
+their cone masks, and an integral functional h vanishes off {up, down}
+with h(up) = 1 and h(down) = -1.  So the stars of an axis's rays split
+the maximal cones between them, and only such pairs, found by looking up
+each ray's complementary star (_complementary_pairs), are tested.
+find_splittings (for the fan's axes and, read off the input fan, for the
+fibration pairs it designates on each equator) and split_with_frame use
+it, and so does the fiber type, decided once on the validated input fan
+(_fiber_of): the equator is a projective space when the fan has d + 2
+rays, and (pivot, partner) is an axis of the equator when _is_axis over
+the fan's axis holds.  MMCS never runs here.
+
+The search is lazy and decides before it builds.  _candidates yields, in
+find_splittings order, a candidate per splitting: its axis, designation
+and frame, its fiber type and the lower ray's first and last normal-form
+coordinates, two dot products with rows of one cached cone inverse.
+_first_deformable, the one stop rule of catalog verification and of the
+deform command, reads candidates up to the first whose fiber is not
+Other and whose inequality holds, and _splitting builds only the
+splitting that is deformed (find_splittings builds them all).  Each
+splitting computes its normal-form transform once and reads the base
+fan, both half-fans and the equator off it.  Neither the equator nor the
+sheared endpoint is revalidated: the equator is made of faces of the
+validated input fan (see _splitting), and the shear fixes the equator and
+maps the lower half-space onto itself, so the endpoint keeps the input's
+cone complex and all its primitive relations but one (see shear_lower).
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import combinations, permutations
+from itertools import permutations
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import lattice
@@ -47,8 +55,8 @@ from .fan import (
     Fan,
     Ray,
     _frame_search,
+    _take_complex,
     is_complete,
-    make_fan,
     primitive_relation,
 )
 from .lattice import UnimodularMap, Vector
@@ -112,23 +120,31 @@ class Splitting:
     def partner_name(self) -> Optional[str]:
         return self.rest_names[0] if self.rest_names else None
 
+    @property
+    def lower_ends(self) -> tuple[int, int]:
+        """The lower ray's first and last coordinates."""
+        g = self.fan.generator(self.lower_names[0])
+        return g[0], g[-1]
+
 
 def _fibration_functional(
     fan: Fan, up: str, down: str, outer: Sequence[str] = ()
 ) -> Optional[Vector]:
     """Integral functional vanishing off {up, down}, +1 on up, -1 on down, or None.
 
-    Precondition: some maximal cone holds up and none holds both, as _axis
+    Precondition: some maximal cone holds up and none holds both, as _is_axis
     has checked.  A maximal cone holding up then does not hold down, so
     such a functional vanishes on that cone's other d - 1 rays and takes 1
     on up: it can only be the row of up in the cone's cached inverse.  One
-    dot product per ray off outer (see _axis) decides whether that row is one.
+    dot product per ray off outer (see _is_axis) decides whether that row is one.
     """
     j = fan._cone_index((up,))
     h = fan._inverses[j][fan.max_cones[j].ray_names.index(up)]
     for ray in fan.rays:
-        value = 1 if ray.name == up else -1 if ray.name == down else 0
-        if ray.name not in outer and lattice.dot(h, ray.generator) != value:
+        name = ray.name
+        if name not in outer and sum(map(mul, h, ray.generator)) != (
+            1 if name == up else -1 if name == down else 0
+        ):
             return None
     return h
 
@@ -163,16 +179,15 @@ def star_equivalent(fan: Fan, a: str, b: str) -> bool:
     return _frame_search(fan, anchor, star_a, fan, frames, star_b) is not None
 
 
-def _axis(fan: Fan, up: str, down: str, outer: Sequence[str] = ()):
-    """Equator ray names and ordered equator cone sets of the axis (up, down), or None.
+def _is_axis(fan: Fan, up: str, down: str, outer: Sequence[str] = ()) -> bool:
+    """Whether (up, down) is an oriented fibration axis of the complete fan.
 
-    (up, down) is an oriented fibration axis of the complete fan when each
-    maximal cone holds exactly one of them (with no dangling ray, none
-    holding both says {up, down} is a primitive collection) and an
-    integral functional h vanishes off it with h(up) = 1 and h(down) = -1.
-    Each equator cone, a maximal cone minus its axis ray, spans ker h, so
-    by completeness it is a facet of exactly one cone on each side of
-    ker h: one with up and one with down.
+    It is when each maximal cone holds exactly one of them (with no
+    dangling ray, none holding both says {up, down} is a primitive
+    collection) and an integral functional h vanishes off it with
+    h(up) = 1 and h(down) = -1.  Each equator cone, a maximal cone minus
+    its axis ray, spans ker h, so by completeness it is a facet of exactly
+    one cone on each side of ker h: one with up and one with down.
 
     With outer an axis of the fan, it decides the same for the equator over
     outer, on the fan alone: a maximal cone holds an equator ray exactly
@@ -181,12 +196,39 @@ def _axis(fan: Fan, up: str, down: str, outer: Sequence[str] = ()):
     """
     up_star, down_star = fan._cones_of_ray.get(up, 0), fan._cones_of_ray.get(down, 0)
     if up_star & down_star or up_star | down_star != (1 << len(fan.max_cones)) - 1:
-        return None
-    if _fibration_functional(fan, up, down, outer) is None:
+        return False
+    return _fibration_functional(fan, up, down, outer) is not None
+
+
+def _axis(fan: Fan, up: str, down: str, outer: Sequence[str] = ()):
+    """Equator ray names and ordered equator cone sets of the axis (up, down), or None.
+
+    None unless _is_axis holds.
+    """
+    if not _is_axis(fan, up, down, outer):
         return None
     axis = {up, down, *outer}
     eq_names = tuple(n for n in fan.ray_names() if n not in axis)
     return eq_names, tuple(dict.fromkeys(cs - axis for cs in fan.cone_sets))
+
+
+def _complementary_pairs(fan: Fan, names: Sequence[str]) -> Iterator[tuple[str, str]]:
+    """The pairs of names, in combinations order, whose stars split the maximal cones.
+
+    Every maximal cone holds exactly one ray of an axis of the fan, and of
+    an axis of an equator over outer (see _is_axis), so each ray's star, as a
+    cone mask, is the complement of its partner's.  One dict from star to
+    rays finds each ray's partners in O(1) instead of testing all pairs.
+    """
+    full = (1 << len(fan.max_cones)) - 1
+    stars = fan._cones_of_ray
+    by_star: dict[int, list[int]] = {}
+    for i, n in enumerate(names):
+        by_star.setdefault(stars[n], []).append(i)
+    for i, x in enumerate(names):
+        for j in by_star.get(full ^ stars[x], ()):
+            if j > i:
+                yield x, names[j]
 
 
 def _designations(
@@ -200,15 +242,16 @@ def _designations(
     equator's) on a tie, and its partner, fixed once the basis cone is
     chosen, is reported as None.
     Bundle equators get one designation per ordered fibration axis of the
-    equator (_axis over axis).  Otherwise a single fully canonical labeling
-    lets callers still classify the fiber as Other.
+    equator (_is_axis over axis, on the complementary pairs only).  Otherwise
+    a single fully canonical labeling lets callers still classify the fiber
+    as Other.
     """
     if _projective_equator(fan):
         pivot = max(support, key=lambda item: (item[1], -fan._order[item[0]]), default=None)
         return [(pivot[0] if pivot else eq_names[0], None)]
     pairs = [
-        (p, q) for x, y in combinations(eq_names, 2)
-        for p, q in ((x, y), (y, x)) if _axis(fan, p, q, axis) is not None
+        (p, q) for x, y in _complementary_pairs(fan, eq_names)
+        for p, q in ((x, y), (y, x)) if _is_axis(fan, p, q, axis)
     ]
     return pairs or [(None, None)]
 
@@ -229,7 +272,35 @@ def _basis_cone(
     return next(cs for cs in cone_sets if pivot in cs)
 
 
-def _splitting(
+@frozen
+class _Candidate:
+    """A splitting decided but not built.
+
+    fan is the validated input fan, and the names are those of the
+    Splitting that _splitting builds from the candidate.  fiber is decided
+    by _fiber_of, and lower_ends are the lower ray's first and last
+    normal-form coordinates: the rows of the pivot and of the upper ray in
+    the cached inverse of the frame cone, applied to the lower ray.  So
+    fiber_type and endpoint_conditions read a candidate as they read its
+    splitting, and _first_deformable decides on candidates alone.
+    """
+
+    fan: Fan
+    upper_names: tuple[str, ...]
+    lower_names: tuple[str, ...]
+    eq_names: tuple[str, ...]
+    eq_cone_sets: tuple[frozenset[str], ...]
+    basis_names: tuple[str, ...]
+    rest_names: tuple[str, ...]
+    fiber: FiberType
+    lower_ends: tuple[int, int]
+
+    @property
+    def dimension(self) -> int:
+        return self.fan.dimension
+
+
+def _candidate(
     fan: Fan,
     up: str,
     down: str,
@@ -237,16 +308,34 @@ def _splitting(
     eq_cone_sets: tuple[frozenset[str], ...],
     basis_names: tuple[str, ...],
     partner: Optional[str],
-) -> Splitting:
-    """The splitting of the axis (up, down) in the frame basis_names + (up,).
+) -> _Candidate:
+    """The candidate of the axis (up, down) in the frame basis_names + (up,).
 
     Its rest_names are the partner, when given, then the other equator
-    rays in input order, and its fiber is decided on fan (_fiber_of).  The
-    one normal-form transform T sends basis_names + (up,) to the standard
-    basis: it is the cached inverse of that maximal cone, its rows put in
-    frame order.  The base fan, both half-fans and the equator are
-    all read off it.  The last coordinate of T v is h(v) for the fibration
-    functional h, since both vanish on the basis and take 1 on up.
+    rays in input order, and its fiber is decided on fan (_fiber_of).
+    """
+    rest_names = tuple(n for n in eq_names if n not in basis_names and n != partner)
+    if partner is not None:
+        rest_names = (partner, *rest_names)
+    rows = fan._inverse_rows(basis_names + (up,))
+    lower = fan.generator(down)
+    return _Candidate(
+        fan, (up,), (down,), eq_names, eq_cone_sets, basis_names, rest_names,
+        _fiber_of(fan, (up, down), basis_names[0], rest_names),
+        (lattice.dot(rows[0], lower), lattice.dot(rows[-1], lower)),
+    )
+
+
+def _splitting(candidate: _Candidate) -> Splitting:
+    """The splitting of a candidate, in its frame.
+
+    The one normal-form transform T sends basis_names + (up,) to the
+    standard basis: it is the cached inverse of that maximal cone, its
+    rows put in frame order.  The base fan, both half-fans and the equator
+    are all read off it.  The last coordinate of T v is h(v) for the
+    fibration functional h, since both vanish on the basis and take 1 on
+    up.  The base fan is the input fan in other coordinates, so it shares
+    the primitive collections and relations the input fan has found.
 
     The equator is not revalidated with make_fan.  Its cones are faces of
     the validated input fan that lie in ker h, and T maps ker h ∩ Z^d onto
@@ -255,34 +344,36 @@ def _splitting(
     a vector with h = 0 in a maximal cone has coefficient 0 on that cone's
     up or down ray, so it lies in an equator cone.
     """
-    rest_names = tuple(n for n in eq_names if n not in basis_names and n != partner)
-    if partner is not None:
-        rest_names = (partner, *rest_names)
-    transform = UnimodularMap(fan._inverse_rows(basis_names + (up,)))
+    fan = candidate.fan
+    (up,), (down,) = candidate.upper_names, candidate.lower_names
+    transform = UnimodularMap(fan._inverse_rows(candidate.basis_names + (up,)))
     new_rays = tuple(Ray(r.name, transform.apply(r.generator)) for r in fan.rays)
     base = Fan(fan.dimension, new_rays, fan.max_cones)
+    _take_complex(base, fan)
     upper_cones = tuple(c for c in fan.max_cones if up in c.ray_names)
     lower_cones = tuple(c for c in fan.max_cones if down in c.ray_names)
     upper = Fan(fan.dimension, tuple(r for r in new_rays if r.name != down), upper_cones)
     lower = Fan(fan.dimension, tuple(r for r in new_rays if r.name != up), lower_cones)
     equator = Fan(
         fan.dimension - 1,
-        tuple(Ray(n, base.generator(n)[:-1]) for n in eq_names),
-        tuple(Cone(fan.sort_names(cs)) for cs in eq_cone_sets),
+        tuple(Ray(n, base.generator(n)[:-1]) for n in candidate.eq_names),
+        tuple(Cone(fan.sort_names(cs)) for cs in candidate.eq_cone_sets),
     )
     split = Splitting(
         fan=base,
         upper=upper,
         lower=lower,
         equator=equator,
-        basis_names=basis_names,
-        rest_names=rest_names,
+        basis_names=candidate.basis_names,
+        rest_names=candidate.rest_names,
         upper_names=(up,),
         lower_names=(down,),
         to_normal_form=transform,
-        fiber=_fiber_of(fan, (up, down), basis_names[0], rest_names),
+        fiber=candidate.fiber,
     )
     _check_invariants(split)
+    if split.lower_ends != candidate.lower_ends:
+        raise InternalError(f"lower ray {down} is not where its candidate put it")
     return split
 
 
@@ -313,33 +404,40 @@ def find_splittings(fan: Fan) -> tuple[Splitting, ...]:
     primitive collection whose other rays span the kernel of an integral
     functional taking +1 on u; each orientation of each such axis yields
     splittings, one per candidate fiber-pair designation
-    (_axis_splittings).  Empty when the fan admits no such fibration.
+    (_axis_candidates).  Empty when the fan admits no such fibration.
     """
     return tuple(_splittings(fan))
 
 
 def _splittings(fan: Fan) -> Iterator[Splitting]:
-    """find_splittings' splittings, in its order, each built when it is reached.
+    """find_splittings' splittings, in its order, each built when it is reached."""
+    return map(_splitting, _candidates(fan))
 
-    Not a generator function, so an incomplete fan raises ValueError at
-    the call, before anything is built.
+
+def _candidates(fan: Fan) -> Iterator[_Candidate]:
+    """The candidates of find_splittings' splittings, in its order, each decided when reached.
+
+    Only the pairs whose stars split the maximal cones (_complementary_pairs)
+    are tested as axes.  Not a generator function, so an incomplete fan
+    raises ValueError at the call, before anything is decided.
     """
     if not is_complete(fan):
         raise ValueError("find_splittings requires a complete fan")
     if fan.dimension < 2:
         return iter(())
     return (
-        split for x, y in combinations(fan.ray_names(), 2)
-        for up, down in ((x, y), (y, x)) for split in _axis_splittings(fan, up, down)
+        candidate for x, y in _complementary_pairs(fan, fan.ray_names())
+        for up, down in ((x, y), (y, x)) for candidate in _axis_candidates(fan, up, down)
     )
 
 
-def _axis_splittings(fan: Fan, up: str, down: str):
-    """find_splittings' splittings on the oriented axis (up, down), built one at a time.
+def _axis_splittings(fan: Fan, up: str, down: str) -> Iterator[Splitting]:
+    """find_splittings' splittings on the oriented axis (up, down), built one at a time."""
+    return map(_splitting, _axis_candidates(fan, up, down))
 
-    The designations are read off the input fan, and each splitting is
-    built once, in the frame it is yielded in.
-    """
+
+def _axis_candidates(fan: Fan, up: str, down: str) -> Iterator[_Candidate]:
+    """The candidates on the oriented axis (up, down), one per designation read off the fan."""
     axis = _axis(fan, up, down)
     if axis is None:
         return
@@ -354,7 +452,7 @@ def _axis_splittings(fan: Fan, up: str, down: str):
         if pivot is None:
             pivot = tau[0]
         basis_names = (pivot, *[n for n in tau if n != pivot])
-        yield _splitting(fan, up, down, eq_names, eq_cone_sets, basis_names, partner)
+        yield _candidate(fan, up, down, eq_names, eq_cone_sets, basis_names, partner)
 
 
 def split_with_frame(
@@ -381,7 +479,7 @@ def split_with_frame(
         raise ValueError(f"{basis} is not an equator cone")
     if partner is not None and (partner not in eq_names or partner in basis):
         raise ValueError(f"partner {partner!r} is not an available equator ray")
-    return _splitting(fan, upper, lower, eq_names, eq_cone_sets, basis, partner)
+    return _splitting(_candidate(fan, upper, lower, eq_names, eq_cone_sets, basis, partner))
 
 
 def fiber_type(split: Splitting) -> FiberType:
@@ -400,8 +498,9 @@ def fiber_type(split: Splitting) -> FiberType:
     v -> v + g(v) * (partner - pivot) is a unimodular involution that
     swaps the pair and fixes every other ray, so it carries each cone of
     the pivot's star onto one of the partner's.  Decided once, when the
-    splitting is built, on the input fan (_fiber_of): the equator's own
-    cone inverses are not computed for it.
+    splitting's candidate is decided, on the input fan (_fiber_of): the
+    equator's own cone inverses are not computed for it.  A candidate is
+    read the same way.
     """
     return split.fiber
 
@@ -413,14 +512,14 @@ def _fiber_of(
 
     Read off the validated input fan: the equator is a projective space
     when the fan has d + 2 rays (_projective_equator), and (pivot, partner)
-    is an axis of the equator when _axis over axis holds on the fan.
+    is an axis of the equator when _is_axis over axis holds on the fan.
     """
     if not rest_names:
         return FiberType(FiberKind.OTHER, None)
     partner = rest_names[0]
     if _projective_equator(fan):
         return FiberType(FiberKind.PROJECTIVE_SPACE, (pivot, partner))
-    if _axis(fan, pivot, partner, axis) is None:
+    if not _is_axis(fan, pivot, partner, axis):
         return FiberType(FiberKind.OTHER, None)
     return FiberType(FiberKind.BUNDLE_OVER_P1, (pivot, partner))
 
@@ -445,9 +544,24 @@ def _prime_name(name: str, taken: set[str]) -> str:
 def shear_lower(split: Splitting, q: Sequence[int]) -> Fan:
     """Shear every lower cone by q and reglue with the upper half-fan.
 
-    Rays that actually move are renamed with a prime.  The union is
-    revalidated globally; a failure surfaces as ResultNotAFan rather than
-    being silently accepted.
+    Rays that actually move are renamed with a prime.  The result is built
+    directly, not through make_fan.  In normal-form coordinates the shear
+    (y, s) -> (y + s*q, s) fixes the hyperplane ker h = {s = 0}, the
+    equator, pointwise, and maps the lower half-space s <= 0 onto itself.
+    So the images of the lower cones, each an equator cone with the lower
+    ray, still tile that half-space and are unimodular, glued to the
+    unchanged upper cones along the same equator cones: the result is
+    smooth and complete.  Only the lower ray moves, to a primitive vector
+    with last coordinate -1 like no other ray.  The completeness
+    certificate still runs, and its failure surfaces as ResultNotAFan.
+
+    The cone complex is unchanged, with the lower ray renamed: the join of
+    the equator's complex with {up, down}.  So the primitive collections
+    are {up, down} and those of the equator, and each relation but that of
+    {up, down} lies in ker h, which the shear fixes.  The result takes the
+    collections and those relations that the split fan has found
+    (fan._take_complex); the relation of {up, down'} is solved when first
+    asked, by one walk.
     """
     d = split.dimension
     q = tuple(int(x) for x in q)
@@ -475,12 +589,14 @@ def shear_lower(split: Splitting, q: Sequence[int]) -> Fan:
             cones.append(cone)
         else:
             cones.append(Cone(tuple(renamed.get(n, n) for n in cone.ray_names)))
+    result = Fan(d, tuple(new_rays), tuple(cones))
     try:
-        result = make_fan(d, new_rays, cones)
+        complete = is_complete(result)
     except FanError as exc:
         raise ResultNotAFan(f"sheared cones do not reglue into a fan: {exc}") from exc
-    if not is_complete(result):
+    if not complete:
         raise ResultNotAFan("sheared union is not complete")
+    _take_complex(result, split.fan, frozenset(split.upper_names + split.lower_names), renamed)
     return result
 
 
@@ -489,34 +605,35 @@ def endpoint_conditions(split: Splitting, k: int) -> ConditionsReport:
 
     The lower ray c must satisfy k*c_d + c_1 >= 0.  The fibration functional
     vanishes off the axis, so the splitting has exactly one upper and one
-    lower ray, and no condition falls on the upper side.
+    lower ray, and no condition falls on the upper side.  A candidate
+    (_Candidate) is read the same way, off its lower_ends.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     d = split.dimension
     name = split.lower_names[0]
-    g = split.fan.generator(name)
-    value = k * g[d - 1] + g[0]
+    first, last = split.lower_ends
+    value = k * last + first
     if value < 0:
-        violation = f"{k}*{name}[{d}] + {name}[1] = {k}*({g[d - 1]}) + ({g[0]}) = {value} < 0"
+        violation = f"{k}*{name}[{d}] + {name}[1] = {k}*({last}) + ({first}) = {value} < 0"
         return ConditionsReport(False, (violation,))
     return ConditionsReport(True, ())
 
 
 def _first_deformable(
-    splittings: Iterable[Splitting], k: int
-) -> Optional[tuple[int, Splitting]]:
-    """(index, splitting) of the first splitting deformable with parameter k, or None.
+    items: Iterable[Splitting | _Candidate], k: int
+) -> Optional[tuple[int, Splitting | _Candidate]]:
+    """(index, item) of the first splitting or candidate deformable with parameter k, or None.
 
     Deformable means its fiber is not Other and its conditions hold for k.
-    The splittings are drawn one at a time, and none after that one is
-    drawn.
+    The items are drawn one at a time, and none after that one is drawn.
+    On candidates (_candidates) it builds no splitting.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    for i, split in enumerate(splittings):
-        if fiber_type(split).kind is not FiberKind.OTHER and endpoint_conditions(split, k):
-            return i, split
+    for i, item in enumerate(items):
+        if fiber_type(item).kind is not FiberKind.OTHER and endpoint_conditions(item, k):
+            return i, item
     return None
 
 

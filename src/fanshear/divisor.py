@@ -9,6 +9,7 @@ fixed basis obtained by deterministic integer row reduction.
 from __future__ import annotations
 
 import enum
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -115,24 +116,23 @@ def nef_ample_status(fan: Fan, divisor: Mapping[str, int]) -> NefAmpleStatus:
     For each maximal cone the unique linear functional agreeing with the
     divisor on the cone's rays is compared with the divisor's coefficient
     on all remaining rays: ample means strictly dominated everywhere,
-    nef allows equalities.
+    nef allows equalities.  The scan runs over ray indices, with the
+    cached cone inverses.
     """
     _require_complete(fan, "nef_ample_status")
-    if set(divisor) != set(fan.ray_names()):
+    if set(divisor) != fan._order.keys():
         raise ValueError("divisor coefficients must cover exactly the fan's rays")
+    coeffs = [divisor[r.name] for r in fan.rays]
+    gens = [r.generator for r in fan.rays]
     saw_equality = False
-    for cone, inv in zip(fan.max_cones, fan._inverses):
-        names = cone.ray_names
-        coeffs = [-divisor[n] for n in names]
-        # functional m with <m, ray_i> = -coeff_i: m = coeffs @ inv
-        m = tuple(
-            sum(coeffs[t] * inv[t][j] for t in range(fan.dimension))
-            for j in range(fan.dimension)
-        )
-        for name in fan.ray_names():
-            if name in names:
+    for rays, inv in zip(fan._cone_rays, fan._inverses):
+        # functional m with <m, ray_i> = -coeff_i: m = -(coeffs on the cone) @ inv
+        on_cone = [coeffs[r] for r in rays]
+        m = [-sum(map(mul, column, on_cone)) for column in zip(*inv)]
+        for i, (g, c) in enumerate(zip(gens, coeffs)):
+            if i in rays:
                 continue
-            slack = lattice.dot(m, fan.generator(name)) + divisor[name]
+            slack = sum(map(mul, m, g)) + c
             if slack < 0:
                 return NefAmpleStatus.NOT_NEF
             if slack == 0:

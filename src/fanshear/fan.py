@@ -6,12 +6,15 @@ constructor; everything downstream may assume its invariants (primitive
 rays, unimodular cones, pairwise intersection in a common face, no
 dangling rays).  A fan whose invariants follow from how it is made is
 built directly, with no make_fan: a splitting's fans, read off a
-validated fan, and a bundle fan, smooth and complete in closed form
-(scroll.bundle_fan); make_fan of their rays and cones is the tests'
-oracle.  Every fan keeps one table of cone inverses by cone index,
-filled when first read: one row reduction inverts a cone and pivots
-across facets invert the cones it reaches.  Cone coordinates, the certificate, relations, splittings, axis
-tests and frame searches all read it.  A complete fan is accepted in
+validated fan, a sheared endpoint (deform.shear_lower), and a bundle
+fan, smooth and complete in closed form (scroll.bundle_fan); make_fan of
+their rays and cones is the tests' oracle.  A fan built from another
+with the same cone complex takes the primitive collections and relations
+that one has found (_take_complex).  Every fan keeps one table of cone
+inverses by cone index, filled when first read: one row reduction
+inverts a cone and pivots across facets invert the cones it reaches.
+Cone coordinates, the certificate, relations, splittings, axis tests and
+frame searches all read it.  A complete fan is accepted in
 O(C*d) by a certificate: its facets pair up on opposite sides and one
 point is covered once.  On a valid fan that certificate is also the
 completeness test.  Any other input, half-fans included, falls back to a
@@ -41,7 +44,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, islice, repeat
 from operator import mul, sub
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import lattice
 from ._record import frozen
@@ -510,6 +513,31 @@ def primitive_relation(fan: Fan, collection: Iterable[str]) -> PrimitiveRelation
 
 def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     return tuple(_relation(fan, fs) for fs in fan._collections)
+
+
+def _take_complex(
+    fan: Fan, source: Fan, axis: frozenset[str] = frozenset(), renamed: Mapping[str, str] = {}
+) -> None:
+    """Give fan the primitive collections and relations that source has found so far.
+
+    fan must have source's rays in source's order and source's cones, with
+    the rays in renamed renamed, so its collections are source's renamed,
+    in the same order.  Each relation of source whose collection misses
+    axis must hold in fan as it stands.  With no axis and no renaming, fan
+    is source in other coordinates and shares source's relation cache, so
+    a relation either one solves serves both.  What source has not found
+    is computed on fan when first asked, as on any fan.
+    """
+    found = source.__dict__  # the cached_property values source has filled
+    if "_collections" in found:
+        fan.__dict__["_collections"] = found["_collections"] if not renamed else tuple(
+            frozenset(renamed.get(n, n) for n in c) for c in found["_collections"]
+        )
+    relations = found.get("_relations")
+    if relations is not None:
+        fan.__dict__["_relations"] = relations if not axis else {
+            fs: rel for fs, rel in relations.items() if not fs & axis
+        }
 
 
 def _is_collection(fan: Fan, names: frozenset[str]) -> bool:

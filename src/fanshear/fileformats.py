@@ -51,6 +51,7 @@ def parse_fan(text: str) -> Fan:
     """Parse a fan file and validate it with make_fan."""
     dimension = None
     rays: list[tuple[str, tuple[int, ...]]] = []
+    known: set[str] = set()  # the ray names read so far
     cones: list[tuple[str, ...]] = []
     for lineno, line in _content_lines(text):
         parts = line.split()
@@ -71,13 +72,13 @@ def parse_fan(text: str) -> Fan:
                     f"ray needs a name and {dimension} integers", lineno
                 )
             name = parts[1]
-            if any(name == r[0] for r in rays):
+            if name in known:
                 raise ParseError(f"duplicate ray name {name!r}", lineno)
             rays.append((name, tuple(_parse_int(t, lineno) for t in parts[2:])))
+            known.add(name)
         elif keyword == "cone":
             if len(parts) < 2:
                 raise ParseError("cone needs at least one ray name", lineno)
-            known = {r[0] for r in rays}
             for n in parts[1:]:
                 if n not in known:
                     raise ParseError(f"cone references unknown ray {n!r}", lineno)

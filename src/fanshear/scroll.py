@@ -16,8 +16,9 @@ one-parameter deformations.  reduce_step does the shear and is the oracle
 of the reduction formula (_renormalized), which deformation_chain follows
 in O(d) per step without building a fan; a chain builds its bundle fans
 when its fans attribute is first read.  A descent's length has a closed
-form (_descent_length), so a chain whose descents take more than
-CHAIN_CAP steps is refused before it is walked.  Nothing is kept between calls.
+form (_descent_length), so a chain walks only its own steps, and one that
+takes more than CHAIN_CAP steps is refused before it passes the cap.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -209,32 +210,47 @@ class DeformationChain:
 def deformation_chain(start: BundleSpec, end: BundleSpec) -> Optional[DeformationChain]:
     """A chain of bundles linked by single reduction steps, or None.
 
-    Exists exactly when the twist sums agree mod d: start is reduced to its
-    normal form (all twists 0 or 1, determined by the sum mod d), end is
-    reduced until it meets that descent, and the chain runs down the first
-    descent to the meeting spec and back up the second.  Both descents
-    follow the reduction formula, so no fan is built here: the chain's
-    fans are built when its fans attribute is first read.  ValueError,
-    before any step, when the two descents together take more than
-    CHAIN_CAP steps (_descent_length).
+    Exists exactly when the twist sums agree mod d: both reduce to the same
+    normal form (all twists 0 or 1, determined by the sum mod d), and the
+    chain runs down start's descent to the first spec it shares with end's
+    and back up end's.  A step lowers a descent's length (_descent_length)
+    by exactly one, so a shared spec lies at the same length on both: the
+    longer descent is walked down to the shorter's length, then both are
+    stepped together until they meet.  Only the chain's own steps are
+    taken, by the reduction formula, and no fan is built here: the chain's
+    fans are built when its fans attribute is first read.  ValueError when
+    the chain takes more than CHAIN_CAP steps: before any step when the two
+    lengths differ by more, and otherwise as soon as the walk would pass it.
     """
     if start.dimension != end.dimension:
         raise DimensionMismatch("bundle specs of different dimensions")
     start, end = start.sorted(), end.sorted()
     if (sum(start.twists) - sum(end.twists)) % start.dimension != 0:
         return None
-    steps = _descent_length(start) + _descent_length(end)
+    start_length, end_length = _descent_length(start), _descent_length(end)
+    steps = abs(start_length - end_length)
     if steps > CHAIN_CAP:
-        raise ValueError(
-            f"the chain's descents take {steps} reduction steps, more than the cap of {CHAIN_CAP}"
-        )
-    down = [start]
-    while max(down[-1].twists) >= 2:
-        down.append(_renormalized(down[-1]))
-    meets = {spec: i for i, spec in enumerate(down)}
-    up = [end]
-    while up[-1] not in meets:
-        if max(up[-1].twists) < 2:
+        # with a normal form at the short end, the chain is the long descent
+        _refuse(steps, exact=min(start_length, end_length) == 0)
+    down, up = [start], [end]
+    longer = down if start_length > end_length else up
+    for _ in range(steps):
+        longer.append(_renormalized(longer[-1]))
+    while down[-1] != up[-1]:
+        if max(down[-1].twists) < 2:
             raise InternalError("congruent twist sums reached different normal forms")
+        steps += 2
+        if steps > CHAIN_CAP:
+            _refuse(steps, exact=False)
+        down.append(_renormalized(down[-1]))
         up.append(_renormalized(up[-1]))
-    return DeformationChain((*down[: meets[up[-1]] + 1], *up[-2::-1]))
+    return DeformationChain((*down, *up[-2::-1]))
+
+
+def _refuse(steps: int, exact: bool) -> None:
+    """Raise the ValueError of a chain that takes steps reduction steps, or at least that many."""
+    bound = "" if exact else "at least "
+    raise ValueError(
+        f"the chain's descents take {bound}{steps} reduction steps, "
+        f"more than the cap of {CHAIN_CAP}"
+    )

@@ -25,6 +25,8 @@ fiber-pair designations read off the equator of a splitting in the
 support cone's frame rather than off the input fan, and a reduction
 step's splitting is picked out of that full list.  Primed names are
 recomputed with a regular expression for the leading ASCII letters.
+Chains are recomputed by walking start's whole descent.  The nef test is
+recomputed by names, and the axes by testing every ordered pair of rays.
 """
 
 import random
@@ -38,7 +40,7 @@ import pytest
 from fanshear import builtin, bundle_fan, lattice
 from fanshear import deform
 from fanshear.deform import FiberKind, FiberType, endpoint, fiber_type, find_splittings
-from fanshear.divisor import class_group
+from fanshear.divisor import NefAmpleStatus, class_group
 from fanshear.errors import BadFaceStructure
 from fanshear.fan import (
     Ray,
@@ -50,7 +52,7 @@ from fanshear.fan import (
     primitive_relation,
 )
 from fanshear.lattice import UnimodularMap, change_of_basis, shear_map
-from fanshear.scroll import BundleSpec, bundle_presentation
+from fanshear.scroll import BundleSpec, DeformationChain, _renormalized, bundle_presentation
 
 
 def fraction_rank(rows):
@@ -477,9 +479,9 @@ def find_splittings_in_one_pass(fan):
             relation = primitive_relation(fan, collection)
             support_names = frozenset(n for n, _ in relation.support)
             support_cone = deform._basis_cone(eq_cone_sets, None, support_names)
-            equator = deform._splitting(
+            equator = deform._splitting(deform._candidate(
                 fan, up, down, eq_names, eq_cone_sets, fan.sort_names(support_cone), None
-            ).equator
+            )).equator
             if len(equator.rays) == equator.dimension + 1:
                 first_ray = (equator.rays[0].name, 0)
                 pivot = max(relation.support,
@@ -497,9 +499,9 @@ def find_splittings_in_one_pass(fan):
                 if partner in tau:
                     continue
                 basis_names = (pivot, *[n for n in fan.sort_names(tau) if n != pivot])
-                split = deform._splitting(
+                split = deform._splitting(deform._candidate(
                     fan, up, down, eq_names, eq_cone_sets, basis_names, partner
-                )
+                ))
                 rest = [n for n in eq_names if n not in tau and n != partner]
                 assert split.rest_names == (*([partner] if partner else []), *rest)
                 out.append(split)
@@ -533,6 +535,59 @@ def reduce_step_by_search(spec):
         if s.upper_names == ("b1",) and s.lower_names == ("c1",)
     )
     return split, endpoint(split, 1)
+
+
+def chain_by_full_descent(start, end):
+    """deformation_chain by walking start's whole descent, then end's until it meets it.
+
+    With no cap: the chain runs down start's descent to the first spec of
+    end's descent on it, then back up end's.
+    """
+    start, end = start.sorted(), end.sorted()
+    if (sum(start.twists) - sum(end.twists)) % start.dimension:
+        return None
+    down = [start]
+    while max(down[-1].twists) >= 2:
+        down.append(_renormalized(down[-1]))
+    up = [end]
+    while up[-1] not in down:
+        up.append(_renormalized(up[-1]))
+    return DeformationChain((*down[: down.index(up[-1]) + 1], *up[-2::-1]))
+
+
+def nef_ample_status_by_names(fan, divisor):
+    """nef_ample_status by names: per cone, the functional agreeing with the
+    divisor on its rays is compared, ray name by ray name, with the divisor
+    on every ray the cone does not hold."""
+    saw_equality = False
+    for cone, inv in zip(fan.max_cones, fan._inverses):
+        names = cone.ray_names
+        coeffs = [-divisor[n] for n in names]
+        m = tuple(
+            sum(coeffs[t] * inv[t][j] for t in range(fan.dimension))
+            for j in range(fan.dimension)
+        )
+        for name in fan.ray_names():
+            if name in names:
+                continue
+            slack = lattice.dot(m, fan.generator(name)) + divisor[name]
+            if slack < 0:
+                return NefAmpleStatus.NOT_NEF
+            if slack == 0:
+                saw_equality = True
+    return NefAmpleStatus.NEF_NOT_AMPLE if saw_equality else NefAmpleStatus.AMPLE
+
+
+def axes_by_pair_scan(fan, names, outer=()):
+    """The oriented axes (up, down) among names, by _axis on every ordered pair.
+
+    In the order of combinations(names, 2), each pair's two orientations in
+    turn; with outer an axis of the fan, the axes of its equator.
+    """
+    return [
+        (up, down) for x, y in combinations(names, 2)
+        for up, down in ((x, y), (y, x)) if deform._axis(fan, up, down, outer) is not None
+    ]
 
 
 def support_functional(fan, cone, divisor):

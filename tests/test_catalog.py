@@ -14,23 +14,41 @@ from fanshear.fileformats import parse_fan, serialize_fan
 
 
 SPLITTINGS_BUILT_BY_VERIFY = {
-    "X3_0": 1, "W4_1": 1, "W4_2": 5, "W4_3": 5, "W4_4": 1,
+    "X3_0": 1, "W4_1": 1, "W4_2": 1, "W4_3": 1, "W4_4": 1,
     "W4_5": 1, "W4_6": 1, "W4_7": 1, "W4_8": 1, "W4_9": 1,
 }
+CANDIDATES_DECIDED_BY_VERIFY = {**SPLITTINGS_BUILT_BY_VERIFY, "W4_2": 5, "W4_3": 5}
 
 
-def test_verify_builds_splittings_only_up_to_the_first_deformable(capsys, built_splittings):
+@pytest.fixture
+def decided_candidates(monkeypatch):
+    """The candidates deform._candidate returns, in order."""
+    decided = []
+    real = deform._candidate
+    monkeypatch.setattr(deform, "_candidate", lambda *a: decided.append(real(*a)) or decided[-1])
+    return decided
+
+
+def test_verify_builds_splittings_only_up_to_the_first_deformable(
+    capsys, built_splittings, decided_candidates
+):
     # find_splittings builds 56 on the ten entries (12 each on W4_2 and
-    # W4_3); verification stops at the splitting it deforms
-    counts = {}
+    # W4_3); verification decides candidates up to the first deformable one
+    # and builds only its splitting, the one it deforms
+    built, decided = {}, {}
     for name in names():
         built_splittings.clear()
+        decided_candidates.clear()
         assert main(["catalog", "verify", name]) == 0
-        counts[name] = len(built_splittings)
-    assert counts == SPLITTINGS_BUILT_BY_VERIFY
+        built[name], decided[name] = len(built_splittings), len(decided_candidates)
+        assert built_splittings == [(decided_candidates[-1],)], name
+    assert built == SPLITTINGS_BUILT_BY_VERIFY
+    assert decided == CANDIDATES_DECIDED_BY_VERIFY
     built_splittings.clear()
+    decided_candidates.clear()
     assert main(["catalog", "verify", "all"]) == 0
-    assert len(built_splittings) == sum(SPLITTINGS_BUILT_BY_VERIFY.values()) == 18
+    assert len(built_splittings) == sum(SPLITTINGS_BUILT_BY_VERIFY.values()) == 10
+    assert len(decided_candidates) == sum(CANDIDATES_DECIDED_BY_VERIFY.values()) == 18
 
 
 def test_find_splittings_builds_only_the_splittings_it_returns(built_splittings):
@@ -55,19 +73,34 @@ def test_verify_all_fills_one_inverse_table_per_fan_it_reads(capsys, monkeypatch
 
 
 def test_verify_runs_at_most_two_collection_searches_per_entry(capsys, monkeypatch):
-    # the catalog's collections against the fan's, and the endpoint's relations
-    runs = []
-    real = fan_module._minimal_transversals
+    # one: the catalog's collections against the fan's; the endpoint takes
+    # the fan's collections, and all its relations but one, from the fan
+    runs, validated = [], []
+    real, real_make = fan_module._minimal_transversals, fan_module.make_fan
     monkeypatch.setattr(
         fan_module, "_minimal_transversals", lambda fan: runs.append(fan) or real(fan)
     )
+    monkeypatch.setattr(fan_module, "make_fan", lambda *a: validated.append(a) or real_make(*a))
     for name in names():
         runs.clear()
+        validated.clear()
         assert main(["catalog", "verify", name]) == 0
-        assert len(runs) <= 2, name
+        # the fan reconstructed from the entry's relations, and not its endpoint
+        assert len(runs) == len(validated) == 1, name
     runs.clear()
+    validated.clear()
     assert main(["catalog", "verify", "all"]) == 0
-    assert len(runs) <= 2 * len(names())
+    assert len(runs) == len(validated) == len(names()) == 10
+
+
+def test_verify_all_tests_few_axes(capsys, monkeypatch):
+    # only the ray pairs whose stars split the maximal cones are tested as
+    # axes, of the fan and of each equator (1092 tests over every ordered pair)
+    tested = []
+    real = deform._is_axis
+    monkeypatch.setattr(deform, "_is_axis", lambda *a: tested.append(a) or real(*a))
+    assert main(["catalog", "verify", "all"]) == 0
+    assert len(tested) <= 120
 
 
 def test_fixed_names():
@@ -191,17 +224,26 @@ def test_verify_checks_the_expected_endpoint_fano_status():
     assert [s.name for s in report.stages if not s.ok] == ["endpoint_fano"]
 
 
-def test_verify_all_classifies_each_splitting_once(monkeypatch, capsys, built_splittings):
+def test_verify_all_classifies_each_splitting_once(
+    monkeypatch, capsys, built_splittings, decided_candidates
+):
     asked, computed = [], []
     real_ask, real_compute = deform.fiber_type, deform._fiber_of
     monkeypatch.setattr(deform, "fiber_type", lambda s: asked.append(s) or real_ask(s))
     monkeypatch.setattr(deform, "_fiber_of", lambda *a: computed.append(a) or real_compute(*a))
     assert main(["catalog", "verify", "all"]) == 0
     capsys.readouterr()
-    # each built splitting is classified once, as it is built, and every one
-    # is asked; asked holds the splittings, so no id below is reused
-    assert len(computed) == len(built_splittings) == len({id(s) for s in asked}) == 18
-    assert len(asked) > len(computed)  # endpoint asks again and reads the field
+    # each candidate is classified once, as it is decided, and every one is
+    # asked; asked holds the candidates and splittings, so no id is reused
+    candidates = [s for s in asked if isinstance(s, deform._Candidate)]
+    assert len(computed) == len(decided_candidates) == len({id(s) for s in candidates}) == 18
+    splittings = {id(s): s for s in asked if isinstance(s, deform.Splitting)}.values()
+    assert len(built_splittings) == len(splittings) == 10
+    # each built splitting carries its candidate's answer
+    assert all(
+        split.fiber is candidate.fiber
+        for (candidate,), split in zip(built_splittings, splittings, strict=True)
+    )
     assert all(real_ask(s) is s.fiber for s in asked)
 
 

@@ -234,12 +234,14 @@ def test_deform_builds_splittings_only_up_to_the_one_it_deforms(
     built_splittings.clear()
     status, out = run(capsys, "deform", path, "--k", "1", "--out", str(tmp_path / "o.fan"))
     assert status == 0 and f"splitting: {first}" in out.splitlines()
-    # 12 splittings, each built once by the full search
-    assert 0 < first < len(splittings) - 1 and len(built_splittings) == 5
+    # 12 splittings, each built once by the full search; the command decides
+    # candidates up to the first deformable one and builds only its splitting
+    assert 0 < first < len(splittings) - 1 and len(built_splittings) == 1
+    assert deform._splitting(*built_splittings[0]) == splittings[first]
     built_splittings.clear()
     status, out = run(capsys, "deform", path, "--k", "1", "--splitting", "2",
                       "--out", str(tmp_path / "o.fan"))
-    assert status == 1 and len(built_splittings) == 3
+    assert status == 1 and built_splittings == []
     assert [line.split(":")[1] for line in out.splitlines() if line.startswith("violation")] == [
         " splitting 2"
     ]
@@ -252,7 +254,8 @@ def test_deform_lists_every_violation_when_no_splitting_is_deformable(
     status, out = run(capsys, "deform", path, "--k", "9", "--out", str(tmp_path / "o.fan"))
     assert status == 1
     violated = {line.split(":")[1] for line in out.splitlines() if line.startswith("violation")}
-    assert violated == {f" splitting {i}" for i in range(4)} and len(built_splittings) == 4
+    # the violations are read off the candidates: no splitting is built
+    assert violated == {f" splitting {i}" for i in range(4)} and built_splittings == []
 
 
 @pytest.mark.parametrize("argv,flag,value", [

@@ -6,14 +6,17 @@ insertions generate a supply of irregular fans for cross-checking the
 validators, the two Fano criteria, and the shear machinery.
 """
 
+import functools
 import random
 import time
 from collections import Counter
 from itertools import combinations, islice, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    axes_by_pair_scan,
     brute_collections,
     candidate_cones_by_combinations,
     carries_cones,
@@ -21,10 +24,12 @@ from conftest import (
     check_splittings_against_oracles,
     direction_in_fan,
     face_walk_collections,
+    catalog_names,
     fan_isomorphism_by_frames,
     fiber_type_on_equator,
     find_splittings_in_one_pass,
     fourier_motzkin_calls,
+    nef_ample_status_by_names,
     pairwise_glued,
     relabelled_image,
     solve_fibration_functional,
@@ -37,19 +42,25 @@ from fanshear import fan as fan_module
 from fanshear.deform import (
     FiberKind,
     _axis,
+    _candidates,
+    _complementary_pairs,
     _fibration_functional,
     _first_deformable,
+    _is_axis,
+    _splitting,
     _splittings,
     endpoint,
     endpoint_conditions,
     fiber_type,
     find_splittings,
+    shear_lower,
     split_with_frame,
     star_equivalent,
 )
 from fanshear.divisor import NefAmpleStatus, anticanonical, nef_ample_status
 from fanshear.errors import UnderdeterminedRelations
 from fanshear.fan import (
+    Fan,
     FormalRelation,
     _candidate_cones,
     _ray_colours,
@@ -366,15 +377,22 @@ def test_equator_axes_read_off_the_input_fan_match_the_equator(corpus):
     assert (pairs, axes) == (22836, 308)
 
 
+def corpus_and_random_fans(corpus):
+    """The 126 fans of the differential tests: the corpus, the plane fans and
+    both kinds of subdivision of every SUBDIVIDED_CASES entry."""
+    fans = [*corpus.values(), *(random_plane_fan(seed, n) for seed, n in PLANE_CASES)]
+    for seed, name, insertions in SUBDIVIDED_CASES:
+        fans += [random_subdivided_fan(seed, name, insertions),
+                 random_face_subdivided_fan(seed, name, insertions)]
+    return fans
+
+
 def test_carried_fiber_types_match_the_equator_oracle(corpus):
     # the fiber type a splitting carries, decided on the input fan, against
     # the axis test on its built equator: every find_splittings splitting, and
     # split_with_frame on every oriented axis, every equator cone with each of
     # its rays as pivot, and each available partner or none
-    fans = [*corpus.values(), *(random_plane_fan(seed, n) for seed, n in PLANE_CASES)]
-    for seed, name, insertions in SUBDIVIDED_CASES:
-        fans += [random_subdivided_fan(seed, name, insertions),
-                 random_face_subdivided_fan(seed, name, insertions)]
+    fans = corpus_and_random_fans(corpus)
     found, framed, kinds = 0, 0, Counter()
     for fan in fans:
         splittings = find_splittings(fan)
@@ -417,12 +435,8 @@ def test_star_equivalence_matches_frame_oracle_on_equators(corpus):
 
 def test_the_lazy_search_stops_at_the_first_deformable_splitting(corpus):
     # every catalog and bundle fan, plane fans and both kinds of subdivision
-    fans = [*corpus.values(), *(random_plane_fan(seed, n) for seed, n in PLANE_CASES)]
-    for seed, name, insertions in SUBDIVIDED_CASES:
-        fans += [random_subdivided_fan(seed, name, insertions),
-                 random_face_subdivided_fan(seed, name, insertions)]
     chosen = set()
-    for fan in fans:
+    for fan in corpus_and_random_fans(corpus):
         splittings = find_splittings(fan)
         for k in (0, 1, 2):
             first = next((
@@ -432,6 +446,121 @@ def test_the_lazy_search_stops_at_the_first_deformable_splitting(corpus):
             assert _first_deformable(_splittings(fan), k) == first
             chosen.add(first and first[0])
     assert {None, 0} < chosen  # some fans have no deformable splitting, some skip one
+
+
+def test_candidates_decide_as_the_splittings_built_from_them(corpus):
+    # the fiber and the conditions read off a candidate, before any splitting
+    # is built, against those of its splitting and the equator oracle
+    decided = 0
+    for fan in corpus_and_random_fans(corpus):
+        for candidate in _candidates(fan):
+            split = _splitting(candidate)
+            assert fiber_type(candidate) == fiber_type(split) == fiber_type_on_equator(split)
+            for k in (0, 1, 2, 5):
+                assert endpoint_conditions(candidate, k) == endpoint_conditions(split, k)
+            decided += 1
+    assert decided == 262
+
+
+def test_complementary_stars_find_the_axes_of_the_pair_scan(corpus):
+    # the axes of each fan, and of each of its equators, against _axis on
+    # every ordered pair of rays
+    axes = equator_axes = 0
+    for fan in corpus_and_random_fans(corpus):
+        names, stars = fan.ray_names(), fan._cones_of_ray
+        full = (1 << len(fan.max_cones)) - 1
+        assert list(_complementary_pairs(fan, names)) == [
+            (x, y) for x, y in combinations(names, 2)
+            if not stars[x] & stars[y] and stars[x] | stars[y] == full
+        ]
+        found = [
+            (up, down) for x, y in _complementary_pairs(fan, names)
+            for up, down in ((x, y), (y, x)) if _axis(fan, up, down) is not None
+        ]
+        assert found == axes_by_pair_scan(fan, names)
+        axes += len(found)
+        for up, down in found:
+            eq_names, _ = _axis(fan, up, down)
+            on_equator = [
+                (p, q) for x, y in _complementary_pairs(fan, eq_names)
+                for p, q in ((x, y), (y, x)) if _is_axis(fan, p, q, (up, down))
+            ]
+            assert on_equator == axes_by_pair_scan(fan, eq_names, (up, down))
+            equator_axes += len(on_equator)
+    assert (axes, equator_axes) == (216, 164)
+
+
+def shear_vector(split, k):
+    """endpoint's shear vector for k; with no partner, its coordinates count as 0."""
+    partner = split.fan.generator(split.partner_name) if split.partner_name else (0,) * split.dimension
+    return (2 * k, *(-k * partner[j] for j in range(1, split.dimension - 1)))
+
+
+def test_sheared_fans_are_make_fans_with_the_complex_found_afresh(corpus, monkeypatch):
+    # every splitting, k = 0, 1, 2: the directly built fan is make_fan's, and
+    # its collections and relations are those MMCS and the walks find on a
+    # copy that has found nothing; the endpoint of a fan whose relations are
+    # known solves one relation, that of the axis
+    walks = []
+    real_walk = fan_module._walk_to_sum
+    monkeypatch.setattr(
+        fan_module, "_walk_to_sum", lambda f, members, total: walks.append(
+            frozenset(f.rays[i].name for i in members)
+        ) or real_walk(f, members, total)
+    )
+    sheared = inherited = 0
+    for fan in corpus_and_random_fans(corpus):
+        unread = Fan(fan.dimension, fan.rays, fan.max_cones)  # nothing found yet
+        relations = primitive_relations(fan)
+        for source in (fan, unread):
+            for split in find_splittings(source):
+                up, down = split.upper_names[0], split.lower_names[0]
+                for k in (0, 1, 2):
+                    end = shear_lower(split, shear_vector(split, k))
+                    assert make_fan(end.dimension, end.rays, end.max_cones) == end
+                    if source is fan:
+                        assert len(end.__dict__["_relations"]) == len(relations) - 1
+                        walks.clear()
+                    fresh = Fan(end.dimension, end.rays, end.max_cones)
+                    got = primitive_relations(end), primitive_collections(end)
+                    if source is fan:
+                        assert walks == [{up, end.rays[fan._order[down]].name}]
+                        inherited += 1
+                    assert got == (primitive_relations(fresh), primitive_collections(fresh))
+                    sheared += 1
+    assert (sheared, inherited) == (1572, 786)
+
+
+@functools.cache
+def nef_fans():
+    """The catalog fans, plane fans and star subdivisions."""
+    return (
+        [builtin(name) for name in catalog_names()]
+        + [random_plane_fan(seed, n) for seed, n in PLANE_CASES]
+        + [random_subdivided_fan(*case) for case in SUBDIVIDED_CASES]
+    )
+
+
+@settings(max_examples=300, deadline=2000)
+@given(st.data())
+def test_nef_index_scan_matches_the_scan_by_names(data):
+    # a random divisor, or the anticanonical one, plus a random principal
+    # divisor, which keeps the status
+    fans = nef_fans()
+    fan = fans[data.draw(st.integers(0, len(fans) - 1))]
+    if data.draw(st.booleans()):
+        base = {n: data.draw(st.integers(-3, 3)) for n in fan.ray_names()}
+    else:
+        base = anticanonical(fan)
+    m = [data.draw(st.integers(-2, 2)) for _ in range(fan.dimension)]
+    divisor = {n: c + lattice.dot(m, fan.generator(n)) for n, c in base.items()}
+    assert nef_ample_status(fan, divisor) == nef_ample_status_by_names(fan, divisor)
+
+
+def test_nef_fans_have_anticanonical_divisors_of_every_status():
+    # so the anticanonical draws above, whose status a principal divisor
+    # keeps, reach all three statuses
+    assert {nef_ample_status(fan, anticanonical(fan)) for fan in nef_fans()} == set(NefAmpleStatus)
 
 
 @pytest.mark.parametrize("seed,insertions", PLANE_CASES[:8])

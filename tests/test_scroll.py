@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from conftest import bundle_specs_for_reduction, reduce_step_by_search
+from conftest import bundle_specs_for_reduction, chain_by_full_descent, reduce_step_by_search
 
 from fanshear.deform import endpoint_conditions, find_splittings
 from fanshear.errors import DimensionMismatch, PreconditionViolated
@@ -207,7 +207,7 @@ def test_d7_chain_writes_its_fans_without_validating_them(monkeypatch, tmp_path)
         module for name, module in sys.modules.items()
         if name.partition(".")[0] == "fanshear" and getattr(module, "make_fan", None) is real_make
     ]
-    assert {fan_module, deform, fileformats} < set(importers)
+    assert {fan_module, fileformats} < set(importers)
     for module in importers:
         monkeypatch.setattr(
             module, "make_fan", lambda *a: validated.append(a) or real_make(*a)
@@ -311,9 +311,18 @@ def test_chain_walks_up_to_the_cap_and_refuses_past_it(monkeypatch):
     steps.clear()
     with pytest.raises(ValueError, match=f"take {cap + 1} reduction steps, more than the cap of {cap}"):
         deformation_chain(BundleSpec((2 * cap + 2,)), BundleSpec((0,)))
-    with pytest.raises(ValueError, match=f"the cap of {cap}"):
-        deformation_chain(BundleSpec((2 * cap,)), BundleSpec((2,)))
     assert steps == []
+    # (2,) lies on the descent of (2 * CHAIN_CAP,), cap - 1 steps down: only
+    # those steps are walked
+    chain = deformation_chain(BundleSpec((2 * cap,)), BundleSpec((2,)))
+    assert len(chain.specs) == cap and len(steps) == cap - 1
+    steps.clear()
+    # lengths 10000 and 5000, so 5000 steps bring them level; the descents then
+    # meet only after more than the cap, which the walk stops at
+    with pytest.raises(ValueError, match=f"take at least {cap + 2} reduction steps, "
+                                         f"more than the cap of {cap}"):
+        deformation_chain(BundleSpec((15000, 0)), BundleSpec((7500, 7500)))
+    assert len(steps) == cap
 
 
 def test_a_twelve_digit_twist_exits_two_without_a_step(monkeypatch, capsys):
@@ -327,6 +336,35 @@ def test_a_twelve_digit_twist_exits_two_without_a_step(monkeypatch, capsys):
         f"more than the cap of {scroll.CHAIN_CAP}"
     )
     assert steps == []
+
+
+def test_a_chain_between_equal_large_twists_takes_no_step(monkeypatch, capsys):
+    # each twist's descent takes 20000 steps, but the chain takes none
+    steps = []
+    real = scroll._renormalized
+    monkeypatch.setattr(scroll, "_renormalized", lambda spec: steps.append(spec) or real(spec))
+    status = main(["chain", "--dim", "3", "--from", "30000,0", "--to", "30000,0"])
+    assert status == 0 and "steps: 0" in capsys.readouterr().out.splitlines()
+    assert steps == []
+
+
+def test_chains_match_the_full_descent_oracle():
+    # every congruent pair of descending twist vectors with entries <= 6 at
+    # d = 2..4, pairs far down one long descent, and long descents that meet late
+    specs = [
+        BundleSpec(twists) for d in (2, 3, 4)
+        for twists in combinations_with_replacement(range(6, -1, -1), d - 1)
+    ]
+    pairs = [(a, b) for a in specs for b in specs if a.dimension == b.dimension]
+    long_descent = chain_by_full_descent(BundleSpec((90, 0)), BundleSpec((0, 0))).specs
+    pairs += [(long_descent[i], long_descent[j]) for i in (0, 17) for j in (5, 40, 59)]
+    pairs += [(BundleSpec(a), BundleSpec(b)) for a, b in [((45, 45), (88, 2)), ((60, 30), (90, 0))]]
+    chains = 0
+    for start, end in pairs:
+        expected = chain_by_full_descent(start, end)
+        assert deformation_chain(start, end) == expected, (start, end)
+        chains += expected is not None
+    assert (len(pairs), chains) == (7897, 2063)
 
 
 def test_chains_are_reversible():
