@@ -222,13 +222,14 @@ def verify_weakened(item: CatalogEntry) -> WeakenedReport:
     equal to item.expected.classification and, when item.expected names an
     endpoint_k, the existence of a splitting whose endpoint conditions hold
     for that k and an endpoint whose Fano-ness is item.expected's
-    endpoint_is_fano.  The candidates are decided in find_splittings
-    order up to the first deformable one (deform._first_deformable), and
-    only its splitting, the one deformed, is built.  The endpoint takes
-    the fan's primitive collections and all but one of its relations
-    (deform.shear_lower).  Primitive collections are recomputed and any
-    difference from the presented list is reported (informationally)
-    rather than assumed away.
+    endpoint_is_fano.  The splittings are drawn in find_splittings order
+    up to the first deformable one (deform._first_deformable), which reads
+    each for its fiber type and conditions only; the one deformed computes
+    its base fan for the shear, and no splitting computes a half-fan or an
+    equator.  The endpoint takes the fan's primitive collections and all
+    but one of its relations (deform.shear_lower).  Primitive collections
+    are recomputed and any difference from the presented list is reported
+    (informationally) rather than assumed away.
     """
     expected = item.expected
     stages: list[Stage] = []
@@ -266,11 +267,11 @@ def verify_weakened(item: CatalogEntry) -> WeakenedReport:
         return WeakenedReport(item.name, tuple(stages), (), extras, cls_ok)
 
     k = expected.endpoint_k
-    found = deform._first_deformable(deform._candidates(fan), k)
+    found = deform._first_deformable(deform._splittings(fan), k)
     if found is None:
         stages.append(Stage("splitting", False, ""))
         return WeakenedReport(item.name, tuple(stages), (), extras, False)
-    chosen = deform._splitting(found[1])
+    chosen = found[1]
     stages.append(Stage(
         "splitting", True, f"pivot {chosen.pivot_name}, partner {chosen.partner_name}, "
         f"fiber {deform.fiber_type(chosen).kind.value}",

@@ -143,33 +143,32 @@ def _cmd_split(args, report: Report) -> int:
 
 def _cmd_deform(args, report: Report) -> int:
     fan = _load_fan(args.fanfile)
-    candidates = deform._candidates(fan)
+    splittings = deform._splittings(fan)
     report.add("file", args.fanfile)
     report.add("k", args.k)
     first = 0
     if args.splitting is not None:
         picked = None
         if args.splitting >= 0:
-            picked = next(islice(candidates, args.splitting, None), None)
+            picked = next(islice(splittings, args.splitting, None), None)
         if picked is None:
             report.add("error", f"no splitting with index {args.splitting}")
             return INPUT_ERROR
-        candidates, first = (picked,), args.splitting
-    # The search stops at the first deformable candidate; only when there is
-    # none are the candidates it decided listed again, from the tee's buffer.
-    # No splitting is built but the one deformed.
-    search, decided = tee(candidates)
+        splittings, first = (picked,), args.splitting
+    # The search stops at the first deformable splitting; only when there is
+    # none are the splittings it drew listed again, from the tee's buffer.
+    # Only the one deformed computes its base fan.
+    search, drawn = tee(splittings)
     found = deform._first_deformable(search, args.k)
     if found is None:
         report.add("conditions", "violated")
-        for index, candidate in enumerate(decided, first):
-            for violation in deform.endpoint_conditions(candidate, args.k).violations:
+        for index, split in enumerate(drawn, first):
+            for violation in deform.endpoint_conditions(split, args.k).violations:
                 report.add("violation", f"splitting {index}: {violation}")
-            if deform.fiber_type(candidate).kind is FiberKind.OTHER:
+            if deform.fiber_type(split).kind is FiberKind.OTHER:
                 report.add("violation", f"splitting {index}: fiber type Other")
         return MATH_FAIL
-    index, candidate = found
-    split = deform._splitting(candidate)
+    index, split = found
     _describe_splitting(report, first + index, split)
     report.add("conditions", "satisfied")
     end = deform.endpoint(split, args.k)

@@ -24,27 +24,31 @@ it, and so does the fiber type, decided once on the validated input fan
 rays, and (pivot, partner) is an axis of the equator when _is_axis over
 the fan's axis holds.  MMCS never runs here.
 
-The search is lazy and decides before it builds.  _candidates yields, in
-find_splittings order, a candidate per splitting: its axis, designation
-and frame, its fiber type and the lower ray's first and last normal-form
-coordinates, two dot products with rows of one cached cone inverse.
-_first_deformable, the one stop rule of catalog verification and of the
-deform command, reads candidates up to the first whose fiber is not
-Other and whose inequality holds, and _splitting builds only the
-splitting that is deformed (find_splittings builds them all).  Each
-splitting computes its normal-form transform once and reads the base
-fan, both half-fans and the equator off it.  Neither the equator nor the
-sheared endpoint is revalidated: the equator is made of faces of the
-validated input fan (see _splitting), and the shear fixes the equator and
-maps the lower half-space onto itself, so the endpoint keeps the input's
-cone complex and all its primitive relations but one (see shear_lower).
+The search is lazy and decides before it builds.  _splittings yields, in
+find_splittings order, one Splitting per axis orientation and
+designation: the validated input fan and the decided frame, nothing
+more.  Everything else a splitting has is computed when first read and
+then kept: off the input fan, its fiber type and the lower ray's first
+and last normal-form coordinates (lower_ends, two dot products with rows
+of one cached cone inverse); then its one normal-form transform, and off
+that the base fan, both half-fans and the equator.  _first_deformable,
+the one stop rule of catalog verification and of the deform command,
+reads only fiber and lower_ends, up to the first splitting whose fiber is
+not Other and whose inequality holds, so only the splitting that is
+deformed computes its base fan, for the shear, and none computes a
+half-fan or an equator.  Neither the equator nor the sheared endpoint is
+revalidated: the equator is made of faces of the validated input fan
+(see Splitting.equator), and the shear fixes the equator and maps the
+lower half-space onto itself, so the endpoint keeps the input's cone
+complex and all its primitive relations but one (see shear_lower).
 """
 
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 from itertools import permutations
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import lattice
@@ -87,30 +91,34 @@ class ConditionsReport:
 class Splitting:
     """A fan in normal-form coordinates, split along its last coordinate.
 
+    source is the validated input fan, and the names are the frame:
     basis_names are the equator rays carrying the standard basis (the first
     one is the pivot the deformation twists), rest_names the remaining
     equator rays (the first one, when a fiber pair exists, is the pivot's
     designated partner), upper_names the rays with positive last
     coordinate and lower_names those with negative last coordinate.  The
     fibration functional vanishes off the axis, so each is a 1-tuple: the
-    unit vector e_d above and a ray with last coordinate -1 below.  fiber
-    is the fiber type of the designated pair (fiber_type).
+    unit vector e_d above and a ray with last coordinate -1 below.
+
+    Every other attribute is computed off source when first read, then
+    kept.  fiber is the fiber type of the designated pair (fiber_type).
+    The one normal-form transform, to_normal_form, sends basis_names +
+    upper_names to the standard basis: it is the cached inverse of that
+    maximal cone of source, its rows put in frame order.  The base fan
+    (fan), both half-fans (upper, lower) and the equator are read off it.
+    The last coordinate of T v is h(v) for the fibration functional h,
+    since both vanish on the basis and take 1 on the upper ray.
     """
 
-    fan: Fan
-    upper: Fan
-    lower: Fan
-    equator: Fan
+    source: Fan
     basis_names: tuple[str, ...]
     rest_names: tuple[str, ...]
     upper_names: tuple[str, ...]
     lower_names: tuple[str, ...]
-    to_normal_form: UnimodularMap
-    fiber: FiberType
 
     @property
     def dimension(self) -> int:
-        return self.fan.dimension
+        return self.source.dimension
 
     @property
     def pivot_name(self) -> str:
@@ -120,11 +128,76 @@ class Splitting:
     def partner_name(self) -> Optional[str]:
         return self.rest_names[0] if self.rest_names else None
 
-    @property
+    @cached_property
+    def fiber(self) -> FiberType:
+        return _fiber_of(
+            self.source, self.upper_names + self.lower_names, self.pivot_name, self.rest_names
+        )
+
+    @cached_property
     def lower_ends(self) -> tuple[int, int]:
-        """The lower ray's first and last coordinates."""
-        g = self.fan.generator(self.lower_names[0])
-        return g[0], g[-1]
+        """The lower ray's first and last normal-form coordinates.
+
+        The rows of the pivot and of the upper ray in the frame cone's
+        cached inverse, applied to the lower ray: no base fan is computed.
+        """
+        rows = self.source._inverse_rows(self.basis_names + self.upper_names)
+        lower = self.source.generator(self.lower_names[0])
+        return lattice.dot(rows[0], lower), lattice.dot(rows[-1], lower)
+
+    @cached_property
+    def to_normal_form(self) -> UnimodularMap:
+        return UnimodularMap(self.source._inverse_rows(self.basis_names + self.upper_names))
+
+    @cached_property
+    def fan(self) -> Fan:
+        """source in normal-form coordinates, checked by _check_invariants.
+
+        It shares the primitive collections and relations source has found.
+        """
+        source, transform = self.source, self.to_normal_form
+        rays = tuple(Ray(r.name, transform.apply(r.generator)) for r in source.rays)
+        base = Fan(source.dimension, rays, source.max_cones)
+        _take_complex(base, source)
+        _check_invariants(self, base)
+        return base
+
+    @cached_property
+    def upper(self) -> Fan:
+        return self._half_fan(self.upper_names[0], self.lower_names[0])
+
+    @cached_property
+    def lower(self) -> Fan:
+        return self._half_fan(self.lower_names[0], self.upper_names[0])
+
+    def _half_fan(self, ray: str, other: str) -> Fan:
+        """The base fan's cones through ray, over every ray but other."""
+        fan = self.fan
+        return Fan(
+            fan.dimension,
+            tuple(r for r in fan.rays if r.name != other),
+            tuple(c for c in fan.max_cones if ray in c.ray_names),
+        )
+
+    @cached_property
+    def equator(self) -> Fan:
+        """The base fan's rays and cones off the axis, with the last coordinate dropped.
+
+        It is not revalidated with make_fan.  Its cones are faces of the
+        validated source that lie in ker h, and the transform maps
+        ker h ∩ Z^d onto Z^{d-1} x {0}, so dropping the last coordinate
+        keeps the faces unimodular and their rays primitive and distinct.
+        It is complete: a vector with h = 0 in a maximal cone has
+        coefficient 0 on that cone's upper or lower ray, so it lies in an
+        equator cone.
+        """
+        source, base = self.source, self.fan
+        eq_names, eq_cone_sets = _equator(source, self.upper_names + self.lower_names)
+        return Fan(
+            source.dimension - 1,
+            tuple(Ray(n, base.generator(n)[:-1]) for n in eq_names),
+            tuple(Cone(source.sort_names(cs)) for cs in eq_cone_sets),
+        )
 
 
 def _fibration_functional(
@@ -152,14 +225,14 @@ def _fibration_functional(
 def _projective_equator(fan: Fan) -> bool:
     """Whether the equators of the smooth complete fan's axes are projective-space fans.
 
-    An equator is smooth and complete (_splitting) and has the fan's rays
-    but the two axis rays, so it has one ray more than its dimension d - 1
-    exactly when the fan has d + 2 rays.  Then the equator is P^(d-1): its
-    rays positively span R^(d-1), so sum(c_i * v_i) = 0 with every c_i > 0,
-    and this line is the whole relation space of d rays spanning R^(d-1).
-    So any d - 1 of them are independent, the d cones on d - 1 of them tile
-    R^(d-1) and all are unimodular cones of the equator, and by Cramer's
-    rule the c_i are equal: the rays sum to 0.
+    An equator is smooth and complete (Splitting.equator) and has the
+    fan's rays but the two axis rays, so it has one ray more than its
+    dimension d - 1 exactly when the fan has d + 2 rays.  Then the equator
+    is P^(d-1): its rays positively span R^(d-1), so sum(c_i * v_i) = 0
+    with every c_i > 0, and this line is the whole relation space of d rays
+    spanning R^(d-1).  So any d - 1 of them are independent, the d cones on
+    d - 1 of them tile R^(d-1) and all are unimodular cones of the equator,
+    and by Cramer's rule the c_i are equal: the rays sum to 0.
     """
     return len(fan.rays) == fan.dimension + 2
 
@@ -200,16 +273,16 @@ def _is_axis(fan: Fan, up: str, down: str, outer: Sequence[str] = ()) -> bool:
     return _fibration_functional(fan, up, down, outer) is not None
 
 
-def _axis(fan: Fan, up: str, down: str, outer: Sequence[str] = ()):
-    """Equator ray names and ordered equator cone sets of the axis (up, down), or None.
+def _axis(fan: Fan, up: str, down: str):
+    """The _equator of the axis (up, down), or None unless _is_axis holds."""
+    return _equator(fan, (up, down)) if _is_axis(fan, up, down) else None
 
-    None unless _is_axis holds.
-    """
-    if not _is_axis(fan, up, down, outer):
-        return None
-    axis = {up, down, *outer}
-    eq_names = tuple(n for n in fan.ray_names() if n not in axis)
-    return eq_names, tuple(dict.fromkeys(cs - axis for cs in fan.cone_sets))
+
+def _equator(fan: Fan, axis: Sequence[str]):
+    """Equator ray names and ordered equator cone sets: the fan's, less the axis rays."""
+    off = set(axis)
+    eq_names = tuple(n for n in fan.ray_names() if n not in off)
+    return eq_names, tuple(dict.fromkeys(cs - off for cs in fan.cone_sets))
 
 
 def _complementary_pairs(fan: Fan, names: Sequence[str]) -> Iterator[tuple[str, str]]:
@@ -272,122 +345,28 @@ def _basis_cone(
     return next(cs for cs in cone_sets if pivot in cs)
 
 
-@frozen
-class _Candidate:
-    """A splitting decided but not built.
+def _rest_names(
+    eq_names: Sequence[str], basis_names: Sequence[str], partner: Optional[str]
+) -> tuple[str, ...]:
+    """The partner, when given, then the equator rays off the basis in input order."""
+    rest = tuple(n for n in eq_names if n not in basis_names and n != partner)
+    return rest if partner is None else (partner, *rest)
 
-    fan is the validated input fan, and the names are those of the
-    Splitting that _splitting builds from the candidate.  fiber is decided
-    by _fiber_of, and lower_ends are the lower ray's first and last
-    normal-form coordinates: the rows of the pivot and of the upper ray in
-    the cached inverse of the frame cone, applied to the lower ray.  So
-    fiber_type and endpoint_conditions read a candidate as they read its
-    splitting, and _first_deformable decides on candidates alone.
+
+def _check_invariants(split: Splitting, fan: Fan) -> None:
+    """Cross-check the base fan's normal-form coordinates, and its lower ray against lower_ends.
+
+    Raised, so they run under python -O too.
     """
-
-    fan: Fan
-    upper_names: tuple[str, ...]
-    lower_names: tuple[str, ...]
-    eq_names: tuple[str, ...]
-    eq_cone_sets: tuple[frozenset[str], ...]
-    basis_names: tuple[str, ...]
-    rest_names: tuple[str, ...]
-    fiber: FiberType
-    lower_ends: tuple[int, int]
-
-    @property
-    def dimension(self) -> int:
-        return self.fan.dimension
-
-
-def _candidate(
-    fan: Fan,
-    up: str,
-    down: str,
-    eq_names: tuple[str, ...],
-    eq_cone_sets: tuple[frozenset[str], ...],
-    basis_names: tuple[str, ...],
-    partner: Optional[str],
-) -> _Candidate:
-    """The candidate of the axis (up, down) in the frame basis_names + (up,).
-
-    Its rest_names are the partner, when given, then the other equator
-    rays in input order, and its fiber is decided on fan (_fiber_of).
-    """
-    rest_names = tuple(n for n in eq_names if n not in basis_names and n != partner)
-    if partner is not None:
-        rest_names = (partner, *rest_names)
-    rows = fan._inverse_rows(basis_names + (up,))
-    lower = fan.generator(down)
-    return _Candidate(
-        fan, (up,), (down,), eq_names, eq_cone_sets, basis_names, rest_names,
-        _fiber_of(fan, (up, down), basis_names[0], rest_names),
-        (lattice.dot(rows[0], lower), lattice.dot(rows[-1], lower)),
-    )
-
-
-def _splitting(candidate: _Candidate) -> Splitting:
-    """The splitting of a candidate, in its frame.
-
-    The one normal-form transform T sends basis_names + (up,) to the
-    standard basis: it is the cached inverse of that maximal cone, its
-    rows put in frame order.  The base fan, both half-fans and the equator
-    are all read off it.  The last coordinate of T v is h(v) for the
-    fibration functional h, since both vanish on the basis and take 1 on
-    up.  The base fan is the input fan in other coordinates, so it shares
-    the primitive collections and relations the input fan has found.
-
-    The equator is not revalidated with make_fan.  Its cones are faces of
-    the validated input fan that lie in ker h, and T maps ker h ∩ Z^d onto
-    Z^{d-1} x {0}, so dropping the last coordinate keeps the faces
-    unimodular and their rays primitive and distinct.  It is complete:
-    a vector with h = 0 in a maximal cone has coefficient 0 on that cone's
-    up or down ray, so it lies in an equator cone.
-    """
-    fan = candidate.fan
-    (up,), (down,) = candidate.upper_names, candidate.lower_names
-    transform = UnimodularMap(fan._inverse_rows(candidate.basis_names + (up,)))
-    new_rays = tuple(Ray(r.name, transform.apply(r.generator)) for r in fan.rays)
-    base = Fan(fan.dimension, new_rays, fan.max_cones)
-    _take_complex(base, fan)
-    upper_cones = tuple(c for c in fan.max_cones if up in c.ray_names)
-    lower_cones = tuple(c for c in fan.max_cones if down in c.ray_names)
-    upper = Fan(fan.dimension, tuple(r for r in new_rays if r.name != down), upper_cones)
-    lower = Fan(fan.dimension, tuple(r for r in new_rays if r.name != up), lower_cones)
-    equator = Fan(
-        fan.dimension - 1,
-        tuple(Ray(n, base.generator(n)[:-1]) for n in candidate.eq_names),
-        tuple(Cone(fan.sort_names(cs)) for cs in candidate.eq_cone_sets),
-    )
-    split = Splitting(
-        fan=base,
-        upper=upper,
-        lower=lower,
-        equator=equator,
-        basis_names=candidate.basis_names,
-        rest_names=candidate.rest_names,
-        upper_names=(up,),
-        lower_names=(down,),
-        to_normal_form=transform,
-        fiber=candidate.fiber,
-    )
-    _check_invariants(split)
-    if split.lower_ends != candidate.lower_ends:
-        raise InternalError(f"lower ray {down} is not where its candidate put it")
-    return split
-
-
-def _check_invariants(split: Splitting) -> None:
-    """Cross-check the normal-form coordinates; raised, so they run under python -O too."""
     d = split.dimension
-    fan = split.fan
     up, down = split.upper_names[0], split.lower_names[0]
     for i, name in enumerate(split.basis_names):
         if fan.generator(name) != tuple(1 if j == i else 0 for j in range(d)):
             raise InternalError(f"basis ray {name} is not in standard position")
     if fan.generator(up) != tuple([0] * (d - 1) + [1]):
         raise InternalError(f"upper ray {up} is not the last unit vector")
-    if fan.generator(down)[-1] != -1:
+    lower = fan.generator(down)
+    if lower[-1] != -1:
         raise InternalError(f"lower ray {down} does not have last coordinate -1")
     for name in split.rest_names:
         if fan.generator(name)[-1] != 0:
@@ -395,6 +374,8 @@ def _check_invariants(split: Splitting) -> None:
     basis = set(split.basis_names)
     if not (fan.spans_cone(basis | {up}) and fan.spans_cone(basis | {down})):
         raise InternalError("basis does not span a cone with both axis rays")
+    if (lower[0], lower[-1]) != split.lower_ends:
+        raise InternalError(f"lower ray {down} is not where lower_ends put it")
 
 
 def find_splittings(fan: Fan) -> tuple[Splitting, ...]:
@@ -404,18 +385,13 @@ def find_splittings(fan: Fan) -> tuple[Splitting, ...]:
     primitive collection whose other rays span the kernel of an integral
     functional taking +1 on u; each orientation of each such axis yields
     splittings, one per candidate fiber-pair designation
-    (_axis_candidates).  Empty when the fan admits no such fibration.
+    (_axis_splittings).  Empty when the fan admits no such fibration.
     """
     return tuple(_splittings(fan))
 
 
 def _splittings(fan: Fan) -> Iterator[Splitting]:
-    """find_splittings' splittings, in its order, each built when it is reached."""
-    return map(_splitting, _candidates(fan))
-
-
-def _candidates(fan: Fan) -> Iterator[_Candidate]:
-    """The candidates of find_splittings' splittings, in its order, each decided when reached.
+    """find_splittings' splittings, in its order, each decided when it is reached.
 
     Only the pairs whose stars split the maximal cones (_complementary_pairs)
     are tested as axes.  Not a generator function, so an incomplete fan
@@ -426,18 +402,13 @@ def _candidates(fan: Fan) -> Iterator[_Candidate]:
     if fan.dimension < 2:
         return iter(())
     return (
-        candidate for x, y in _complementary_pairs(fan, fan.ray_names())
-        for up, down in ((x, y), (y, x)) for candidate in _axis_candidates(fan, up, down)
+        split for x, y in _complementary_pairs(fan, fan.ray_names())
+        for up, down in ((x, y), (y, x)) for split in _axis_splittings(fan, up, down)
     )
 
 
 def _axis_splittings(fan: Fan, up: str, down: str) -> Iterator[Splitting]:
-    """find_splittings' splittings on the oriented axis (up, down), built one at a time."""
-    return map(_splitting, _axis_candidates(fan, up, down))
-
-
-def _axis_candidates(fan: Fan, up: str, down: str) -> Iterator[_Candidate]:
-    """The candidates on the oriented axis (up, down), one per designation read off the fan."""
+    """The splittings on the oriented axis (up, down), one per designation read off the fan."""
     axis = _axis(fan, up, down)
     if axis is None:
         return
@@ -452,7 +423,8 @@ def _axis_candidates(fan: Fan, up: str, down: str) -> Iterator[_Candidate]:
         if pivot is None:
             pivot = tau[0]
         basis_names = (pivot, *[n for n in tau if n != pivot])
-        yield _candidate(fan, up, down, eq_names, eq_cone_sets, basis_names, partner)
+        rest_names = _rest_names(eq_names, basis_names, partner)
+        yield Splitting(fan, basis_names, rest_names, (up,), (down,))
 
 
 def split_with_frame(
@@ -462,7 +434,7 @@ def split_with_frame(
     basis: Sequence[str],
     partner: Optional[str] = None,
 ) -> Splitting:
-    """Build the splitting with an explicitly chosen frame.
+    """The splitting with an explicitly chosen frame.
 
     upper/lower must be an oriented fibration axis of the fan, basis an
     equator cone listed pivot-first, and partner (optional) the designated
@@ -479,7 +451,7 @@ def split_with_frame(
         raise ValueError(f"{basis} is not an equator cone")
     if partner is not None and (partner not in eq_names or partner in basis):
         raise ValueError(f"partner {partner!r} is not an available equator ray")
-    return _splitting(_candidate(fan, upper, lower, eq_names, eq_cone_sets, basis, partner))
+    return Splitting(fan, basis, _rest_names(eq_names, basis, partner), (upper,), (lower,))
 
 
 def fiber_type(split: Splitting) -> FiberType:
@@ -497,10 +469,9 @@ def fiber_type(split: Splitting) -> FiberType:
     div(chi^g) = D_pivot - D_partner, so the two classes agree; and
     v -> v + g(v) * (partner - pivot) is a unimodular involution that
     swaps the pair and fixes every other ray, so it carries each cone of
-    the pivot's star onto one of the partner's.  Decided once, when the
-    splitting's candidate is decided, on the input fan (_fiber_of): the
-    equator's own cone inverses are not computed for it.  A candidate is
-    read the same way.
+    the pivot's star onto one of the partner's.  Decided once, when first
+    read, on the input fan (_fiber_of): neither the equator nor its cone
+    inverses are computed for it.
     """
     return split.fiber
 
@@ -542,7 +513,7 @@ def _prime_name(name: str, taken: set[str]) -> str:
 
 
 def shear_lower(split: Splitting, q: Sequence[int]) -> Fan:
-    """Shear every lower cone by q and reglue with the upper half-fan.
+    """Shear every lower cone by the integer vector q and reglue with the upper half-fan.
 
     Rays that actually move are renamed with a prime.  The result is built
     directly, not through make_fan.  In normal-form coordinates the shear
@@ -564,7 +535,7 @@ def shear_lower(split: Splitting, q: Sequence[int]) -> Fan:
     asked, by one walk.
     """
     d = split.dimension
-    q = tuple(int(x) for x in q)
+    q = tuple(map(index, q))
     if len(q) != d - 1:
         raise ValueError(f"shear vector needs {d - 1} entries")
     shear = lattice.shear_map(q)
@@ -605,9 +576,11 @@ def endpoint_conditions(split: Splitting, k: int) -> ConditionsReport:
 
     The lower ray c must satisfy k*c_d + c_1 >= 0.  The fibration functional
     vanishes off the axis, so the splitting has exactly one upper and one
-    lower ray, and no condition falls on the upper side.  A candidate
-    (_Candidate) is read the same way, off its lower_ends.
+    lower ray, and no condition falls on the upper side.  It reads
+    lower_ends, so no base fan is computed.  TypeError unless k is an
+    integer.
     """
+    k = index(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
     d = split.dimension
@@ -621,19 +594,20 @@ def endpoint_conditions(split: Splitting, k: int) -> ConditionsReport:
 
 
 def _first_deformable(
-    items: Iterable[Splitting | _Candidate], k: int
-) -> Optional[tuple[int, Splitting | _Candidate]]:
-    """(index, item) of the first splitting or candidate deformable with parameter k, or None.
+    splittings: Iterable[Splitting], k: int
+) -> Optional[tuple[int, Splitting]]:
+    """(index, splitting) of the first splitting deformable with parameter k, or None.
 
     Deformable means its fiber is not Other and its conditions hold for k.
-    The items are drawn one at a time, and none after that one is drawn.
-    On candidates (_candidates) it builds no splitting.
+    The splittings are drawn one at a time, none after that one is drawn,
+    and each is read for its fiber and lower_ends only: drawn from
+    _splittings, none computes its base fan.
     """
-    if k < 0:
+    if index(k) < 0:
         raise ValueError("k must be nonnegative")
-    for i, item in enumerate(items):
-        if fiber_type(item).kind is not FiberKind.OTHER and endpoint_conditions(item, k):
-            return i, item
+    for i, split in enumerate(splittings):
+        if fiber_type(split).kind is not FiberKind.OTHER and endpoint_conditions(split, k):
+            return i, split
     return None
 
 

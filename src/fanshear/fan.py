@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations, islice, repeat
-from operator import mul, sub
+from operator import index, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import lattice
@@ -266,7 +266,7 @@ def make_fan(
     ray_objs = []
     for r in rays:
         if not isinstance(r, Ray):
-            r = Ray(str(r[0]), tuple(int(x) for x in r[1]))
+            r = Ray(str(r[0]), tuple(map(index, r[1])))
         ray_objs.append(r)
     names = [r.name for r in ray_objs]
     if len(set(names)) != len(names):

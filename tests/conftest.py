@@ -39,7 +39,9 @@ import pytest
 
 from fanshear import builtin, bundle_fan, lattice
 from fanshear import deform
-from fanshear.deform import FiberKind, FiberType, endpoint, fiber_type, find_splittings
+from fanshear.deform import (
+    FiberKind, FiberType, endpoint, fiber_type, find_splittings, split_with_frame,
+)
 from fanshear.divisor import NefAmpleStatus, class_group
 from fanshear.errors import BadFaceStructure
 from fanshear.fan import (
@@ -451,11 +453,31 @@ def check_splittings_against_oracles(fan):
 
 @pytest.fixture
 def built_splittings(monkeypatch):
-    """The argument tuples of every deform._splitting call, in order."""
+    """The splittings whose base fan is computed, in order.
+
+    Each base fan is checked once, by deform._check_invariants, when it is
+    computed.
+    """
     built = []
-    real = deform._splitting
-    monkeypatch.setattr(deform, "_splitting", lambda *args: built.append(args) or real(*args))
+    real = deform._check_invariants
+    monkeypatch.setattr(
+        deform, "_check_invariants", lambda split, fan: built.append(split) or real(split, fan)
+    )
     return built
+
+
+@pytest.fixture
+def drawn_splittings(monkeypatch):
+    """The Splitting records constructed, in order."""
+    drawn = []
+    real = deform.Splitting.__init__
+
+    def init(self, *args, **kwargs):
+        drawn.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(deform.Splitting, "__init__", init)
+    return drawn
 
 
 def find_splittings_in_one_pass(fan):
@@ -479,9 +501,7 @@ def find_splittings_in_one_pass(fan):
             relation = primitive_relation(fan, collection)
             support_names = frozenset(n for n, _ in relation.support)
             support_cone = deform._basis_cone(eq_cone_sets, None, support_names)
-            equator = deform._splitting(deform._candidate(
-                fan, up, down, eq_names, eq_cone_sets, fan.sort_names(support_cone), None
-            )).equator
+            equator = split_with_frame(fan, up, down, fan.sort_names(support_cone)).equator
             if len(equator.rays) == equator.dimension + 1:
                 first_ray = (equator.rays[0].name, 0)
                 pivot = max(relation.support,
@@ -499,9 +519,7 @@ def find_splittings_in_one_pass(fan):
                 if partner in tau:
                     continue
                 basis_names = (pivot, *[n for n in fan.sort_names(tau) if n != pivot])
-                split = deform._splitting(deform._candidate(
-                    fan, up, down, eq_names, eq_cone_sets, basis_names, partner
-                ))
+                split = split_with_frame(fan, up, down, basis_names, partner)
                 rest = [n for n in eq_names if n not in tau and n != partner]
                 assert split.rest_names == (*([partner] if partner else []), *rest)
                 out.append(split)
@@ -579,14 +597,14 @@ def nef_ample_status_by_names(fan, divisor):
 
 
 def axes_by_pair_scan(fan, names, outer=()):
-    """The oriented axes (up, down) among names, by _axis on every ordered pair.
+    """The oriented axes (up, down) among names, by _is_axis on every ordered pair.
 
     In the order of combinations(names, 2), each pair's two orientations in
     turn; with outer an axis of the fan, the axes of its equator.
     """
     return [
         (up, down) for x, y in combinations(names, 2)
-        for up, down in ((x, y), (y, x)) if deform._axis(fan, up, down, outer) is not None
+        for up, down in ((x, y), (y, x)) if deform._is_axis(fan, up, down, outer)
     ]
 
 

@@ -13,53 +13,52 @@ from fanshear.fan import is_complete, primitive_collections, primitive_relation
 from fanshear.fileformats import parse_fan, serialize_fan
 
 
-SPLITTINGS_BUILT_BY_VERIFY = {
+BASE_FANS_COMPUTED_BY_VERIFY = {
     "X3_0": 1, "W4_1": 1, "W4_2": 1, "W4_3": 1, "W4_4": 1,
     "W4_5": 1, "W4_6": 1, "W4_7": 1, "W4_8": 1, "W4_9": 1,
 }
-CANDIDATES_DECIDED_BY_VERIFY = {**SPLITTINGS_BUILT_BY_VERIFY, "W4_2": 5, "W4_3": 5}
-
-
-@pytest.fixture
-def decided_candidates(monkeypatch):
-    """The candidates deform._candidate returns, in order."""
-    decided = []
-    real = deform._candidate
-    monkeypatch.setattr(deform, "_candidate", lambda *a: decided.append(real(*a)) or decided[-1])
-    return decided
+SPLITTINGS_DRAWN_BY_VERIFY = {**BASE_FANS_COMPUTED_BY_VERIFY, "W4_2": 5, "W4_3": 5}
 
 
 def test_verify_builds_splittings_only_up_to_the_first_deformable(
-    capsys, built_splittings, decided_candidates
+    capsys, built_splittings, drawn_splittings
 ):
-    # find_splittings builds 56 on the ten entries (12 each on W4_2 and
-    # W4_3); verification decides candidates up to the first deformable one
-    # and builds only its splitting, the one it deforms
-    built, decided = {}, {}
+    # find_splittings draws 56 on the ten entries (12 each on W4_2 and
+    # W4_3); verification draws splittings up to the first deformable one,
+    # and only that one, the one it deforms, computes its base fan
+    built, drawn = {}, {}
     for name in names():
         built_splittings.clear()
-        decided_candidates.clear()
+        drawn_splittings.clear()
         assert main(["catalog", "verify", name]) == 0
-        built[name], decided[name] = len(built_splittings), len(decided_candidates)
-        assert built_splittings == [(decided_candidates[-1],)], name
-    assert built == SPLITTINGS_BUILT_BY_VERIFY
-    assert decided == CANDIDATES_DECIDED_BY_VERIFY
+        built[name], drawn[name] = len(built_splittings), len(drawn_splittings)
+        assert len(built_splittings) == 1 and built_splittings[0] is drawn_splittings[-1], name
+    assert built == BASE_FANS_COMPUTED_BY_VERIFY
+    assert drawn == SPLITTINGS_DRAWN_BY_VERIFY
     built_splittings.clear()
-    decided_candidates.clear()
+    drawn_splittings.clear()
     assert main(["catalog", "verify", "all"]) == 0
-    assert len(built_splittings) == sum(SPLITTINGS_BUILT_BY_VERIFY.values()) == 10
-    assert len(decided_candidates) == sum(CANDIDATES_DECIDED_BY_VERIFY.values()) == 18
+    assert len(built_splittings) == sum(BASE_FANS_COMPUTED_BY_VERIFY.values()) == 10
+    assert len(drawn_splittings) == sum(SPLITTINGS_DRAWN_BY_VERIFY.values()) == 18
+    # the shear reads the base fan only: no half-fan, no equator
+    for split in drawn_splittings:
+        assert not {"upper", "lower", "equator"} & set(vars(split))
+    assert sum("fan" in vars(split) for split in drawn_splittings) == 10
 
 
-def test_find_splittings_builds_only_the_splittings_it_returns(built_splittings):
-    # the designations are read off the input fan, not off an extra splitting
+def test_find_splittings_builds_only_the_splittings_it_returns(built_splittings, drawn_splittings):
+    # the designations are read off the input fan, not off an extra
+    # splitting, and the splittings returned compute nothing until read
     total = 0
     for name in names():
-        built_splittings.clear()
+        drawn_splittings.clear()
         found = find_splittings(builtin(name))
-        assert len(built_splittings) == len(found), name
+        assert drawn_splittings == list(found), name
+        for split in found:
+            assert not {"fan", "upper", "lower", "equator", "to_normal_form"} & set(vars(split))
         total += len(found)
     assert total == 56
+    assert built_splittings == []
 
 
 def test_verify_all_fills_one_inverse_table_per_fan_it_reads(capsys, monkeypatch):
@@ -225,7 +224,7 @@ def test_verify_checks_the_expected_endpoint_fano_status():
 
 
 def test_verify_all_classifies_each_splitting_once(
-    monkeypatch, capsys, built_splittings, decided_candidates
+    monkeypatch, capsys, built_splittings, drawn_splittings
 ):
     asked, computed = [], []
     real_ask, real_compute = deform.fiber_type, deform._fiber_of
@@ -233,18 +232,14 @@ def test_verify_all_classifies_each_splitting_once(
     monkeypatch.setattr(deform, "_fiber_of", lambda *a: computed.append(a) or real_compute(*a))
     assert main(["catalog", "verify", "all"]) == 0
     capsys.readouterr()
-    # each candidate is classified once, as it is decided, and every one is
-    # asked; asked holds the candidates and splittings, so no id is reused
-    candidates = [s for s in asked if isinstance(s, deform._Candidate)]
-    assert len(computed) == len(decided_candidates) == len({id(s) for s in candidates}) == 18
-    splittings = {id(s): s for s in asked if isinstance(s, deform.Splitting)}.values()
-    assert len(built_splittings) == len(splittings) == 10
-    # each built splitting carries its candidate's answer
-    assert all(
-        split.fiber is candidate.fiber
-        for (candidate,), split in zip(built_splittings, splittings, strict=True)
-    )
-    assert all(real_ask(s) is s.fiber for s in asked)
+    # every splitting drawn is asked, and classified once, when first asked;
+    # the one deformed is asked again, by the report and by endpoint
+    assert len(computed) == len(drawn_splittings) == 18
+    assert list(dict.fromkeys(map(id, asked))) == list(map(id, drawn_splittings))
+    assert len(asked) == 18 + 2 * 10
+    assert len(built_splittings) == 10
+    assert all(any(split is s for s in drawn_splittings) for split in built_splittings)
+    assert all(real_ask(s) is vars(s)["fiber"] for s in asked)
 
 
 def test_presented_collections_are_exhaustive():

@@ -234,10 +234,10 @@ def test_deform_builds_splittings_only_up_to_the_one_it_deforms(
     built_splittings.clear()
     status, out = run(capsys, "deform", path, "--k", "1", "--out", str(tmp_path / "o.fan"))
     assert status == 0 and f"splitting: {first}" in out.splitlines()
-    # 12 splittings, each built once by the full search; the command decides
-    # candidates up to the first deformable one and builds only its splitting
-    assert 0 < first < len(splittings) - 1 and len(built_splittings) == 1
-    assert deform._splitting(*built_splittings[0]) == splittings[first]
+    # 12 splittings; the command draws them up to the first deformable one,
+    # and only that one computes its base fan, and no half-fan or equator
+    assert 0 < first < len(splittings) - 1 and built_splittings == [splittings[first]]
+    assert not {"upper", "lower", "equator"} & set(vars(built_splittings[0]))
     built_splittings.clear()
     status, out = run(capsys, "deform", path, "--k", "1", "--splitting", "2",
                       "--out", str(tmp_path / "o.fan"))
@@ -254,7 +254,7 @@ def test_deform_lists_every_violation_when_no_splitting_is_deformable(
     status, out = run(capsys, "deform", path, "--k", "9", "--out", str(tmp_path / "o.fan"))
     assert status == 1
     violated = {line.split(":")[1] for line in out.splitlines() if line.startswith("violation")}
-    # the violations are read off the candidates: no splitting is built
+    # the violations are read off the splittings: no base fan is computed
     assert violated == {f" splitting {i}" for i in range(4)} and built_splittings == []
 
 

@@ -17,6 +17,7 @@ from fanshear.cli import main
 from fanshear.deform import (
     FiberKind,
     _axis,
+    _first_deformable,
     _prime_name,
     endpoint,
     endpoint_conditions,
@@ -358,6 +359,21 @@ def test_negative_k_rejected():
     split = find_splittings(builtin("X3_0"))[0]
     with pytest.raises(ValueError):
         endpoint_conditions(split, -1)
+
+
+def test_non_integer_k_and_shear_rejected():
+    # refused, not truncated: k = 0.5 would shear by k = 0, and the shear
+    # vector (1.5, 0) by (1, 0)
+    split = find_splittings(builtin("X3_0"))[0]
+    for k in (0.5, 1.0):
+        with pytest.raises(TypeError):
+            endpoint_conditions(split, k)
+        with pytest.raises(TypeError):
+            endpoint(split, k)
+        with pytest.raises(TypeError):
+            _first_deformable((), k)
+    with pytest.raises(TypeError):
+        shear_lower(split, (1.5, 0))
 
 
 # --- endpoint ------------------------------------------------------------------------

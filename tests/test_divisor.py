@@ -221,7 +221,8 @@ def sheared_rows(fan, names):
     shear = dm.lattice.shear_map((1,) * (fan.dimension - 1))
     return shear.compose(dm.UnimodularMap(real(fan, names))).matrix
 dm.Fan._inverse_rows = sheared_rows
-dm.find_splittings(fan)
+for split in dm.find_splittings(fan):
+    split.fan
 """,
     "scroll_renormalize": """
 import fanshear.scroll as sc

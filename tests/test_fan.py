@@ -238,6 +238,13 @@ def test_dimension_mismatch_rejected():
         make_fan(2, [("x", (1, 0, 0)), ("y", (0, 1, 0))], [("x", "y")])
 
 
+def test_tuple_ray_coordinates_must_be_integers():
+    # refused, not truncated: e1 = (1.5, 0) would make a complete P^2
+    with pytest.raises(TypeError):
+        make_fan(2, [("e1", (1.5, 0)), ("e2", (0, 1)), ("a", (-1, -1))],
+                 [("e1", "e2"), ("e2", "a"), ("a", "e1")])
+
+
 # --- completeness certificate -----------------------------------------------
 
 XYZ = [("x", (1, 0)), ("y", (0, 1)), ("z", (1, 1))]

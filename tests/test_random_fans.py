@@ -42,12 +42,10 @@ from fanshear import fan as fan_module
 from fanshear.deform import (
     FiberKind,
     _axis,
-    _candidates,
     _complementary_pairs,
     _fibration_functional,
     _first_deformable,
     _is_axis,
-    _splitting,
     _splittings,
     endpoint,
     endpoint_conditions,
@@ -300,28 +298,25 @@ def test_per_axis_searches_assemble_the_one_pass_splittings_on_subdivisions():
             assert find_splittings(fan) == find_splittings_in_one_pass(fan)
 
 
-def test_a_large_face_subdivision_tests_one_axis(monkeypatch):
+def test_a_large_face_subdivision_tests_one_axis(
+    monkeypatch, built_splittings, drawn_splittings
+):
     # 127 rays and 7382 two-element collections: the cone masks reject all
     # but the one axis, and each of its two orientations reads one
-    # functional and builds one splitting
-    functionals, splittings = [], []
-    real_functional, real_splitting = (
-        deform_module._fibration_functional, deform_module._splitting
-    )
+    # functional and draws one splitting, which computes no base fan
+    functionals = []
+    real_functional = deform_module._fibration_functional
     monkeypatch.setattr(
         deform_module, "_fibration_functional",
         lambda *a: functionals.append(a[1:]) or real_functional(*a),
     )
-    monkeypatch.setattr(
-        deform_module, "_splitting", lambda *a: splittings.append(a[1:3]) or real_splitting(*a)
-    )
     fan = random_face_subdivided_fan(1, "W4_1", 120)
     functionals.clear()
-    splittings.clear()
+    drawn_splittings.clear()
     assert len(fan.rays) == 127
     assert sum(len(c) == 2 for c in primitive_collections(fan)) == 7382
     assert find_splittings(fan)
-    assert len(functionals) <= 2 and len(splittings) <= 2
+    assert len(functionals) <= 2 and len(drawn_splittings) <= 2 and built_splittings == []
 
 
 def test_axis_test_rejects_a_cone_off_the_axis_without_a_functional(monkeypatch):
@@ -356,8 +351,8 @@ def test_splittings_compute_no_relation_for_a_rejected_axis(monkeypatch):
 
 
 def test_equator_axes_read_off_the_input_fan_match_the_equator(corpus):
-    # _axis over a splitting's axis decides, on the input fan, every ordered
-    # pair of equator rays as _axis decides it on the built equator
+    # _is_axis over a splitting's axis decides, on the input fan, every
+    # ordered pair of equator rays as _axis decides it on the built equator
     fans = list(corpus.values()) + [
         bundle_fan(BundleSpec(twists))
         for d in range(2, 7) for twists in product(range(3), repeat=d - 1)
@@ -370,7 +365,7 @@ def test_equator_axes_read_off_the_input_fan_match_the_equator(corpus):
         for split in find_splittings(fan):
             outer = split.upper_names + split.lower_names
             for p, q in permutations(split.equator.ray_names(), 2):
-                on_fan = _axis(fan, p, q, outer) is not None
+                on_fan = _is_axis(fan, p, q, outer)
                 assert on_fan == (_axis(split.equator, p, q) is not None), (fan, split, p, q)
                 pairs += 1
                 axes += on_fan
@@ -449,15 +444,19 @@ def test_the_lazy_search_stops_at_the_first_deformable_splitting(corpus):
 
 
 def test_candidates_decide_as_the_splittings_built_from_them(corpus):
-    # the fiber and the conditions read off a candidate, before any splitting
-    # is built, against those of its splitting and the equator oracle
+    # the fiber and the conditions, read off the input fan before the base
+    # fan is computed, against the base fan and the equator oracle
     decided = 0
     for fan in corpus_and_random_fans(corpus):
-        for candidate in _candidates(fan):
-            split = _splitting(candidate)
-            assert fiber_type(candidate) == fiber_type(split) == fiber_type_on_equator(split)
-            for k in (0, 1, 2, 5):
-                assert endpoint_conditions(candidate, k) == endpoint_conditions(split, k)
+        for split in _splittings(fan):
+            fiber, (first, last) = fiber_type(split), split.lower_ends
+            conditions = {k: endpoint_conditions(split, k) for k in (0, 1, 2, 5)}
+            assert not {"fan", "to_normal_form"} & set(vars(split))
+            lower = split.fan.generator(split.lower_names[0])
+            assert (first, last) == (lower[0], lower[-1])
+            assert fiber == fiber_type_on_equator(split)
+            for k, report in conditions.items():
+                assert report.satisfied == (k * lower[-1] + lower[0] >= 0)
             decided += 1
     assert decided == 262
 

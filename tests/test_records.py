@@ -140,6 +140,16 @@ def test_cached_properties_fill_on_immutable_records():
     fans = chain.fans
     assert len(fans) == len(chain.specs) == 3
     assert vars(chain)["fans"] is fans is chain.fans
-    # a splitting's fiber type is a field, decided when the splitting is built
+    # a splitting's fields are its frame; everything else is computed when
+    # first read, then kept
     split = find_splittings(fan)[0]
-    assert vars(split)["fiber"] is split.fiber is fiber_type(split)
+    lazy = ("fiber", "lower_ends", "to_normal_form", "fan", "upper", "lower", "equator")
+    assert tuple(vars(split)) == (
+        "source", "basis_names", "rest_names", "upper_names", "lower_names"
+    )
+    for name in lazy:
+        assert name not in vars(split)
+        value = getattr(split, name)
+        assert vars(split)[name] is value is getattr(split, name)
+    assert split.fiber is fiber_type(split)
+    assert split.source is fan and split == find_splittings(fan)[0]

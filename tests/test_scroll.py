@@ -178,24 +178,19 @@ def test_reduce_step_shears_the_splitting_the_full_search_picks():
 D7_CHAIN = ((8, 6, 4, 2, 0, 0), (4, 4, 4, 4, 2, 2))
 
 
-def test_d7_chain_rebuilds_nothing_from_relations(monkeypatch):
-    # the chain steps by the reduction formula: it builds no splitting, shears
+def test_d7_chain_rebuilds_nothing_from_relations(monkeypatch, drawn_splittings):
+    # the chain steps by the reduction formula: it draws no splitting, shears
     # nothing and solves no presentation (every fan_from_relations call
     # solves in _solve_presentation), also when its bundle fans are read
-    solved, splittings, sheared = [], [], []
-    real_solve, real_splitting, real_shear = (
-        fan_module._solve_presentation, deform._splitting, deform.shear_lower
-    )
+    solved, sheared = [], []
+    real_solve, real_shear = fan_module._solve_presentation, deform.shear_lower
     monkeypatch.setattr(
         fan_module, "_solve_presentation", lambda *a: solved.append(a) or real_solve(*a)
-    )
-    monkeypatch.setattr(
-        deform, "_splitting", lambda *a: splittings.append(a) or real_splitting(*a)
     )
     monkeypatch.setattr(deform, "shear_lower", lambda *a: sheared.append(a) or real_shear(*a))
     chain = deformation_chain(*map(BundleSpec, D7_CHAIN))
     assert chain is not None and len(chain.fans) == 10
-    assert (solved, splittings, sheared) == ([], [], [])
+    assert (solved, drawn_splittings, sheared) == ([], [], [])
 
 
 def test_d7_chain_writes_its_fans_without_validating_them(monkeypatch, tmp_path):
