@@ -42,7 +42,7 @@ without the filter, which finds the same first frame.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, islice, repeat
+from itertools import combinations, repeat
 from operator import index, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -312,7 +312,8 @@ def make_fan(
     fan = Fan(dimension, tuple(ray_objs), tuple(cone_objs))
     fan._inverses  # raises SingularCone for the first cone not unimodular
     if len(set(fan.cone_sets)) != len(cone_objs):
-        raise BadFaceStructure("duplicate maximal cone")
+        repeated = next(c for i, c in enumerate(fan.cone_sets) if c in fan.cone_sets[:i])
+        raise BadFaceStructure(f"duplicate maximal cone {fan.sort_names(repeated)}")
     for n, star in fan._cones_of_ray.items():
         if not star:
             raise DanglingRay(f"ray {n} belongs to no maximal cone")
@@ -777,17 +778,13 @@ def fan_isomorphism(f1: Fan, f2: Fan) -> Optional[UnimodularMap]:
 
 def _candidate_cones(
     names: Sequence[str], dimension: int, collections: Sequence[frozenset[str]],
-    reverse: bool = False,
 ) -> Iterator[tuple[str, ...]]:
     """The d-subsets of names, in combinations order, containing no collection.
 
-    With reverse, the opposite order: that of their complements, as two
-    subsets compare by the least element of their symmetric difference.
-
     Depth-first over the faces of the collections' complex: a face grows
-    only by names after its last one (from high to low with reverse), and
-    a face that holds no collection gains one only if it ends at the name
-    just added, so only those collections are tested.
+    only by names after its last one, and a face that holds no collection
+    gains one only if it ends at the name just added, so only those
+    collections are tested.
     """
     order = {n: i for i, n in enumerate(names)}
     ending: list[list[int]] = [[] for _ in names]
@@ -802,7 +799,7 @@ def _candidate_cones(
             yield chosen
             return
         last = len(names) - dimension + len(chosen)
-        for i in range(last, start - 1, -1) if reverse else range(start, last + 1):
+        for i in range(start, last + 1):
             grown = face | 1 << i
             if not any(c & grown == c for c in ending[i]):
                 yield from grow(grown, chosen + (names[i],), i + 1)
@@ -822,35 +819,25 @@ def fan_from_relations(
     The named generators of basis_cone receive the standard basis, the
     remaining generators are solved from the relations, and the maximal
     cones are all unimodular d-subsets avoiding every relation's lhs.  When
-    basis_cone is omitted, candidates are tried greedily in subset order
-    until one yields a consistent solution and a valid complete fan.  Each
-    candidate splits the one relation matrix by column.
+    basis_cone is omitted, the first such d-subset in combinations order
+    is the basis, and its one solve decides: if any candidate c yields a
+    valid complete fan F, F's cones are all those d-subsets, so the first,
+    c1, is a unimodular cone of F.  The solve from c is unique and F's d
+    coordinate columns lie in the relation matrix's kernel, so they span
+    it; only 0 in it vanishes on the basis c1, so the solve from c1 is
+    unique too.  Its solution is F moved by the unimodular map sending c1's
+    rays to e1, ..., ed, which passes every check F passed.
     """
     names = list(generator_names)
     if len(set(names)) != len(names):
         raise ValueError("duplicate generator names")
     matrix = _relation_matrix(names, relations)
     collections = [frozenset(rel.lhs) for rel in relations]
-
-    if basis_cone is not None:
-        return _solve_presentation(dimension, names, matrix, collections, tuple(basis_cone))
-
-    candidates = _candidate_cones(names, dimension, collections)
-    # Rank with a row per generator: row_echelon's transform is n x n.
-    if len(lattice.row_echelon(list(zip(*matrix)))[2]) < len(names) - dimension:
-        # No candidate's unknowns can be pinned: raise the last one's error.
-        candidates = islice(_candidate_cones(names, dimension, collections, reverse=True), 1)
-    last_error: Exception | None = None
-    for candidate in candidates:
-        try:
-            return _solve_presentation(dimension, names, matrix, collections, candidate)
-        except (InconsistentRelations, UnderdeterminedRelations, ResultNotComplete,
-                ResultSingular, BadFaceStructure, DanglingRay, SingularCone,
-                NonPrimitiveRay) as exc:
-            last_error = exc
-    if last_error is not None:
-        raise last_error
-    raise InconsistentRelations("no candidate basis cone avoids the given collections")
+    if basis_cone is None:
+        basis_cone = next(_candidate_cones(names, dimension, collections), None)
+        if basis_cone is None:
+            raise InconsistentRelations("no candidate basis cone avoids the given collections")
+    return _solve_presentation(dimension, names, matrix, collections, tuple(basis_cone))
 
 
 def _relation_matrix(names: Sequence[str], relations: Sequence[FormalRelation]) -> list[list[int]]:
@@ -878,15 +865,16 @@ def _solve_presentation(
         raise ValueError(f"basis cone needs {dimension} generators")
     if any(n not in names for n in basis):
         raise ValueError("basis cone uses unknown generator")
-    unit = {n: i for i, n in enumerate(basis)}  # a repeated name keeps its last position
+    if len(set(basis)) != dimension:
+        raise ValueError("basis cone repeats a generator")
     assigned: dict[str, Vector] = {
-        n: tuple(1 if j == i else 0 for j in range(dimension)) for n, i in unit.items()
+        n: tuple(1 if j == i else 0 for j in range(dimension)) for i, n in enumerate(basis)
     }
     # The unknowns' columns are the coefficients; the basis columns, times
     # their unit vectors and negated, the right-hand side.
-    unknowns = [j for j, n in enumerate(names) if n not in unit]
-    fixed = [names.index(n) if unit[n] == i else None for i, n in enumerate(basis)]
-    rhs = [[0 if j is None else -row[j] for j in fixed] for row in matrix]
+    unknowns = [j for j, n in enumerate(names) if n not in assigned]
+    fixed = [names.index(n) for n in basis]
+    rhs = [[-row[j] for j in fixed] for row in matrix]
 
     if unknowns:
         unpinned = UnderdeterminedRelations(

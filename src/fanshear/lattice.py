@@ -6,9 +6,11 @@ the primitives the rest of the package is built on: primitivity and
 basis-extension tests, deterministic integer row reduction, integral linear
 solving, unimodular maps, the shear matrices used to deform fans, and a
 Fourier-Motzkin feasibility test for strict/weak homogeneous inequalities.
-row_echelon is the one elimination behind cone inverses, basis extension,
-class groups, ranks and integral solving; det keeps Bareiss elimination
-for the signed value, and linear_feasible keeps Fourier-Motzkin.
+_echelon, which builds no transform, is the one elimination behind cone
+inverses, basis extension, class groups and integral solving: row_echelon
+runs it on rows augmented by the identity, solve_integer on [coeffs | rhs]
+alone.  det keeps Bareiss elimination for the signed value, and
+linear_feasible keeps Fourier-Motzkin.
 unimodular_inverse decides unimodularity and inverts in one row reduction;
 a fan runs it once per facet-connected set of cones and pivots from there
 to the rest.  matrix_inverse, which change_of_basis and
@@ -100,18 +102,27 @@ def row_echelon(
     """Reduce to echelon form by unimodular row operations.
 
     Returns (transform, echelon, pivot_columns) with transform @ matrix ==
-    echelon and det(transform) = +-1.  Pivoting is deterministic: among the
-    active rows of a column, pick the smallest nonzero absolute value,
-    breaking ties by lowest row index; the eventual pivot is made positive
-    and the entries above it are reduced into [0, pivot).  Each row carries
-    its transform row as m extra columns, so one set of row operations
-    builds both; only the first n columns are pivoted on.
+    echelon and det(transform) = +-1: the rows carry the identity as m
+    extra columns, which _echelon turns into the transform.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    if any(len(r) != n for r in matrix):
-        raise ValueError("ragged matrix")
     rows = [[*r, *[1 if i == j else 0 for j in range(m)]] for i, r in enumerate(matrix)]
+    pivots = _echelon(rows, n)
+    return [row[n:] for row in rows], [row[:n] for row in rows], pivots
+
+
+def _echelon(rows: list[list[int]], n: int) -> list[int]:
+    """Reduce rows in place by unimodular row operations; return the pivot columns.
+
+    Only the first n columns are pivoted on, each from its own entries:
+    among the active rows, the smallest nonzero absolute value, ties to the
+    lowest row index.  The pivot is made positive and the entries above it
+    are reduced into [0, pivot).  Columns past n are carried along.
+    """
+    m = len(rows)
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -142,11 +153,11 @@ def row_echelon(
                     rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
             pivots.append(c)
             r += 1
-    return [row[n:] for row in rows], [row[:n] for row in rows], pivots
+    return pivots
 
 
 def _unit_pivots(echelon: Sequence[Sequence[int]], pivots: Sequence[int], rank: int) -> bool:
-    """Whether row_echelon found exactly rank pivots, each equal to 1."""
+    """Whether an elimination found exactly rank pivots, each equal to 1."""
     return len(pivots) == rank and all(echelon[i][c] == 1 for i, c in enumerate(pivots))
 
 
@@ -158,17 +169,17 @@ def solve_integer(
     Raises NoIntegerSolution when no rational or no integral solution
     exists, UnderdeterminedSystem when the solution is not unique.
 
-    One row_echelon of [coeffs | rhs].  Its first n columns reduce as
-    coeffs alone would, since a column's pivot is chosen from that column
-    only; a pivot beyond them is a nonzero right-hand side against a zero
-    row, so the system is inconsistent.
+    One _echelon of [coeffs | rhs]: its first n columns reduce as coeffs
+    alone would, and a pivot beyond them is a nonzero right-hand side
+    against a zero row, so the system is inconsistent.
     """
     m = len(coeffs)
     n = len(coeffs[0]) if m else 0
     k = len(rhs[0]) if rhs else 0
     if len(rhs) != m:
         raise ValueError("rhs row count mismatch")
-    _, echelon, pivots = row_echelon([[*a, *b] for a, b in zip(coeffs, rhs)])
+    echelon = [[*a, *b] for a, b in zip(coeffs, rhs)]
+    pivots = _echelon(echelon, n + k)
     if pivots and pivots[-1] >= n:
         raise NoIntegerSolution("inconsistent linear system")
     if len(pivots) < n:
@@ -188,13 +199,13 @@ def solve_integer(
 def elementary_divisors_all_one(vectors: Sequence[Sequence[int]]) -> bool:
     """Whether the row span is a rank-len(vectors) direct summand of Z^d.
 
-    One row_echelon of the d x m matrix whose columns are the vectors.  Its
-    transform is unimodular, so the elementary divisors are those of the
-    triangular top block, and that block's diagonal holds the pivots: they
-    are all one exactly when there are m pivots, each equal to 1.
+    One _echelon of the d x m matrix whose columns are the vectors.  Its
+    row operations are unimodular, so the elementary divisors are those of
+    the triangular top block, and that block's diagonal holds the pivots:
+    they are all one exactly when there are m pivots, each equal to 1.
     """
-    _, echelon, pivots = row_echelon(list(zip(*vectors)))
-    return _unit_pivots(echelon, pivots, len(vectors))
+    echelon = [list(row) for row in zip(*vectors)]
+    return _unit_pivots(echelon, _echelon(echelon, len(vectors)), len(vectors))
 
 
 def extends_to_basis(vectors: Sequence[Sequence[int]]) -> bool:

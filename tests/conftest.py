@@ -17,13 +17,15 @@ completeness certificate fails, and completeness by facet connectivity.
 Cone inverses and fibration functionals are recomputed by a determinant
 test and a general integral solve, independent of the one row reduction
 per cone whose result the library keeps.  The collection-free d-subsets
-that fan_from_relations tries are recomputed by scanning every
-combination against every collection.  Bundle fans are rebuilt from their
-relations and revalidated with make_fan, find_splittings is rerun as the
-one pass over every axis it was before its per-axis searches, with the
-fiber-pair designations read off the equator of a splitting in the
-support cone's frame rather than off the input fan, and a reduction
-step's splitting is picked out of that full list.  Primed names are
+that fan_from_relations reads its basis from are recomputed by scanning
+every combination against every collection, and its one solve is checked
+against the loop that tries every such subset as the basis.  Bundle fans
+are rebuilt from their relations and revalidated with make_fan,
+find_splittings is rerun as the one pass over every axis it was before
+its per-axis searches, with the fiber-pair designations read off the
+equator of a splitting in the support cone's frame rather than off the
+input fan, and a reduction step's splitting is picked out of that full
+list.  Primed names are
 recomputed with a regular expression for the leading ASCII letters.
 Chains are recomputed by walking start's whole descent.  The nef test is
 recomputed by names, and the axes by testing every ordered pair of rays.
@@ -39,11 +41,12 @@ import pytest
 
 from fanshear import builtin, bundle_fan, lattice
 from fanshear import deform
+from fanshear import fan as fan_module
 from fanshear.deform import (
     FiberKind, FiberType, endpoint, fiber_type, find_splittings, split_with_frame,
 )
 from fanshear.divisor import NefAmpleStatus, class_group
-from fanshear.errors import BadFaceStructure
+from fanshear.errors import BadFaceStructure, FanError, InconsistentRelations
 from fanshear.fan import (
     Ray,
     _certified_complete,
@@ -157,19 +160,27 @@ def face_walk_collections(fan):
     )
 
 
-def candidate_cones_by_combinations(names, dimension, collections, reverse=False):
+def candidate_cones_by_combinations(names, dimension, collections):
     """Combinations-scan oracle of fan._candidate_cones: the d-subsets of
-    names containing no collection, in combinations order, or with reverse
-    in the combinations order of their complements."""
-    order = {n: i for i, n in enumerate(names)}
-    masks = [sum(1 << order[n] for n in c) for c in collections]
-    flip, size = ((1 << len(names)) - 1, len(names) - dimension) if reverse else (0, dimension)
-    out = []
-    for subset in combinations(range(len(names)), size):
-        mask = flip ^ sum(1 << i for i in subset)
-        if not any(c & mask == c for c in masks):
-            out.append(tuple(n for i, n in enumerate(names) if mask >> i & 1))
-    return out
+    names containing no collection, in combinations order."""
+    return [
+        subset for subset in combinations(names, dimension)
+        if not any(c.issubset(subset) for c in collections)
+    ]
+
+
+def fan_from_relations_by_every_candidate(dimension, names, relations):
+    """fan_from_relations without a basis, as the loop over every candidate:
+    each collection-free d-subset, in combinations order, is tried as the
+    basis until one yields a valid fan; else the last candidate's error."""
+    collections = [frozenset(r.lhs) for r in relations]
+    error = InconsistentRelations("no candidate basis cone avoids the given collections")
+    for candidate in candidate_cones_by_combinations(names, dimension, collections):
+        try:
+            return fan_from_relations(dimension, names, relations, candidate)
+        except FanError as exc:
+            error = exc
+    raise error
 
 
 def projective_space_fan(d):
@@ -449,6 +460,17 @@ def check_splittings_against_oracles(fan):
         assert rebuilt == equator
         assert is_complete(rebuilt)
     return len(splits)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The basis cones fan._solve_presentation is called with, in call order."""
+    bases = []
+    real = fan_module._solve_presentation
+    monkeypatch.setattr(
+        fan_module, "_solve_presentation", lambda *args: bases.append(args[4]) or real(*args)
+    )
+    return bases
 
 
 @pytest.fixture

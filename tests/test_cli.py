@@ -511,13 +511,17 @@ def test_fromrel_inconsistent_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text,status,fragment",
     [
-        # generators but no relation: nothing pins the non-basis generators
-        ("dim 2\ngens a b c\n", 1, "UnderdeterminedRelations: generators ['a']"),
+        # generators but no relation: nothing pins the generator outside the
+        # first candidate basis (a, b)
+        ("dim 2\ngens a b c\n", 1,
+         "UnderdeterminedRelations: generators ['c'] are not pinned down by the relations"),
         # more dimensions than generators: no candidate cone, and no huge allocation
         ("dim 99999999999\ngens a b c\n", 1, "no candidate basis cone"),
         ("dim -1\ngens a b c\n", 2, "error: line 1: dimension must be positive"),
         ("dim 0\ngens a b\nrel a+b = 0\n", 2, "error: line 1: dimension must be positive"),
         ("dim 5\ndim 2\ngens a b c\n", 2, "error: line 2: duplicate dim line"),
+        ("dim 2\ngens a b c\nrel a+b+c = 0\nbasis a a\n", 2,
+         "error: basis cone repeats a generator"),
     ],
 )
 def test_fromrel_degenerate_presentations_exit_cleanly(tmp_path, capsys, text, status, fragment):
@@ -528,7 +532,7 @@ def test_fromrel_degenerate_presentations_exit_cleanly(tmp_path, capsys, text, s
     assert fragment in out
 
 
-def test_fromrel_without_enough_relations_solves_one_candidate(tmp_path, capsys):
+def test_fromrel_without_enough_relations_solves_one_candidate(tmp_path, capsys, solves):
     # C(20, 10) = 184,756 candidate basis cones, and no relation to pin any
     rel = tmp_path / "short.rel"
     rel.write_text("dim 10\ngens " + " ".join(f"g{i}" for i in range(20)) + "\n")
@@ -538,8 +542,9 @@ def test_fromrel_without_enough_relations_solves_one_candidate(tmp_path, capsys)
     assert status == 1
     assert out == (
         "error: UnderdeterminedRelations: generators "
-        f"{[f'g{i}' for i in range(10)]} are not pinned down by the relations\n"
+        f"{[f'g{i}' for i in range(10, 20)]} are not pinned down by the relations\n"
     )
+    assert solves == [tuple(f"g{i}" for i in range(10))]
 
 
 # --- json parity --------------------------------------------------------------------

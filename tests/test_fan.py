@@ -216,7 +216,7 @@ P2_CONES = [("x", "y"), ("y", "a"), ("a", "x")]
          SingularCone, "cone ('x', 's') is not unimodular"),
         ([*P2_CONES, ("x", "a"), ("t", "z")],
          SingularCone, "cone ('t', 'z') is not unimodular"),
-        ([*P2_CONES, ("x", "a")], BadFaceStructure, "duplicate maximal cone"),
+        ([*P2_CONES, ("x", "a")], BadFaceStructure, "duplicate maximal cone ('x', 'a')"),
         # every cone next to the first, in input order, whatever the walk meets first
         ([*P2_CONES, ("x", "s"), ("t", "y"), ("y", "z")],
          SingularCone, "cone ('x', 's') is not unimodular"),
@@ -864,9 +864,9 @@ RELATION_ERRORS = [
      InconsistentRelations, "generator a solves to the non-primitive vector (0, 0)"),
     (2, ["e1", "e2", "a"], [_rel(["a"], (1, "e1"))], ("e1", "e2"),
      InconsistentRelations, "generators e1 and a solve to the same vector"),
-    # a repeated basis name takes the unit vector of its last position
-    (2, ["e1", "e2", "a"], [_rel(["e2"], (1, "e1")), _rel(["a"], (2, "e1"))], ("e1", "e1"),
-     InconsistentRelations, "generator a solves to the non-primitive vector (0, 2)"),
+    # a + b = e1 and a - b = e2 have the rational solution a = (e1 + e2) / 2
+    (2, ["e1", "e2", "a", "b"], [_rel(["a", "b"], (1, "e1")), _rel(["a"], (1, "b"), (1, "e2"))],
+     ("e1", "e2"), InconsistentRelations, "no integral solution"),
     (2, ["x1", "x2", "x3"], [_rel(["x1"]), _rel(["x2"])], None,
      InconsistentRelations, "no candidate basis cone avoids the given collections"),
     (2, ["x1", "x2", "x3", "x4"], [_rel(["x1", "x2"])], ("x1", "x3"),
@@ -875,6 +875,8 @@ RELATION_ERRORS = [
      UnderdeterminedRelations, "generators ['a'] are not pinned down by the relations"),
     (2, ["e1", "e2", "a"], [_rel(["e1", "a"])], ("e1", "e2"),
      ResultNotComplete, "reconstructed cone complex does not cover R^d"),
+    (2, ["e1", "e2", "a"], [_rel(["e2"], (1, "e1")), _rel(["a"], (2, "e1"))], ("e1", "e1"),
+     ValueError, "basis cone repeats a generator"),
 ]
 
 

@@ -345,6 +345,16 @@ def test_solve_integer_unique():
     assert x == [[1], [2]]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: solve_integer([[1, 2], [3]], [[1], [2]]),
+    lambda: solve_integer([[1, 2], [3, 4]], [[1], [2, 3]]),
+    lambda: row_echelon([[1, 2], [3]]),
+])
+def test_ragged_matrices_are_rejected(call):
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        call()
+
+
 def test_solve_integer_inconsistent():
     with pytest.raises(NoIntegerSolution):
         solve_integer([[1, 1], [1, 1]], [[0], [1]])

@@ -25,6 +25,7 @@ from conftest import (
     direction_in_fan,
     face_walk_collections,
     catalog_names,
+    fan_from_relations_by_every_candidate,
     fan_isomorphism_by_frames,
     fiber_type_on_equator,
     find_splittings_in_one_pass,
@@ -56,7 +57,7 @@ from fanshear.deform import (
     star_equivalent,
 )
 from fanshear.divisor import NefAmpleStatus, anticanonical, nef_ample_status
-from fanshear.errors import UnderdeterminedRelations
+from fanshear.errors import FanError, InconsistentRelations, UnderdeterminedRelations
 from fanshear.fan import (
     Fan,
     FormalRelation,
@@ -763,7 +764,7 @@ def test_relation_walk_gives_up_at_the_boundary_of_a_half_fan():
     assert fan_module._walk_to_sum(fan, [fan._order["w"]], (2, -1)) is None
 
 
-def test_candidate_cones_reverse_order(corpus):
+def test_candidate_cones_follow_combinations_order(corpus):
     fans = list(corpus.values()) + [
         random_plane_fan(seed, insertions) for seed, insertions in PLANE_CASES
     ] + [
@@ -777,13 +778,9 @@ def test_candidate_cones_reverse_order(corpus):
         names = fan.ray_names()
         collections = primitive_collections(fan)
         for used in (collections, collections[:2], collections[1::2], ()):
-            forward = list(_candidate_cones(names, fan.dimension, used))
-            backward = list(_candidate_cones(names, fan.dimension, used, reverse=True))
-            assert forward == candidate_cones_by_combinations(names, fan.dimension, used)
-            assert backward == candidate_cones_by_combinations(
-                names, fan.dimension, used, reverse=True
+            assert list(_candidate_cones(names, fan.dimension, used)) == (
+                candidate_cones_by_combinations(names, fan.dimension, used)
             )
-            assert backward == forward[::-1]
 
 
 def test_candidate_cones_edge_cases():
@@ -793,22 +790,38 @@ def test_candidate_cones_edge_cases():
     assert list(_candidate_cones(names[:3], 0, [])) == [()]
     # lazy: the first of C(24, 12) candidates comes without walking the rest
     start = time.process_time()
-    first = islice(_candidate_cones(names, 12, [frozenset({"g0", "g23"})], reverse=True), 1)
-    assert list(first) == [tuple(names[12:])]
+    first = islice(_candidate_cones(names, 12, [frozenset({"g0", "g23"})]), 1)
+    assert list(first) == [tuple(names[:12])]
     assert time.process_time() - start < 0.5
 
 
-def test_relation_roundtrip_at_42_rays():
-    # 738 relations: the scale at which scanning every 4-subset took seconds
-    fan = random_subdivided_fan(3, "W4_1", 35)
-    relations = [
+def _presentation(fan):
+    return [
         FormalRelation(r.collection, tuple((k, n) for n, k in r.support))
         for r in primitive_relations(fan)
     ]
-    assert (len(fan.rays), len(relations)) == (42, 738)
-    for basis in (fan.max_cones[0].ray_names, None):
-        rebuilt = fan_from_relations(fan.dimension, fan.ray_names(), relations, basis)
-        assert fan_isomorphism(rebuilt, fan) is not None
+
+
+def test_relation_roundtrip_at_42_rays(monkeypatch, solves):
+    # 738 relations: the scale at which scanning every 4-subset took seconds;
+    # 4653 relations: the scale at which carrying a transform took a minute
+    widths = []
+    real = lattice._echelon
+    monkeypatch.setattr(
+        lattice, "_echelon", lambda rows, n: widths.append(max(map(len, rows), default=0))
+        or real(rows, n)
+    )
+    for fan, size in ((random_subdivided_fan(3, "W4_1", 35), (42, 738)),
+                      (random_subdivided_fan(3, "W4_1", 93), (100, 4653))):
+        relations = _presentation(fan)
+        assert (len(fan.rays), len(relations)) == size
+        for basis in (fan.max_cones[0].ray_names, None):
+            widths.clear()
+            solves.clear()
+            rebuilt = fan_from_relations(fan.dimension, fan.ray_names(), relations, basis)
+            assert len(solves) == 1
+            assert max(widths) <= len(fan.rays)
+            assert fan_isomorphism(rebuilt, fan) is not None
 
 
 def _error_of(call):
@@ -820,13 +833,11 @@ def _error_of(call):
 
 
 @pytest.mark.parametrize("name", ["X3_0", "W4_1", "hirzebruch(2)", "W4_5"])
-def test_short_presentations_raise_the_full_loops_error(corpus, name):
-    # fewer relations than generators outside a basis: only the last candidate is solved
+def test_short_presentations_raise_the_first_candidates_error(corpus, name, solves):
+    # fewer relations than generators outside a basis: every candidate fails,
+    # and the first one's error is raised after its one solve
     fan = corpus[name]
-    relations = [
-        FormalRelation(r.collection, tuple((k, n) for n, k in r.support))
-        for r in primitive_relations(fan)
-    ]
+    relations = _presentation(fan)
     names = fan.ray_names()
     unknowns = len(names) - fan.dimension
     # the last: as many relations as unknowns, of rank one
@@ -839,23 +850,89 @@ def test_short_presentations_raise_the_full_loops_error(corpus, name):
             for candidate in _candidate_cones(names, fan.dimension, collections)
         ]
         assert errors and None not in errors
-        assert _error_of(lambda: fan_from_relations(fan.dimension, names, kept)) == errors[-1]
+        solves.clear()
+        assert _error_of(lambda: fan_from_relations(fan.dimension, names, kept)) == errors[0]
+        assert solves == [next(_candidate_cones(names, fan.dimension, collections))]
 
 
-def test_repeated_relations_below_full_rank_solve_one_candidate(monkeypatch):
+def test_repeated_relations_below_full_rank_solve_one_candidate(solves):
     # eight copies of one relation reach the count of generators outside a
     # basis, but not its rank: no candidate's unknowns can be pinned
     names = [f"g{i}" for i in range(16)]
     relations = [FormalRelation(("g0", "g1"), ())] * 8
-    solved = []
-    real = fan_module._solve_presentation
-    monkeypatch.setattr(
-        fan_module, "_solve_presentation", lambda *args: solved.append(args[4]) or real(*args)
-    )
     with pytest.raises(UnderdeterminedRelations) as error:
         fan_from_relations(8, names, relations)
     assert str(error.value) == (
-        f"generators {names[:8]} are not pinned down by the relations"
+        f"generators {['g1', *names[9:]]} are not pinned down by the relations"
     )
-    collections = [frozenset({"g0", "g1"})] * 8
-    assert solved == [next(_candidate_cones(names, 8, collections, reverse=True))]
+    assert solves == [("g0", *names[2:9])]
+
+
+def test_a_contradictory_relation_fails_after_one_solve(solves):
+    # one bumped coefficient among 403 relations on 32 rays: every candidate
+    # basis meets the contradiction, and only the first is solved
+    fan = random_subdivided_fan(0, "W4_1", 25)
+    relations = _presentation(fan)
+    bumped = relations[len(relations) // 2]
+    (k, n), *rest = bumped.rhs
+    relations[len(relations) // 2] = FormalRelation(bumped.lhs, ((k + 1, n), *rest))
+    assert (len(fan.rays), len(relations)) == (32, 403)
+    solves.clear()  # building the fan solved W4_1's presentation
+    with pytest.raises(InconsistentRelations) as error:
+        fan_from_relations(fan.dimension, fan.ray_names(), relations)
+    assert str(error.value) == "inconsistent linear system"
+    assert len(solves) == 1
+
+
+def _mutated_presentations(fan, seed):
+    """The fan's presentation, in input and reversed generator order, and
+    twelve seeded mutations of it: a coefficient bumped, a relation dropped
+    or repeated, a right-hand side name swapped, relations reordered."""
+    rng = random.Random(seed)
+    names = list(fan.ray_names())
+    relations = _presentation(fan)
+    yield names, relations
+    yield names[::-1], relations[::-1]
+    for _ in range(12):
+        mutated = list(relations)
+        i = rng.randrange(len(mutated))
+        lhs, rhs = mutated[i].lhs, list(mutated[i].rhs)
+        kind = rng.choice(["bump", "drop", "repeat", "rename", "shuffle"])
+        if kind == "bump" and rhs:
+            j = rng.randrange(len(rhs))
+            rhs[j] = (rhs[j][0] + rng.choice((-1, 1)), rhs[j][1])
+            mutated[i] = FormalRelation(lhs, tuple(rhs))
+        elif kind == "drop":
+            del mutated[i]
+        elif kind == "repeat":
+            mutated.append(mutated[i])
+        elif kind == "rename" and rhs:
+            j = rng.randrange(len(rhs))
+            rhs[j] = (rhs[j][0], rng.choice(names))
+            mutated[i] = FormalRelation(lhs, tuple(rhs))
+        else:
+            rng.shuffle(mutated)
+        yield (names[::-1] if rng.random() < 0.5 else names), mutated
+
+
+def test_one_solve_decides_as_the_loop_over_every_candidate(corpus, solves):
+    # the first candidate basis yields a fan exactly when some candidate does,
+    # and then the same fan: both succeed with equal fans or both fail
+    outcomes = Counter()
+    for seed, fan in enumerate(corpus_and_random_fans(corpus)):
+        for names, relations in _mutated_presentations(fan, seed):
+            try:
+                expected = fan_from_relations_by_every_candidate(
+                    fan.dimension, names, relations
+                )
+            except FanError:
+                expected = None
+            solves.clear()
+            try:
+                got = fan_from_relations(fan.dimension, names, relations)
+            except FanError:
+                got = None
+            assert len(solves) <= 1
+            assert got == expected, (names, relations)
+            outcomes[got is not None] += 1
+    assert outcomes == {True: 1303, False: 461}
