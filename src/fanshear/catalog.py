@@ -6,8 +6,9 @@ parameterized families hirzebruch(a) and bundle(d;p1,...,p_{d-1}) are the
 split projective bundles over the line.  verify_weakened runs the whole
 pipeline on an entry and checks it against the entry's own expected
 outcome: the fixed entries and the bundles with twist sum 2 are weak Fano
-but not Fano and have a Fano k = 1 endpoint; the other bundles are Fano
-(twist sum at most 1) or not weak Fano, and have no endpoint stage.
+but not Fano and have a k = 1 endpoint, which is Fano except on a bundle
+of dimension d >= 3 (its twist sum stays 2 mod d); the other bundles are
+Fano (twist sum at most 1) or not weak Fano, and have no endpoint stage.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ def _bundle_expected(spec: BundleSpec) -> ExpectedOutcome:
     if total <= 1:
         return ExpectedOutcome(FanoClass.FANO, None, None)
     if total == 2:
-        return ExpectedOutcome(FanoClass.WEAK_FANO_NOT_FANO, 1, True)
+        # The k = 1 endpoint is a bundle with twist sum 2 mod d: Fano iff d = 2.
+        return ExpectedOutcome(FanoClass.WEAK_FANO_NOT_FANO, 1, spec.dimension == 2)
     return ExpectedOutcome(FanoClass.NOT_WEAK_FANO, None, None)
 
 

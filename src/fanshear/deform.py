@@ -14,9 +14,10 @@ the inequality conditions checked by endpoint_conditions hold.
 One test decides whether (up, down) is an oriented fibration axis
 (_is_axis): every maximal cone holds exactly one of the two, read off
 their cone masks, and an integral functional h vanishes off {up, down}
-with h(up) = 1 and h(down) = -1.  So the stars of an axis's rays split
-the maximal cones between them, and only such pairs, found by looking up
-each ray's complementary star (_complementary_pairs), are tested.
+with h(up) = 1 and h(down) = -1; then -h is that of (down, up), so one
+test decides an unordered axis.  The stars of an axis's rays split the
+maximal cones, and only such pairs, found by looking up each ray's
+complementary star (_complementary_pairs), are tested, once each.
 find_splittings (for the fan's axes and, read off the input fan, for the
 fibration pairs it designates on each equator) and split_with_frame use
 it, and so does the fiber type, decided once on the validated input fan
@@ -27,11 +28,12 @@ the fan's axis holds.  MMCS never runs here.
 The search is lazy and decides before it builds.  _splittings yields, in
 find_splittings order, one Splitting per axis orientation and
 designation: the validated input fan and the decided frame, nothing
-more.  Everything else a splitting has is computed when first read and
-then kept: off the input fan, its fiber type and the lower ray's first
-and last normal-form coordinates (lower_ends, two dot products with rows
-of one cached cone inverse); then its one normal-form transform, and off
-that the base fan, both half-fans and the equator.  _first_deformable,
+more; both orientations of an axis share one set of frames.  Everything
+else a splitting has is computed when first read and then kept: off the
+input fan, its fiber type and the lower ray's first and last normal-form
+coordinates (lower_ends, two dot products with rows of one cached cone
+inverse); then its one normal-form transform, and off that the base fan,
+both half-fans and the equator.  _first_deformable,
 the one stop rule of catalog verification and of the deform command,
 reads only fiber and lower_ends, up to the first splitting whose fiber is
 not Other and whose inequality holds, so only the splitting that is
@@ -273,11 +275,6 @@ def _is_axis(fan: Fan, up: str, down: str, outer: Sequence[str] = ()) -> bool:
     return _fibration_functional(fan, up, down, outer) is not None
 
 
-def _axis(fan: Fan, up: str, down: str):
-    """The _equator of the axis (up, down), or None unless _is_axis holds."""
-    return _equator(fan, (up, down)) if _is_axis(fan, up, down) else None
-
-
 def _equator(fan: Fan, axis: Sequence[str]):
     """Equator ray names and ordered equator cone sets: the fan's, less the axis rays."""
     off = set(axis)
@@ -307,7 +304,7 @@ def _complementary_pairs(fan: Fan, names: Sequence[str]) -> Iterator[tuple[str, 
 def _designations(
     fan: Fan, axis: tuple[str, str], eq_names: Sequence[str], support: Sequence[tuple[str, int]]
 ):
-    """Candidate (pivot, partner) labelings for one axis orientation, read off the fan.
+    """Candidate (pivot, partner) labelings for either orientation of the axis, read off the fan.
 
     The equator is a projective space when the fan has d + 2 rays
     (_projective_equator); its one designation's pivot is the
@@ -315,16 +312,20 @@ def _designations(
     equator's) on a tie, and its partner, fixed once the basis cone is
     chosen, is reported as None.
     Bundle equators get one designation per ordered fibration axis of the
-    equator (_is_axis over axis, on the complementary pairs only).  Otherwise
-    a single fully canonical labeling lets callers still classify the fiber
-    as Other.
+    equator: each complementary pair is tested once (_is_axis over axis),
+    and an axis {x, y} yields (x, y), then (y, x).  If h is the functional
+    of (x, y), -h is that of (y, x): the unique functional that is 1 on y
+    and 0 on the other rays of a cone through y.  Over an outer axis the
+    two candidate rows agree, up to sign, on the equator rays, because tau
+    spans ker h_outer.  Otherwise a single fully canonical labeling lets
+    callers still classify the fiber as Other.
     """
     if _projective_equator(fan):
         pivot = max(support, key=lambda item: (item[1], -fan._order[item[0]]), default=None)
         return [(pivot[0] if pivot else eq_names[0], None)]
     pairs = [
-        (p, q) for x, y in _complementary_pairs(fan, eq_names)
-        for p, q in ((x, y), (y, x)) if _is_axis(fan, p, q, axis)
+        pair for x, y in _complementary_pairs(fan, eq_names) if _is_axis(fan, x, y, axis)
+        for pair in ((x, y), (y, x))
     ]
     return pairs or [(None, None)]
 
@@ -383,9 +384,10 @@ def find_splittings(fan: Fan) -> tuple[Splitting, ...]:
 
     Searches the pairs of rays {u, v}, in combinations order, that form a
     primitive collection whose other rays span the kernel of an integral
-    functional taking +1 on u; each orientation of each such axis yields
-    splittings, one per candidate fiber-pair designation
-    (_axis_splittings).  Empty when the fan admits no such fibration.
+    functional taking +1 on u; each such axis is decided once and yields
+    splittings for (u, v) and then (v, u), one per candidate fiber-pair
+    designation (_axis_splittings).  Empty when the fan admits no such
+    fibration.
     """
     return tuple(_splittings(fan))
 
@@ -394,28 +396,30 @@ def _splittings(fan: Fan) -> Iterator[Splitting]:
     """find_splittings' splittings, in its order, each decided when it is reached.
 
     Only the pairs whose stars split the maximal cones (_complementary_pairs)
-    are tested as axes.  Not a generator function, so an incomplete fan
-    raises ValueError at the call, before anything is decided.
+    are tested as axes, once each.  Not a generator function, so an
+    incomplete fan raises ValueError at the call, before anything is decided.
     """
     if not is_complete(fan):
         raise ValueError("find_splittings requires a complete fan")
     if fan.dimension < 2:
         return iter(())
     return (
-        split for x, y in _complementary_pairs(fan, fan.ray_names())
-        for up, down in ((x, y), (y, x)) for split in _axis_splittings(fan, up, down)
+        split for x, y in _complementary_pairs(fan, fan.ray_names()) if _is_axis(fan, x, y)
+        for split in _axis_splittings(fan, x, y)
     )
 
 
-def _axis_splittings(fan: Fan, up: str, down: str) -> Iterator[Splitting]:
-    """The splittings on the oriented axis (up, down), one per designation read off the fan."""
-    axis = _axis(fan, up, down)
-    if axis is None:
-        return
-    eq_names, eq_cone_sets = axis
-    relation = primitive_relation(fan, (up, down))
+def _axis_splittings(fan: Fan, x: str, y: str) -> Iterator[Splitting]:
+    """The splittings on the axis {x, y}: every frame on (x, y), then each on (y, x).
+
+    Precondition: _is_axis(fan, x, y).  The equator, the relation, the
+    designations and so the frames are those of both orientations.
+    """
+    eq_names, eq_cone_sets = _equator(fan, (x, y))
+    relation = primitive_relation(fan, (x, y))
     support_names = frozenset(n for n, _ in relation.support)
-    for pivot, partner in _designations(fan, (up, down), eq_names, relation.support):
+    frames = []
+    for pivot, partner in _designations(fan, (x, y), eq_names, relation.support):
         # tau holds the pivot, and a designated partner is the other ray of
         # an equator axis; no equator cone holds both rays of an axis, so
         # the partner is never in tau.
@@ -423,8 +427,10 @@ def _axis_splittings(fan: Fan, up: str, down: str) -> Iterator[Splitting]:
         if pivot is None:
             pivot = tau[0]
         basis_names = (pivot, *[n for n in tau if n != pivot])
-        rest_names = _rest_names(eq_names, basis_names, partner)
-        yield Splitting(fan, basis_names, rest_names, (up,), (down,))
+        frames.append((basis_names, _rest_names(eq_names, basis_names, partner)))
+    for upper, lower in (((x,), (y,)), ((y,), (x,))):
+        for basis_names, rest_names in frames:
+            yield Splitting(fan, basis_names, rest_names, upper, lower)
 
 
 def split_with_frame(
@@ -442,10 +448,9 @@ def split_with_frame(
     """
     if not is_complete(fan):
         raise ValueError("split_with_frame requires a complete fan")
-    axis = _axis(fan, upper, lower)
-    if axis is None:
+    if not _is_axis(fan, upper, lower):
         raise ValueError(f"({upper}, {lower}) is not a fibration axis of the fan")
-    eq_names, eq_cone_sets = axis
+    eq_names, eq_cone_sets = _equator(fan, (upper, lower))
     basis = tuple(basis)
     if len(basis) != fan.dimension - 1 or frozenset(basis) not in eq_cone_sets:
         raise ValueError(f"{basis} is not an equator cone")
@@ -515,7 +520,8 @@ def _prime_name(name: str, taken: set[str]) -> str:
 def shear_lower(split: Splitting, q: Sequence[int]) -> Fan:
     """Shear every lower cone by the integer vector q and reglue with the upper half-fan.
 
-    Rays that actually move are renamed with a prime.  The result is built
+    The lower ray, when the shear moves it, is renamed with a prime; it is
+    the splitting's one lower ray (see Splitting).  The result is built
     directly, not through make_fan.  In normal-form coordinates the shear
     (y, s) -> (y + s*q, s) fixes the hyperplane ker h = {s = 0}, the
     equator, pointwise, and maps the lower half-space s <= 0 onto itself.
@@ -538,36 +544,23 @@ def shear_lower(split: Splitting, q: Sequence[int]) -> Fan:
     q = tuple(map(index, q))
     if len(q) != d - 1:
         raise ValueError(f"shear vector needs {d - 1} entries")
-    shear = lattice.shear_map(q)
-    taken = set(split.fan.ray_names())
-    renamed: dict[str, str] = {}
-    new_rays = []
-    lower_set = set(split.lower_names)
-    for ray in split.fan.rays:
-        if ray.name in lower_set:
-            moved = shear.apply(ray.generator)
-            if moved != ray.generator:
-                fresh = _prime_name(ray.name, taken)
-                taken.add(fresh)
-                renamed[ray.name] = fresh
-                new_rays.append(Ray(fresh, moved))
-                continue
-        new_rays.append(ray)
-    upper_ray = split.upper_names[0]
-    cones = []
-    for cone in split.fan.max_cones:
-        if upper_ray in cone.ray_names:
-            cones.append(cone)
-        else:
-            cones.append(Cone(tuple(renamed.get(n, n) for n in cone.ray_names)))
-    result = Fan(d, tuple(new_rays), tuple(cones))
+    base, down = split.fan, split.lower_names[0]
+    lower = base.generator(down)
+    moved = lattice.shear_map(q).apply(lower)
+    fresh = down if moved == lower else _prime_name(down, set(base.ray_names()))
+    rays = tuple(Ray(fresh, moved) if r.name == down else r for r in base.rays)
+    cones = tuple(
+        Cone(tuple(fresh if n == down else n for n in c.ray_names)) if down in c.ray_names else c
+        for c in base.max_cones
+    )
+    result = Fan(d, rays, cones)
     try:
         complete = is_complete(result)
     except FanError as exc:
         raise ResultNotAFan(f"sheared cones do not reglue into a fan: {exc}") from exc
     if not complete:
         raise ResultNotAFan("sheared union is not complete")
-    _take_complex(result, split.fan, frozenset(split.upper_names + split.lower_names), renamed)
+    _take_complex(result, base, frozenset(split.upper_names + split.lower_names), {down: fresh})
     return result
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Optional, Sequence
 
 from ._record import frozen
@@ -216,7 +216,7 @@ def extends_to_basis(vectors: Sequence[Sequence[int]]) -> bool:
     >>> extends_to_basis([(2, 0), (0, 1)])
     False
     """
-    vectors = [tuple(v) for v in vectors]
+    vectors = [tuple(map(index, v)) for v in vectors]
     if not vectors:
         return True
     dim = len(vectors[0])
@@ -234,6 +234,7 @@ class UnimodularMap:
     matrix: Matrix
 
     def __post_init__(self):
+        object.__setattr__(self, "matrix", tuple(tuple(map(index, row)) for row in self.matrix))
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix):
             raise ValueError("matrix must be square")

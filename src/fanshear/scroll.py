@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
+from operator import index
 from typing import Optional
 
 from ._record import frozen
@@ -40,7 +41,7 @@ class BundleSpec:
     twists: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "twists", tuple(int(p) for p in self.twists))
+        object.__setattr__(self, "twists", tuple(map(index, self.twists)))
         if len(self.twists) < 1:
             raise ValueError("a bundle needs at least one twist entry")
         if any(p < 0 for p in self.twists):

@@ -419,7 +419,7 @@ def fiber_type_on_equator(split):
 
     No rest ray makes the fiber Other; the equator is a projective space
     when it has one ray more than its dimension, and a bundle over the
-    line with the pivot and the first rest ray as poles when _axis holds
+    line with the pivot and the first rest ray as poles when _is_axis holds
     on the equator itself.
     """
     pivot, partner = split.pivot_name, split.partner_name
@@ -428,7 +428,7 @@ def fiber_type_on_equator(split):
     equator = split.equator
     if len(equator.rays) == equator.dimension + 1:
         return FiberType(FiberKind.PROJECTIVE_SPACE, (pivot, partner))
-    if deform._axis(equator, pivot, partner) is None:
+    if not deform._is_axis(equator, pivot, partner):
         return FiberType(FiberKind.OTHER, None)
     return FiberType(FiberKind.BUNDLE_OVER_P1, (pivot, partner))
 
@@ -516,10 +516,9 @@ def find_splittings_in_one_pass(fan):
             continue
         first, second = fan.sort_names(collection)
         for up, down in ((first, second), (second, first)):
-            axis = deform._axis(fan, up, down)
-            if axis is None:
+            if not deform._is_axis(fan, up, down):
                 continue
-            eq_names, eq_cone_sets = axis
+            eq_names, eq_cone_sets = deform._equator(fan, (up, down))
             relation = primitive_relation(fan, collection)
             support_names = frozenset(n for n, _ in relation.support)
             support_cone = deform._basis_cone(eq_cone_sets, None, support_names)
@@ -532,7 +531,7 @@ def find_splittings_in_one_pass(fan):
             else:
                 designations = [
                     (p, q) for x, y in combinations(equator.ray_names(), 2)
-                    for p, q in ((x, y), (y, x)) if deform._axis(equator, p, q) is not None
+                    for p, q in ((x, y), (y, x)) if deform._is_axis(equator, p, q)
                 ] or [(None, None)]
             for pivot, partner in designations:
                 tau = deform._basis_cone(eq_cone_sets, pivot, support_names)

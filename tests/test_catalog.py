@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from fanshear import builtin, deform
@@ -94,12 +96,40 @@ def test_verify_runs_at_most_two_collection_searches_per_entry(capsys, monkeypat
 
 def test_verify_all_tests_few_axes(capsys, monkeypatch):
     # only the ray pairs whose stars split the maximal cones are tested as
-    # axes, of the fan and of each equator (1092 tests over every ordered pair)
+    # axes, of the fan and of each equator, each unordered pair once (1092
+    # tests over every ordered pair, 120 over each orientation of a pair)
     tested = []
     real = deform._is_axis
     monkeypatch.setattr(deform, "_is_axis", lambda *a: tested.append(a) or real(*a))
     assert main(["catalog", "verify", "all"]) == 0
-    assert len(tested) <= 120
+    assert len(tested) <= 68
+
+
+def bundle_names_up_to(top):
+    """Every bundle(d;...) with twists in {0, 1, 2}: all orders for d <= 5, descending above."""
+    for d in range(2, top + 1):
+        for twists in product(range(3), repeat=d - 1):
+            if d <= 5 or list(twists) == sorted(twists, reverse=True):
+                yield f"bundle({d};{','.join(map(str, twists))})"
+
+
+def test_verify_passes_on_every_small_twist_bundle():
+    # a twist-sum-2 bundle of dimension d >= 3 has a k = 1 endpoint with
+    # twist sum 2 mod d, which is weak Fano but not Fano
+    failed = [n for n in bundle_names_up_to(8) if not verify_weakened(entry(n)).ok]
+    assert failed == []
+    for a in range(9):
+        assert verify_weakened(entry(f"hirzebruch({a})")).ok, a
+    assert entry("bundle(2;2)").expected.endpoint_is_fano
+    assert not entry("bundle(3;2,0)").expected.endpoint_is_fano
+
+
+def test_verify_twist_sum_two_bundle_output(capsys):
+    assert main(["catalog", "verify", "bundle(3;2,0)"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "stage_endpoint_fano: pass (WeakFanoNotFano)" in out
+    assert "endpoint_relation: b1+c'1 = e1 + a1" in out
+    assert out[-1] == "verified: true"
 
 
 def test_fixed_names():

@@ -16,8 +16,8 @@ from fanshear import builtin, lattice
 from fanshear.cli import main
 from fanshear.deform import (
     FiberKind,
-    _axis,
     _first_deformable,
+    _is_axis,
     _prime_name,
     endpoint,
     endpoint_conditions,
@@ -188,7 +188,7 @@ def test_axis_test_on_a_fresh_equator_costs_one_elimination(monkeypatch):
         fan, s.upper_names[0], s.lower_names[0], s.basis_names, s.partner_name
     ).equator
     eliminations.clear()
-    assert _axis(equator, "x7", "x8") is not None
+    assert _is_axis(equator, "x7", "x8")
     # one cone is eliminated and the facet walk pivots to the other seven
     assert len(eliminations) == 1
     assert len(equator.max_cones) == 8

@@ -91,6 +91,12 @@ def test_extends_to_basis_edge_cases():
         extends_to_basis([(1, 0), (1, 0, 0)])
 
 
+@pytest.mark.parametrize("vectors", [[(1.0, 0.0)], [(1, 0), (0, "1")], [(True, 0.5)]])
+def test_extends_to_basis_takes_only_integers(vectors):
+    with pytest.raises(TypeError):
+        extends_to_basis(vectors)
+
+
 @st.composite
 def basis_candidates(draw):
     """Up to d vectors in Z^d, d <= 5, sometimes with a zero or a repeated vector."""
@@ -153,6 +159,12 @@ def test_shear_frozen_example():
     assert shear_map((2, -1)).apply((2, 0, -1)) == (0, 1, -1)
 
 
+def test_shear_takes_only_integers():
+    with pytest.raises(TypeError):
+        shear_map((0.5,))
+    assert repr(shear_map((2,))) == "UnimodularMap(matrix=((1, 2), (0, 1)))"
+
+
 @pytest.mark.parametrize("a,k", [(3, 1), (5, 2), (8, 4), (2, 0)])
 def test_shear_on_plane_sections(a, k):
     assert shear_map((2 * k,)).apply((a, -1)) == (a - 2 * k, -1)
@@ -185,6 +197,16 @@ def test_det_examples():
 def test_unimodular_map_validation():
     with pytest.raises(ValueError):
         UnimodularMap(((2, 0), (0, 1)))
+
+
+def test_unimodular_map_takes_only_integers():
+    for matrix in (((1.0, 0), (0, 1)), ((1, 0), (0, "1"))):
+        with pytest.raises(TypeError):
+            UnimodularMap(matrix)
+    # the converted matrix is stored: rows of ints, as tuples
+    converted = UnimodularMap([[1, 0], [1, 1]])
+    assert converted == UnimodularMap(((1, 0), (1, 1)))
+    assert repr(converted) == "UnimodularMap(matrix=((1, 0), (1, 1)))"
 
 
 def test_inverse_roundtrip():

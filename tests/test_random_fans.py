@@ -42,8 +42,8 @@ from fanshear import deform as deform_module
 from fanshear import fan as fan_module
 from fanshear.deform import (
     FiberKind,
-    _axis,
     _complementary_pairs,
+    _equator,
     _fibration_functional,
     _first_deformable,
     _is_axis,
@@ -353,7 +353,7 @@ def test_splittings_compute_no_relation_for_a_rejected_axis(monkeypatch):
 
 def test_equator_axes_read_off_the_input_fan_match_the_equator(corpus):
     # _is_axis over a splitting's axis decides, on the input fan, every
-    # ordered pair of equator rays as _axis decides it on the built equator
+    # ordered pair of equator rays as _is_axis decides it on the built equator
     fans = list(corpus.values()) + [
         bundle_fan(BundleSpec(twists))
         for d in range(2, 7) for twists in product(range(3), repeat=d - 1)
@@ -367,7 +367,7 @@ def test_equator_axes_read_off_the_input_fan_match_the_equator(corpus):
             outer = split.upper_names + split.lower_names
             for p, q in permutations(split.equator.ray_names(), 2):
                 on_fan = _is_axis(fan, p, q, outer)
-                assert on_fan == (_axis(split.equator, p, q) is not None), (fan, split, p, q)
+                assert on_fan == _is_axis(split.equator, p, q), (fan, split, p, q)
                 pairs += 1
                 axes += on_fan
     assert (pairs, axes) == (22836, 308)
@@ -396,7 +396,7 @@ def test_carried_fiber_types_match_the_equator_oracle(corpus):
             assert split.fiber == fiber_type_on_equator(split), split
             found += 1
         for up, down in dict.fromkeys(s.upper_names + s.lower_names for s in splittings):
-            eq_names, eq_cone_sets = _axis(fan, up, down)
+            eq_names, eq_cone_sets = _equator(fan, (up, down))
             for cone in eq_cone_sets:
                 tau = fan.sort_names(cone)
                 for pivot in tau:
@@ -463,7 +463,7 @@ def test_candidates_decide_as_the_splittings_built_from_them(corpus):
 
 
 def test_complementary_stars_find_the_axes_of_the_pair_scan(corpus):
-    # the axes of each fan, and of each of its equators, against _axis on
+    # the axes of each fan, and of each of its equators, against _is_axis on
     # every ordered pair of rays
     axes = equator_axes = 0
     for fan in corpus_and_random_fans(corpus):
@@ -475,12 +475,12 @@ def test_complementary_stars_find_the_axes_of_the_pair_scan(corpus):
         ]
         found = [
             (up, down) for x, y in _complementary_pairs(fan, names)
-            for up, down in ((x, y), (y, x)) if _axis(fan, up, down) is not None
+            for up, down in ((x, y), (y, x)) if _is_axis(fan, up, down)
         ]
         assert found == axes_by_pair_scan(fan, names)
         axes += len(found)
         for up, down in found:
-            eq_names, _ = _axis(fan, up, down)
+            eq_names, _ = _equator(fan, (up, down))
             on_equator = [
                 (p, q) for x, y in _complementary_pairs(fan, eq_names)
                 for p, q in ((x, y), (y, x)) if _is_axis(fan, p, q, (up, down))
@@ -488,6 +488,46 @@ def test_complementary_stars_find_the_axes_of_the_pair_scan(corpus):
             assert on_equator == axes_by_pair_scan(fan, eq_names, (up, down))
             equator_axes += len(on_equator)
     assert (axes, equator_axes) == (216, 164)
+
+
+def test_each_unordered_axis_is_decided_once_for_both_orientations(corpus, monkeypatch):
+    # find_splittings computes the fibration functional at most once per
+    # unordered complementary pair of the fan and of each axis's equator,
+    # and an axis's (y, x) splittings repeat its (x, y) frames in order
+    computed = Counter()
+    real = deform_module._fibration_functional
+
+    def counted(fan, up, down, outer=()):
+        computed[frozenset((up, down)), frozenset(outer)] += 1
+        return real(fan, up, down, outer)
+
+    monkeypatch.setattr(deform_module, "_fibration_functional", counted)
+    axes = 0
+    for fan in corpus_and_random_fans(corpus):
+        computed.clear()
+        splittings = find_splittings(fan)
+        pairs = {frozenset(p) for p in _complementary_pairs(fan, fan.ray_names())}
+        by_axis = {}
+        for split in splittings:
+            by_axis.setdefault(frozenset(split.upper_names + split.lower_names), []).append(split)
+        for (pair, outer), times in computed.items():
+            assert times == 1, (fan, pair, outer)
+            if outer:
+                assert outer in by_axis, (fan, outer)
+                eq_names = [n for n in fan.ray_names() if n not in outer]
+                assert pair in {frozenset(p) for p in _complementary_pairs(fan, eq_names)}
+            else:
+                assert pair in pairs, (fan, pair)
+        for axis, splits in by_axis.items():
+            x, y = fan.sort_names(axis)
+            half = len(splits) // 2
+            assert [(s.upper_names, s.lower_names) for s in splits] == (
+                [((x,), (y,))] * half + [((y,), (x,))] * half
+            )
+            frames = [(s.basis_names, s.rest_names) for s in splits]
+            assert frames[:half] == frames[half:], (fan, axis)
+            axes += 1
+    assert axes == 108
 
 
 def shear_vector(split, k):

@@ -118,7 +118,9 @@ def test_fields_cannot_be_assigned_or_deleted():
 
 
 def test_post_init_normalises_and_validates():
-    assert BundleSpec(["2", 1]).twists == (2, 1)
+    assert BundleSpec([2, 1]).twists == (2, 1)
+    with pytest.raises(TypeError):
+        BundleSpec(["2", 1])
     with pytest.raises(ValueError):
         BundleSpec((-1,))
     with pytest.raises(ValueError):

@@ -95,6 +95,10 @@ def test_bundle_spec_validation():
         BundleSpec((-1, 2))
     with pytest.raises(ValueError):
         BundleSpec(())
+    for twists in ((2.7, 0), ("3",), (1, None)):
+        with pytest.raises(TypeError):
+            BundleSpec(twists)
+    assert repr(BundleSpec([2, 0])) == "BundleSpec(twists=(2, 0))"
 
 
 # --- reduce_step ----------------------------------------------------------------
