@@ -67,14 +67,7 @@ def _require_complete(fan: Fan, what: str) -> None:
 
 
 def class_group(fan: Fan) -> DivisorClassData:
-    """Divisor class group presentation of a smooth complete fan.
-
-    Cached per fan.
-    """
-    return fan._class_group
-
-
-def _class_group(fan: Fan) -> DivisorClassData:
+    """Divisor class group presentation of a smooth complete fan."""
     _require_complete(fan, "class_group")
     names = fan.ray_names()
     rows = [list(fan.generator(n)) for n in names]
@@ -92,7 +85,7 @@ def _class_group(fan: Fan) -> DivisorClassData:
     relation_matrix = tuple(
         tuple(fan.generator(n)[i] for n in names) for i in range(fan.dimension)
     )
-    # the result is cached and shared, so freeze the mapping
+    # the record is immutable, so its mapping is frozen too
     return DivisorClassData(relation_matrix, rank, MappingProxyType(classes))
 
 
@@ -145,12 +138,8 @@ def classify_fano(fan: Fan) -> FanoReport:
 
     The support-function test on -K and the primitive-relation degree
     criterion are computed independently and must agree; a disagreement is
-    an InternalError, not a user-facing condition.  Cached per fan.
+    an InternalError, not a user-facing condition.
     """
-    return fan._fano_report
-
-
-def _classify_fano(fan: Fan) -> FanoReport:
     _require_complete(fan, "classify_fano")
     status = nef_ample_status(fan, anticanonical(fan))
     by_support = {

@@ -44,7 +44,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, repeat
 from operator import index, mul, sub
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import lattice
 from ._record import frozen
@@ -62,9 +62,6 @@ from .errors import (
     UnderdeterminedRelations,
 )
 from .lattice import UnimodularMap, Vector
-
-if TYPE_CHECKING:
-    from .divisor import DivisorClassData, FanoReport
 
 
 @frozen
@@ -162,9 +159,9 @@ class Fan:
                 table[n] |= 1 << j
         return table
 
-    # Per-fan caches behind is_complete, primitive_collections,
-    # primitive_relation, divisor.class_group and divisor.classify_fano:
-    # they live and die with the fan, and only the results are kept.
+    # Per-fan caches behind is_complete, primitive_collections and
+    # primitive_relation: they live and die with the fan, and only the
+    # results are kept.
     @cached_property
     def _is_complete(self) -> bool:
         return _certified_complete(self)
@@ -176,18 +173,6 @@ class Fan:
     @cached_property
     def _relations(self) -> dict[frozenset[str], PrimitiveRelation]:
         return {}  # per primitive collection its relation, filled by _relation
-
-    @cached_property
-    def _class_group(self) -> DivisorClassData:
-        from . import divisor  # imported here: divisor imports this module
-
-        return divisor._class_group(self)
-
-    @cached_property
-    def _fano_report(self) -> FanoReport:
-        from . import divisor
-
-        return divisor._classify_fano(self)
 
     def generator(self, name: str) -> Vector:
         return self._gen_by_name[name]

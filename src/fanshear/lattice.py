@@ -48,14 +48,6 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
-def vec_add(u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(k: int, v: Sequence[int]) -> Vector:
-    return tuple(k * a for a in v)
-
-
 def is_primitive(v: Sequence[int]) -> bool:
     """Whether v generates the semigroup of lattice points on its ray.
 

@@ -29,6 +29,7 @@ list.  Primed names are
 recomputed with a regular expression for the leading ASCII letters.
 Chains are recomputed by walking start's whole descent.  The nef test is
 recomputed by names, and the axes by testing every ordered pair of rays.
+vec_add and vec_scale are the tests' integer vector helpers.
 """
 
 import random
@@ -58,6 +59,14 @@ from fanshear.fan import (
 )
 from fanshear.lattice import UnimodularMap, change_of_basis, shear_map
 from fanshear.scroll import BundleSpec, DeformationChain, _renormalized, bundle_presentation
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_scale(k, v):
+    return tuple(k * a for a in v)
 
 
 def fraction_rank(rows):

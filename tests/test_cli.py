@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import projective_space_fan
 
-from fanshear import builtin, cli, deform
+from fanshear import builtin, cli, deform, divisor
 from fanshear import fan as fan_module
 from fanshear.cli import main
 from fanshear.fan import fan_isomorphism
@@ -158,6 +158,38 @@ def test_split_reports_labels(fan_file, capsys):
     assert "splittings: 4" in out
     assert "fiber: BundleOverP1" in out
     assert "fiber_pair: e1,a1" in out
+
+
+def test_no_command_reads_a_divisor_result_twice(fan_file, tmp_path, capsys, monkeypatch):
+    # classify_fano and class_group compute on every call, with no cache on
+    # the fan: no command classifies one fan twice, and none builds a class
+    # group.  The fans stay in the list, so no id is reused within a command.
+    fans, groups = [], []
+    real_fano, real_group = divisor.classify_fano, divisor.class_group
+    monkeypatch.setattr(divisor, "classify_fano", lambda fan: fans.append(fan) or real_fano(fan))
+    monkeypatch.setattr(divisor, "class_group", lambda fan: groups.append(fan) or real_group(fan))
+    x30, w43 = fan_file("x.fan", "X3_0"), fan_file("w.fan", "W4_3")
+    commands = [
+        ["catalog", "show", "X3_0", "--out", str(tmp_path / "shown.fan")],
+        ["catalog", "verify", "all"],
+        ["chain", "--dim", "4", "--from", "3,2,0", "--to", "1,1,1", "--out-dir", str(tmp_path / "c")],
+        ["iso", x30, x30],
+        ["iso", w43, x30],
+    ]
+    for path in (x30, w43):
+        commands += [
+            ["check", path], ["relations", path], ["split", path],
+            ["deform", path, "--k", "1", "--out", str(tmp_path / "end.fan")],
+            ["deform", path, "--k", "0", "--splitting", "1", "--out", str(tmp_path / "end.fan")],
+        ]
+    classified = 0
+    for argv in commands:
+        fans.clear()
+        run(capsys, *argv)
+        assert len({id(fan) for fan in fans}) == len(fans), argv
+        classified += len(fans)
+    assert groups == []
+    assert classified >= 20  # check, deform and verify all do classify
 
 
 def test_deform_then_iso(fan_file, tmp_path, capsys):

@@ -10,6 +10,8 @@ from conftest import (
     find_splittings_in_one_pass,
     fourier_motzkin_calls,
     prime_name_by_regex,
+    vec_add,
+    vec_scale,
 )
 
 from fanshear import builtin, lattice
@@ -30,7 +32,6 @@ from fanshear.deform import (
 from fanshear.divisor import FanoClass, class_group, classify_fano
 from fanshear.errors import ConditionsNotSatisfied
 from fanshear.fan import fan_isomorphism, is_complete, make_fan, primitive_relations
-from fanshear.lattice import vec_add, vec_scale
 from fanshear.scroll import BundleSpec, bundle_fan, deformation_chain, reduce_step
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import fraction_rank, support_functional
+from conftest import fraction_rank, support_functional, vec_add, vec_scale
 
 from fanshear import builtin
 from fanshear.divisor import (
@@ -17,7 +17,7 @@ from fanshear.divisor import (
     nef_ample_status,
 )
 from fanshear.fan import fan_isomorphism, make_fan, primitive_relations
-from fanshear.lattice import UnimodularMap, vec_add, vec_scale
+from fanshear.lattice import UnimodularMap
 
 
 def p1_fan():
@@ -139,6 +139,16 @@ def test_classification(name, expected):
 def test_classify_exposes_degrees():
     report = classify_fano(builtin("X3_0"))
     assert sorted(report.relation_degrees) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("name", ["X3_0", "W4_3", "hirzebruch(2)"])
+def test_repeated_calls_give_equal_hashable_results(name):
+    # nothing is cached on the fan: each call computes afresh
+    fan = builtin(name)
+    for compute in (class_group, classify_fano):
+        first, second = compute(fan), compute(fan)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
 
 
 def test_nef_status_invariant_under_isomorphism():

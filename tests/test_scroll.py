@@ -415,9 +415,9 @@ def test_d7_chain_computes_no_class_group(monkeypatch, capsys):
     # the equator, has one divisor class and equivalent stars by construction:
     # no fiber type computes a class group or compares stars
     classes, stars = [], []
-    real_classes, real_stars = divisor._class_group, deform.star_equivalent
+    real_classes, real_stars = divisor.class_group, deform.star_equivalent
     monkeypatch.setattr(
-        divisor, "_class_group", lambda fan: classes.append(fan) or real_classes(fan)
+        divisor, "class_group", lambda fan: classes.append(fan) or real_classes(fan)
     )
     monkeypatch.setattr(
         deform, "star_equivalent", lambda *args: stars.append(args) or real_stars(*args)
