@@ -2,12 +2,20 @@
 
 The package does not import `dataclasses`.  Every CLI command is a fresh
 process, and `dataclasses` brought in `inspect`, `ast`, `dis`, `tokenize`
-and `copy`, then exec'd about seven methods per class: together about a
-third of the time it took to import `fanshear.cli`.  `frozen` builds the
-four methods the records need from one exec per class.
+and `copy`, then generated and compiled about seven methods per class from
+source text: together about a third of the time it took to import
+`fanshear.cli`.  `frozen` generates no code.  Its methods are closures over
+a class's field names, so every record class shares one code object per
+method and importing the package compiles nothing.  The price is the
+signature: `inspect.signature` of a record class reads `(*args, **kwargs)`,
+while calls bind their arguments exactly as a generated `__init__` would.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
+
+_setattr = object.__setattr__
 
 
 def _no_setattr(self, name, value):
@@ -31,27 +39,60 @@ def frozen(cls):
     deleting an attribute raises AttributeError.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
+    arity = len(names)
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
-    params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
-    sets = "".join(f"    _setattr(self, {n!r}, {n})\n" for n in names)
-    post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
-    mine, theirs = ("(" + "".join(f"{o}.{n}, " for n in names) + ")" for o in ("self", "other"))
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-    source = (
-        f"def __init__(self{params}):\n{sets}{post}"
-        f"def __repr__(self):\n    return f'{{self.__class__.__qualname__}}({shown})'\n"
-        "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return {mine} == {theirs}\n"
-        "    return NotImplemented\n"
-        f"def __hash__(self):\n    return hash({mine})\n"
-    )
-    namespace = {"_setattr": object.__setattr__, "_defaults": defaults}
-    exec(source, namespace)
-    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
+    post = hasattr(cls, "__post_init__")
+
+    def bind(args, kwargs):
+        """The field values of a call that is not exactly one positional per field."""
+        where = f"{cls.__qualname__}.__init__()"
+        if len(args) > arity:
+            raise TypeError(
+                f"{where} takes {arity + 1} positional arguments but {len(args) + 1} were given"
+            )
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{where} got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [n for n in names if n not in values and n not in defaults]
+        if missing:
+            plural = "s" if len(missing) > 1 else ""
+            raise TypeError(f"{where} missing {len(missing)} required argument{plural}: "
+                            + ", ".join(map(repr, missing)))
+        return [values[n] if n in values else defaults[n] for n in names]
+
+    get = attrgetter(*names)
+    fields = get if arity > 1 else lambda self: (get(self),)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = bind(args, kwargs)
+        # one setattr per field, as a generated __init__ did: filling
+        # __dict__ directly would give every instance its own dict
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        if post:
+            self.__post_init__()
+
+    def __repr__(self):
+        shown = ", ".join([f"{n}={v!r}" for n, v in zip(names, fields(self))])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    for method in (__init__, __repr__, __eq__, __hash__):
+        name = method.__name__
         if name == "__hash__" and cls.__dict__.get(name) is not None:
             continue  # the class's own hash
-        method = namespace[name]
         method.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, method)
     cls.__setattr__ = _no_setattr

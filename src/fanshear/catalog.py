@@ -13,7 +13,6 @@ Fano (twist sum at most 1) or not weak Fano, and have no endpoint stage.
 
 from __future__ import annotations
 
-import re
 from typing import Optional
 
 from . import deform, divisor, scroll
@@ -28,7 +27,7 @@ from .fan import (
     primitive_collections,
     primitive_relations,
 )
-from .fileformats import format_relation, parse_relation
+from .fileformats import _is_digits, format_relation, parse_relation
 from .scroll import BundleSpec
 
 
@@ -135,8 +134,6 @@ FIXED_ENTRIES: tuple[CatalogEntry, ...] = (
 )
 
 _FIXED_BY_NAME = {e.name: e for e in FIXED_ENTRIES}
-_HIRZEBRUCH_RE = re.compile(r"hirzebruch\(([0-9]+)\)\Z")
-_BUNDLE_RE = re.compile(r"bundle\(([0-9]+);([0-9]+(?:,[0-9]+)*)\)\Z")
 
 
 def names() -> tuple[str, ...]:
@@ -169,20 +166,26 @@ def _bundle_entry(name: str, spec: BundleSpec) -> CatalogEntry:
 
 
 def entry(name: str) -> CatalogEntry:
+    """The fixed entry of that name, else hirzebruch(a) or bundle(d;p1,...,p_{d-1}).
+
+    a, d and the p_i are ASCII decimal numbers.
+    """
     if name in _FIXED_BY_NAME:
         return _FIXED_BY_NAME[name]
-    m = _HIRZEBRUCH_RE.match(name)
-    if m:
-        return _bundle_entry(name, BundleSpec((int(m.group(1)),)))
-    m = _BUNDLE_RE.match(name)
-    if m:
-        d = int(m.group(1))
-        twists = tuple(int(p) for p in m.group(2).split(","))
-        if d < 2:
-            raise UnknownName(f"bundle({d};...): a bundle needs d ≥ 2")
-        if len(twists) != d - 1:
-            raise UnknownName(f"bundle({d};...) needs {d - 1} twists")
-        return _bundle_entry(name, BundleSpec(twists))
+    family, paren, args = name.partition("(")
+    if paren and args.endswith(")"):
+        args = args[:-1]
+        if family == "hirzebruch" and _is_digits(args):
+            return _bundle_entry(name, BundleSpec((int(args),)))
+        d, semicolon, twists = args.partition(";")
+        twists = twists.split(",")
+        if family == "bundle" and semicolon and _is_digits(d) and all(map(_is_digits, twists)):
+            d, twists = int(d), tuple(map(int, twists))
+            if d < 2:
+                raise UnknownName(f"bundle({d};...): a bundle needs d ≥ 2")
+            if len(twists) != d - 1:
+                raise UnknownName(f"bundle({d};...) needs {d - 1} twists")
+            return _bundle_entry(name, BundleSpec(twists))
     raise UnknownName(f"no catalog entry named {name!r}")
 
 

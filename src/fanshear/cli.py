@@ -14,13 +14,15 @@ help and error text, and the plain path returns a namespace with the same
 attributes, so a valid invocation behaves the same either way.  It exists
 because a process builds the parser cold, and argparse's first message
 lookup imports locale through gettext, which costs more than most ops;
-argparse itself is imported only when the parser is built.
+argparse itself is imported only when the parser is built.  For the same
+reason the --json report is written here, not by the json module, whose
+import costs more than writing a report: the text is byte-identical to
+`json.dumps(report, indent=2)`.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
 import sys
 from itertools import islice, tee
@@ -63,10 +65,56 @@ class Report:
                 folded.setdefault(key, []).append(value)
             else:
                 folded[key] = value
-        return json.dumps(folded, indent=2)
+        return _json(folded, "\n")
 
     def emit(self, as_json: bool) -> None:
         print(self.json() if as_json else self.text())
+
+
+# What json.dumps writes, with ensure_ascii, for each ASCII character it escapes
+_ESCAPES = {c: f"\\u{c:04x}" for c in (*range(0x20), 0x7F)}
+_ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
+
+
+def _quote(text: str) -> str:
+    """A JSON string literal of text in ASCII, as json.dumps writes it."""
+    text = text.translate(_ESCAPES)
+    if not text.isascii():
+        text = "".join(c if c.isascii() else _escape(c) for c in text)
+    return f'"{text}"'
+
+
+def _escape(char: str) -> str:
+    """\\uXXXX for a character past ASCII, a UTF-16 surrogate pair past U+FFFF."""
+    code = ord(char)
+    if code > 0xFFFF:
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"
+
+
+def _json(value, newline: str) -> str:
+    """value as json.dumps(value, indent=2) writes it, nested after newline's indent.
+
+    Only what a Report holds: str, int, bool and None, in lists and in a
+    dict with str keys.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, list):
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{_quote(key)}: {_json(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _read(path: str) -> str:
@@ -381,9 +429,7 @@ def _is_value(token: str) -> bool:
     None of them has an option that looks like a negative number, so
     argparse takes "-" followed by digits as a value, not as a flag.
     """
-    return not token.startswith("-") or (
-        len(token) > 1 and token[1:].isascii() and token[1:].isdigit()
-    )
+    return not token.startswith("-") or fileformats._is_digits(token[1:])
 
 
 def _parse_plain(argv: list[str]) -> SimpleNamespace | None:

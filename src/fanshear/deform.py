@@ -20,20 +20,21 @@ maximal cones, and only such pairs, found by looking up each ray's
 complementary star (_complementary_pairs), are tested, once each.
 find_splittings (for the fan's axes and, read off the input fan, for the
 fibration pairs it designates on each equator) and split_with_frame use
-it, and so does the fiber type, decided once on the validated input fan
-(_fiber_of): the equator is a projective space when the fan has d + 2
-rays, and (pivot, partner) is an axis of the equator when _is_axis over
-the fan's axis holds.  MMCS never runs here.
+it.  The designation decides the fiber type of a find_splittings
+splitting; that of a split_with_frame splitting is decided once on the
+validated input fan (_fiber_of): the equator is a projective space when
+the fan has d + 2 rays, and (pivot, partner) is an axis of the equator
+when _is_axis over the fan's axis holds.  MMCS never runs here.
 
 The search is lazy and decides before it builds.  _splittings yields, in
 find_splittings order, one Splitting per axis orientation and
-designation: the validated input fan and the decided frame, nothing
-more; both orientations of an axis share one set of frames.  Everything
-else a splitting has is computed when first read and then kept: off the
-input fan, its fiber type and the lower ray's first and last normal-form
-coordinates (lower_ends, two dot products with rows of one cached cone
-inverse); then its one normal-form transform, and off that the base fan,
-both half-fans and the equator.  _first_deformable,
+designation: the validated input fan and the decided frame, with the
+fiber type its designation decided; both orientations of an axis share
+one set of frames.  Everything else a splitting has is computed when
+first read and then kept: off the input fan, the lower ray's first and
+last normal-form coordinates (lower_ends, two dot products with rows of
+one cached cone inverse); then its one normal-form transform, and off
+that the base fan, both half-fans and the equator.  _first_deformable,
 the one stop rule of catalog verification and of the deform command,
 reads only fiber and lower_ends, up to the first splitting whose fiber is
 not Other and whose inequality holds, so only the splitting that is
@@ -103,7 +104,8 @@ class Splitting:
     unit vector e_d above and a ray with last coordinate -1 below.
 
     Every other attribute is computed off source when first read, then
-    kept.  fiber is the fiber type of the designated pair (fiber_type).
+    kept.  fiber is the fiber type of the designated pair (fiber_type);
+    find_splittings fills it in, as the designation decided it.
     The one normal-form transform, to_normal_form, sends basis_names +
     upper_names to the standard basis: it is the cached inverse of that
     maximal cone of source, its rows put in frame order.  The base fan
@@ -413,7 +415,11 @@ def _axis_splittings(fan: Fan, x: str, y: str) -> Iterator[Splitting]:
     """The splittings on the axis {x, y}: every frame on (x, y), then each on (y, x).
 
     Precondition: _is_axis(fan, x, y).  The equator, the relation, the
-    designations and so the frames are those of both orientations.
+    designations and so the frames are those of both orientations.  Each
+    splitting comes with its fiber, which the designation has decided
+    (see _fiber_of): a designated partner is the other pole of an equator
+    axis, a fan of d + 2 rays has a projective-space equator, and a
+    designation with neither has no equator axis at all.
     """
     eq_names, eq_cone_sets = _equator(fan, (x, y))
     relation = primitive_relation(fan, (x, y))
@@ -424,13 +430,21 @@ def _axis_splittings(fan: Fan, x: str, y: str) -> Iterator[Splitting]:
         # an equator axis; no equator cone holds both rays of an axis, so
         # the partner is never in tau.
         tau = fan.sort_names(_basis_cone(eq_cone_sets, pivot, support_names))
-        if pivot is None:
-            pivot = tau[0]
-        basis_names = (pivot, *[n for n in tau if n != pivot])
-        frames.append((basis_names, _rest_names(eq_names, basis_names, partner)))
+        lead = tau[0] if pivot is None else pivot
+        basis_names = (lead, *[n for n in tau if n != lead])
+        rest_names = _rest_names(eq_names, basis_names, partner)
+        if partner is not None:
+            fiber = FiberType(FiberKind.BUNDLE_OVER_P1, (pivot, partner))
+        elif pivot is not None:  # the one designation of a projective-space equator
+            fiber = FiberType(FiberKind.PROJECTIVE_SPACE, (pivot, rest_names[0]))
+        else:
+            fiber = FiberType(FiberKind.OTHER, None)
+        frames.append((basis_names, rest_names, fiber))
     for upper, lower in (((x,), (y,)), ((y,), (x,))):
-        for basis_names, rest_names in frames:
-            yield Splitting(fan, basis_names, rest_names, upper, lower)
+        for basis_names, rest_names, fiber in frames:
+            split = Splitting(fan, basis_names, rest_names, upper, lower)
+            split.__dict__["fiber"] = fiber
+            yield split
 
 
 def split_with_frame(
@@ -474,9 +488,10 @@ def fiber_type(split: Splitting) -> FiberType:
     div(chi^g) = D_pivot - D_partner, so the two classes agree; and
     v -> v + g(v) * (partner - pivot) is a unimodular involution that
     swaps the pair and fixes every other ray, so it carries each cone of
-    the pivot's star onto one of the partner's.  Decided once, when first
-    read, on the input fan (_fiber_of): neither the equator nor its cone
-    inverses are computed for it.
+    the pivot's star onto one of the partner's.  Decided by the
+    designation of a find_splittings splitting (_axis_splittings), and
+    otherwise once, when first read, on the input fan (_fiber_of): neither
+    the equator nor its cone inverses are computed for it.
     """
     return split.fiber
 

@@ -9,7 +9,6 @@ ignored, serialization is canonical (input order, base-10, single spaces).
 
 from __future__ import annotations
 
-import re
 from typing import Optional
 
 from .errors import ParseError
@@ -36,13 +35,17 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-# int() alone also reads "1_0" and non-ASCII digits such as "１"
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+def _is_digits(text: str) -> bool:
+    """Whether text is a nonempty run of ASCII decimal digits."""
+    return text.isascii() and text.isdigit()
 
 
 def _parse_int(token: str, lineno: Optional[int] = None) -> int:
-    """An optionally signed ASCII decimal integer; lineno only labels a ParseError."""
-    if not _INTEGER.fullmatch(token):
+    """An optionally signed ASCII decimal integer; lineno only labels a ParseError.
+
+    int() alone also reads "1_0", spaces and non-ASCII digits such as "１".
+    """
+    if not _is_digits(token[1:] if token.startswith(("+", "-")) else token):
         raise ParseError(f"expected an integer, got {token!r}", lineno)
     return int(token)
 

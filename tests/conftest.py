@@ -29,6 +29,9 @@ list.  Primed names are
 recomputed with a regular expression for the leading ASCII letters.
 Chains are recomputed by walking start's whole descent.  The nef test is
 recomputed by names, and the axes by testing every ordered pair of rays.
+A record's argument binding, repr, == and hash are recomputed by
+exec_frozen, which generates each record's methods from source text as
+the package once did.
 vec_add and vec_scale are the tests' integer vector helpers.
 """
 
@@ -691,3 +694,30 @@ def full_corpus():
 @pytest.fixture(scope="session")
 def corpus():
     return full_corpus()
+
+
+def exec_frozen(cls):
+    """fanshear._record.frozen as it was: each method compiled from generated source."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
+    sets = "".join(f"    _setattr(self, {n!r}, {n})\n" for n in names)
+    post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+    mine, theirs = ("(" + "".join(f"{o}.{n}, " for n in names) + ")" for o in ("self", "other"))
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    source = (
+        f"def __init__(self{params}):\n{sets}{post}"
+        f"def __repr__(self):\n    return f'{{self.__class__.__qualname__}}({shown})'\n"
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return {mine} == {theirs}\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash({mine})\n"
+    )
+    namespace = {"_setattr": object.__setattr__, "_defaults": defaults}
+    exec(source, namespace)
+    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
+        if name == "__hash__" and cls.__dict__.get(name) is not None:
+            continue  # the class's own hash
+        setattr(cls, name, namespace[name])
+    return cls

@@ -1,8 +1,11 @@
+import re
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from fanshear import builtin, deform
+from fanshear import builtin, catalog, deform
 from fanshear import fan as fan_module
 from fanshear.catalog import (
     CatalogEntry, ExpectedOutcome, entry, names, reconstruct, verify_weakened,
@@ -97,12 +100,13 @@ def test_verify_runs_at_most_two_collection_searches_per_entry(capsys, monkeypat
 def test_verify_all_tests_few_axes(capsys, monkeypatch):
     # only the ray pairs whose stars split the maximal cones are tested as
     # axes, of the fan and of each equator, each unordered pair once (1092
-    # tests over every ordered pair, 120 over each orientation of a pair)
+    # tests over every ordered pair, 120 over each orientation of a pair,
+    # 68 while each bundle fiber was tested again), and no fiber type tests
     tested = []
     real = deform._is_axis
     monkeypatch.setattr(deform, "_is_axis", lambda *a: tested.append(a) or real(*a))
     assert main(["catalog", "verify", "all"]) == 0
-    assert len(tested) <= 68
+    assert len(tested) == 50
 
 
 def bundle_names_up_to(top):
@@ -151,6 +155,43 @@ def test_unknown_name():
     for name in ["bundle(0;1)", "bundle(1;5)"]:
         with pytest.raises(UnknownName, match="needs d ≥ 2"):
             builtin(name)
+
+
+def parsed_by_regex(name):
+    """The twists entry() once read from a family name with its regular expressions."""
+    m = re.match(r"hirzebruch\(([0-9]+)\)\Z", name)
+    if m:
+        return (int(m.group(1)),)
+    m = re.match(r"bundle\(([0-9]+);([0-9]+(?:,[0-9]+)*)\)\Z", name)
+    if m:
+        d = int(m.group(1))
+        twists = tuple(int(p) for p in m.group(2).split(","))
+        if d < 2:
+            raise UnknownName(f"bundle({d};...): a bundle needs d ≥ 2")
+        if len(twists) != d - 1:
+            raise UnknownName(f"bundle({d};...) needs {d - 1} twists")
+        return twists
+    raise UnknownName(f"no catalog entry named {name!r}")
+
+
+def outcome(parse, name):
+    try:
+        return parse(name)
+    except UnknownName as exc:
+        return str(exc)
+
+
+@given(st.lists(st.sampled_from(
+    ["hirzebruch", "bundle", "(", ")", ";", ",", "0", "1", "3", "١", "x", " ", "\n"]
+), max_size=9).map("".join))
+@example("bundle(3;1,0)")
+@example("hirzebruch(12)")
+@example("bundle(3;1,0))")
+@example("bundle(1;)")
+@example("bundle(3;1;0)")
+def test_family_names_parse_as_the_regular_expressions_did(name):
+    with mock.patch.object(catalog, "_bundle_entry", lambda _, spec: spec.twists):
+        assert outcome(entry, name) == outcome(parsed_by_regex, name)
 
 
 @pytest.mark.parametrize(
@@ -262,14 +303,19 @@ def test_verify_all_classifies_each_splitting_once(
     monkeypatch.setattr(deform, "_fiber_of", lambda *a: computed.append(a) or real_compute(*a))
     assert main(["catalog", "verify", "all"]) == 0
     capsys.readouterr()
-    # every splitting drawn is asked, and classified once, when first asked;
-    # the one deformed is asked again, by the report and by endpoint
-    assert len(computed) == len(drawn_splittings) == 18
+    # every splitting drawn is asked, and comes classified by its designation,
+    # as _fiber_of classifies it on the input fan; the one deformed is asked
+    # again, by the report and by endpoint
+    assert computed == [] and len(drawn_splittings) == 18
     assert list(dict.fromkeys(map(id, asked))) == list(map(id, drawn_splittings))
     assert len(asked) == 18 + 2 * 10
     assert len(built_splittings) == 10
     assert all(any(split is s for s in drawn_splittings) for split in built_splittings)
     assert all(real_ask(s) is vars(s)["fiber"] for s in asked)
+    assert all(
+        s.fiber == real_compute(s.source, s.upper_names + s.lower_names, s.pivot_name, s.rest_names)
+        for s in drawn_splittings
+    )
 
 
 def test_presented_collections_are_exhaustive():

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import gc
 import io
@@ -612,6 +613,40 @@ def test_json_verify_parity(capsys):
     assert "b1+c'1 = e2" in payload["endpoint_relation"]
 
 
+# str, int, bool and None, with the characters json.dumps escapes: quotes,
+# backslashes, every C0 control, DEL, a BMP and an astral character
+REPORT_VALUES = st.one_of(
+    st.text(st.sampled_from(['"', "\\", "/", "a", " ", "\x7f", "≠", "é", "\U0001f600",
+                             *map(chr, range(0x20))])),
+    st.integers(), st.integers(min_value=10**18, max_value=10**60), st.booleans(), st.none(),
+    st.just([]),
+)
+
+
+def folded(items):
+    """A report's JSON object: the value of a key given once, the list of a repeated one."""
+    keys = [key for key, _ in items]
+    out = {}
+    for key, value in items:
+        if keys.count(key) > 1:
+            out.setdefault(key, []).append(value)
+        else:
+            out[key] = value
+    return out
+
+
+@given(st.lists(st.tuples(st.sampled_from(["file", "fiber", "≠ \"key\"", "\x00"]),
+                          REPORT_VALUES), max_size=8))
+@example([])
+@example([("congruence", "1 ≠ 0 (mod 3)"), ("x", []), ("x", [])])
+@example([("file", 'it\'s "q"\\\b\f\n\r\t\x00\x1f\x7f≠\U0001f600'), ("rays", 10**40)])
+def test_report_json_is_json_dumps_with_indent_2(items):
+    report = cli.Report()
+    for key, value in items:
+        report.add(key, value)
+    assert report.json() == json.dumps(folded(items), indent=2)
+
+
 def test_exit_codes_deterministic(fan_file, capsys):
     path = fan_file("x.fan", "X3_0")
     first = [run(capsys, "check", path)[0] for _ in range(3)]
@@ -929,27 +964,41 @@ def test_every_exported_name_imports():
     assert done.stdout == "0.1.0\n"
 
 
+# The child writes a repr, not JSON, and takes its commands as argv, one per
+# argument with its tokens joined by \x1f, so that it imports no json itself.
 FOOTPRINT = """
-import io, json, sys
+import builtins, io, sys
 sys.path.insert(0, sys.argv[1])
-heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext")
+heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext", "json")
 loaded = lambda: sorted(m for m in heavy if m in sys.modules)
+generated = []
+def watch(real):
+    def watched(source, *args, **kwargs):
+        if isinstance(source, str):  # source text, not a module's code or file bytes
+            generated.append((real.__name__, source[:60]))
+        return real(source, *args, **kwargs)
+    return watched
+real_exec, real_compile = builtins.exec, builtins.compile
+builtins.exec, builtins.compile = watch(real_exec), watch(real_compile)
 from fanshear import cli
-seen = {"import": loaded()}
-for label, argv in json.loads(sys.argv[2]):
+builtins.exec, builtins.compile = real_exec, real_compile
+seen = {"import": loaded(), "generated": generated}
+for command in sys.argv[2:]:
+    label, *argv = command.split("\x1f")
     sys.stdout = io.StringIO()
     try:
         status = cli.main(argv)
     except SystemExit as exc:
         status = exc.code
     sys.stdout = sys.__stdout__
-    seen[label] = [status, "argparse" in sys.modules]
-print(json.dumps(seen))
+    seen[label] = [status, "argparse" in sys.modules, "json" in sys.modules]
+print(repr(seen))
 """
 
 
 def test_import_and_plain_commands_load_neither_dataclasses_nor_argparse(fan_file, tmp_path):
-    # python -S, so that the site module's own imports cannot mask the package's
+    # python -S, so that the site module's own imports cannot mask the
+    # package's; importing fanshear.cli hands exec and compile no source text
     commands = [
         ("check", ["--json", "check", fan_file("x.fan", "X3_0")]),
         ("chain", ["--json", "chain", "--dim", "4", "--from", "2,1,0", "--to", "1,1,1",
@@ -959,14 +1008,15 @@ def test_import_and_plain_commands_load_neither_dataclasses_nor_argparse(fan_fil
     ]
     done = subprocess.run(
         [sys.executable, "-S", "-c", FOOTPRINT, str(Path(cli.__file__).parents[1]),
-         json.dumps(commands)],
+         *("\x1f".join([label, *argv]) for label, argv in commands)],
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {
+    assert ast.literal_eval(done.stdout) == {
         "import": [],
-        "check": [0, False],
-        "chain": [0, False],
-        "verify": [0, False],
-        "help": [0, True],
+        "generated": [],
+        "check": [0, False, False],
+        "chain": [0, False, False],
+        "verify": [0, False, False],
+        "help": [0, True, False],
     }

@@ -1,9 +1,13 @@
+import re
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fanshear import builtin
 from fanshear.errors import ParseError, SingularCone
 from fanshear.fan import fan_from_relations
 from fanshear.fileformats import (
+    _parse_int,
     parse_fan,
     parse_relation_presentation,
     serialize_fan,
@@ -128,3 +132,20 @@ def test_relation_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_relation_presentation(text)
     assert fragment in str(err.value)
+
+
+@given(st.text(st.sampled_from(["+", "-", "0", "7", "9", "_", " ", "\n", "a", "١", "²", "１"]),
+               max_size=6))
+@example("+")
+@example("")
+@example("1_0")
+@example("١")
+@example("²")
+@example("-0")
+@example("+-1")
+def test_parse_int_reads_exactly_an_optionally_signed_run_of_ascii_digits(token):
+    if re.fullmatch(r"[+-]?[0-9]+", token):
+        assert _parse_int(token) == int(token)
+    else:
+        with pytest.raises(ParseError, match="expected an integer"):
+            _parse_int(token)

@@ -39,3 +39,20 @@ def test_no_module_has_a_type_checking_block():
             if isinstance(node, (ast.Name, ast.Attribute))
         }
         assert "TYPE_CHECKING" not in names, path.name
+
+
+def test_no_module_generates_code_or_imports_json_or_re():
+    # each of these costs import time: compiling generated source, and the
+    # json and re modules (re is also loaded by typing, but compiles nothing)
+    for path in [*MODULES, PACKAGE / "__init__.py"]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names
+        } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        called = {
+            node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert not imported & {"json", "re"}, path.name
+        assert not called & {"exec", "eval", "compile"}, path.name

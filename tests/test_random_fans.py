@@ -44,6 +44,7 @@ from fanshear.deform import (
     FiberKind,
     _complementary_pairs,
     _equator,
+    _fiber_of,
     _fibration_functional,
     _first_deformable,
     _is_axis,
@@ -385,7 +386,8 @@ def corpus_and_random_fans(corpus):
 
 def test_carried_fiber_types_match_the_equator_oracle(corpus):
     # the fiber type a splitting carries, decided on the input fan, against
-    # the axis test on its built equator: every find_splittings splitting, and
+    # the axis test on its built equator: every find_splittings splitting
+    # (whose designation decided it, as _fiber_of also decides it), and
     # split_with_frame on every oriented axis, every equator cone with each of
     # its rays as pivot, and each available partner or none
     fans = corpus_and_random_fans(corpus)
@@ -393,7 +395,10 @@ def test_carried_fiber_types_match_the_equator_oracle(corpus):
     for fan in fans:
         splittings = find_splittings(fan)
         for split in splittings:
-            assert split.fiber == fiber_type_on_equator(split), split
+            axis = split.upper_names + split.lower_names
+            assert split.fiber == fiber_type_on_equator(split) == _fiber_of(
+                fan, axis, split.pivot_name, split.rest_names
+            ), split
             found += 1
         for up, down in dict.fromkeys(s.upper_names + s.lower_names for s in splittings):
             eq_names, eq_cone_sets = _equator(fan, (up, down))

@@ -8,22 +8,25 @@ properties on an immutable record.
 """
 
 import enum
+from itertools import product
 
 import pytest
+
+from conftest import exec_frozen
 
 import fanshear
 from fanshear import (
     BundleSpec, Cone, DeformationChain, DivisorClassData, ExpectedOutcome, FanoClass, Fan,
     IrrelevantData, Ray, UnimodularMap, builtin, class_group, classify_fano, deformation_chain,
     endpoint_conditions, entry, fiber_type, find_splittings, irrelevant_data,
-    primitive_relations, reduce_step, verify_weakened,
+    primitive_relations, reduce_step, split_with_frame, verify_weakened,
 )
 
 
-def samples():
-    fan = builtin("X3_0")
+def samples(name="X3_0"):
+    fan = builtin(name)
     split = find_splittings(fan)[0]
-    item = entry("X3_0")
+    item = entry(name)
     report = verify_weakened(item)
     return [
         fan, fan.rays[0], fan.max_cones[0], primitive_relations(fan)[0], item.relations[0],
@@ -78,6 +81,30 @@ def test_equal_records_are_equal_and_hash_equal():
             assert hash(copy) == hash(record) == hash(fields(record))
 
 
+def exec_generated(cls):
+    """cls with its own body only, its methods generated from source by conftest.exec_frozen."""
+    body = {
+        key: value for key, value in vars(cls).items()
+        if getattr(value, "__module__", None) != "fanshear._record"
+        and key not in ("__dict__", "__weakref__")
+    }
+    return exec_frozen(type(cls.__name__, (), {**body, "__qualname__": cls.__qualname__}))
+
+
+def test_repr_eq_and_hash_match_the_methods_generated_from_source():
+    records = samples() + samples("W4_1")
+    generated = {cls: exec_generated(cls) for cls in map(type, records)}
+    twins = [generated[type(record)](*fields(record)) for record in records]
+    for record, twin in zip(records, twins):
+        assert type(twin) is not type(record)
+        assert repr(record) == repr(twin)
+        assert hash(record) == hash(twin)
+    for (a, a_twin), (b, b_twin) in product(zip(records, twins), repeat=2):
+        assert (a == b) is (a_twin == b_twin)
+        assert (a.__eq__(b) is NotImplemented) is (a_twin.__eq__(b_twin) is NotImplemented)
+    assert sum(a == b for a, b in product(records, repeat=2)) > len(records)
+
+
 def test_records_of_different_classes_are_never_equal():
     value = ((1, 0), (0, 1))
     records = [Cone(value), IrrelevantData(value), DeformationChain(value), UnimodularMap(value)]
@@ -102,6 +129,30 @@ def test_keyword_construction_and_defaults():
         Ray("e1")
     with pytest.raises(TypeError):
         Ray("e1", (1,), name="e2")
+
+
+def test_calls_bind_as_the_init_generated_from_source():
+    # every split of the arguments into positional and keyword ones, with
+    # and without the default, one positional too many, an unknown keyword
+    # and a field given twice
+    twin = exec_generated(ExpectedOutcome)
+    names = field_names(ExpectedOutcome(FanoClass.FANO, None, None))
+    values = (FanoClass.FANO, 1, True, "V", "extra")
+    calls = []
+    for count in range(len(values) + 1):
+        for mask in range(2 ** len(names)):
+            kwargs = {n: v for i, (n, v) in enumerate(zip(names, values)) if mask >> i & 1}
+            calls += [(values[:count], kwargs), (values[:count], {**kwargs, "other": 0})]
+
+    def built(cls, args, kwargs):
+        try:
+            return fields(cls(*args, **kwargs))
+        except TypeError:
+            return TypeError
+
+    outcomes = [built(ExpectedOutcome, *call) for call in calls]
+    assert outcomes == [built(twin, *call) for call in calls]
+    assert TypeError in outcomes and (FanoClass.FANO, 1, True, None) in outcomes
 
 
 def test_fields_cannot_be_assigned_or_deleted():
@@ -142,16 +193,21 @@ def test_cached_properties_fill_on_immutable_records():
     fans = chain.fans
     assert len(fans) == len(chain.specs) == 3
     assert vars(chain)["fans"] is fans is chain.fans
-    # a splitting's fields are its frame; everything else is computed when
-    # first read, then kept
+    # a splitting's fields are its frame; find_splittings fills in its fiber
+    # type, and everything else is computed when first read, then kept
     split = find_splittings(fan)[0]
-    lazy = ("fiber", "lower_ends", "to_normal_form", "fan", "upper", "lower", "equator")
-    assert tuple(vars(split)) == (
-        "source", "basis_names", "rest_names", "upper_names", "lower_names"
-    )
+    lazy = ("lower_ends", "to_normal_form", "fan", "upper", "lower", "equator")
+    frame = ("source", "basis_names", "rest_names", "upper_names", "lower_names")
+    assert tuple(vars(split)) == (*frame, "fiber")
     for name in lazy:
         assert name not in vars(split)
         value = getattr(split, name)
         assert vars(split)[name] is value is getattr(split, name)
     assert split.fiber is fiber_type(split)
     assert split.source is fan and split == find_splittings(fan)[0]
+    # a splitting with an explicit frame decides its fiber type when first read
+    framed = split_with_frame(
+        fan, *split.upper_names, *split.lower_names, split.basis_names, split.partner_name
+    )
+    assert tuple(vars(framed)) == frame and framed == split
+    assert fiber_type(framed) == split.fiber and vars(framed)["fiber"] is framed.fiber
