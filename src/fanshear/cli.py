@@ -197,7 +197,7 @@ def _cmd_deform(args, report: Report) -> int:
     first = 0
     if args.splitting is not None:
         picked = None
-        if args.splitting >= 0:
+        if 0 <= args.splitting <= sys.maxsize:  # islice takes no larger index
             picked = next(islice(splittings, args.splitting, None), None)
         if picked is None:
             report.add("error", f"no splitting with index {args.splitting}")

@@ -157,12 +157,12 @@ class Splitting:
     def fan(self) -> Fan:
         """source in normal-form coordinates, checked by _check_invariants.
 
-        It shares the primitive collections and relations source has found.
+        It shares no cache with source: shear_lower takes the primitive
+        collections and relations from source, not from it.
         """
         source, transform = self.source, self.to_normal_form
         rays = tuple(Ray(r.name, transform.apply(r.generator)) for r in source.rays)
         base = Fan(source.dimension, rays, source.max_cones)
-        _take_complex(base, source)
         _check_invariants(self, base)
         return base
 
@@ -550,10 +550,10 @@ def shear_lower(split: Splitting, q: Sequence[int]) -> Fan:
     The cone complex is unchanged, with the lower ray renamed: the join of
     the equator's complex with {up, down}.  So the primitive collections
     are {up, down} and those of the equator, and each relation but that of
-    {up, down} lies in ker h, which the shear fixes.  The result takes the
-    collections and those relations that the split fan has found
-    (fan._take_complex); the relation of {up, down'} is solved when first
-    asked, by one walk.
+    {up, down} lies in ker h, which the shear fixes.  The result takes
+    copies of the collections and of those relations that the input fan,
+    split.source, has found (fan._take_complex); the relation of
+    {up, down'} is solved when first asked, by one walk.
     """
     d = split.dimension
     q = tuple(map(index, q))
@@ -575,7 +575,8 @@ def shear_lower(split: Splitting, q: Sequence[int]) -> Fan:
         raise ResultNotAFan(f"sheared cones do not reglue into a fan: {exc}") from exc
     if not complete:
         raise ResultNotAFan("sheared union is not complete")
-    _take_complex(result, base, frozenset(split.upper_names + split.lower_names), {down: fresh})
+    axis = frozenset(split.upper_names + split.lower_names)
+    _take_complex(result, split.source, axis, {down: fresh})
     return result
 
 

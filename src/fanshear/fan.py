@@ -8,10 +8,10 @@ dangling rays).  A fan whose invariants follow from how it is made is
 built directly, with no make_fan: a splitting's fans, read off a
 validated fan, a sheared endpoint (deform.shear_lower), and a bundle
 fan, smooth and complete in closed form (scroll.bundle_fan); make_fan of
-their rays and cones is the tests' oracle.  A fan built from another
-with the same cone complex takes the primitive collections and relations
-that one has found (_take_complex).  Every fan keeps one table of cone
-inverses by cone index, filled when first read: one row reduction
+their rays and cones is the tests' oracle.  No two fans share a cache: a
+sheared endpoint gets copies of what its input fan has found of its
+collections and relations (_take_complex).  Every fan keeps one table of
+cone inverses by cone index, filled when first read: one row reduction
 inverts a cone and pivots across facets invert the cones it reaches.
 Cone coordinates, the certificate, relations, splittings, axis tests and
 frame searches all read it.  A complete fan is accepted in
@@ -105,10 +105,6 @@ class Fan:
     max_cones: tuple[Cone, ...]
 
     @cached_property
-    def _gen_by_name(self) -> dict[str, Vector]:
-        return {r.name: r.generator for r in self.rays}
-
-    @cached_property
     def _order(self) -> dict[str, int]:
         return {r.name: i for i, r in enumerate(self.rays)}
 
@@ -175,7 +171,7 @@ class Fan:
         return {}  # per primitive collection its relation, filled by _relation
 
     def generator(self, name: str) -> Vector:
-        return self._gen_by_name[name]
+        return self.rays[self._order[name]].generator
 
     def ray_names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.rays)
@@ -253,8 +249,8 @@ def make_fan(
         if not isinstance(r, Ray):
             r = Ray(str(r[0]), tuple(map(index, r[1])))
         ray_objs.append(r)
-    names = [r.name for r in ray_objs]
-    if len(set(names)) != len(names):
+    known = {r.name for r in ray_objs}
+    if len(known) != len(ray_objs):
         raise ValueError("duplicate ray names")
     for r in ray_objs:
         if len(r.generator) != dimension:
@@ -271,13 +267,12 @@ def make_fan(
             )
         seen_gens[r.generator] = r.name
 
-    gen_by_name = {r.name: r.generator for r in ray_objs}
     cone_objs = []
     fault: Optional[Exception] = None
     for c in max_cones:
         if not isinstance(c, Cone):
             c = Cone(tuple(str(n) for n in c))
-        unknown = [n for n in c.ray_names if n not in gen_by_name]
+        unknown = [n for n in c.ray_names if n not in known]
         if unknown:
             fault = ValueError(f"cone references unknown ray {unknown[0]!r}")
         elif len(set(c.ray_names)) != len(c.ray_names):
@@ -296,9 +291,9 @@ def make_fan(
         raise ValueError("a fan needs at least one maximal cone")
     fan = Fan(dimension, tuple(ray_objs), tuple(cone_objs))
     fan._inverses  # raises SingularCone for the first cone not unimodular
-    if len(set(fan.cone_sets)) != len(cone_objs):
-        repeated = next(c for i, c in enumerate(fan.cone_sets) if c in fan.cone_sets[:i])
-        raise BadFaceStructure(f"duplicate maximal cone {fan.sort_names(repeated)}")
+    if len(set(fan._cone_masks)) != len(cone_objs):
+        i = next(i for i, m in enumerate(fan._cone_masks) if m in fan._cone_masks[:i])
+        raise BadFaceStructure(f"duplicate maximal cone {fan.sort_names(cone_objs[i].ray_names)}")
     for n, star in fan._cones_of_ray.items():
         if not star:
             raise DanglingRay(f"ray {n} belongs to no maximal cone")
@@ -502,27 +497,24 @@ def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
 
 
 def _take_complex(
-    fan: Fan, source: Fan, axis: frozenset[str] = frozenset(), renamed: Mapping[str, str] = {}
+    fan: Fan, source: Fan, axis: frozenset[str], renamed: Mapping[str, str]
 ) -> None:
-    """Give fan the primitive collections and relations that source has found so far.
+    """Copy to fan the primitive collections and relations that source has found.
 
     fan must have source's rays in source's order and source's cones, with
     the rays in renamed renamed, so its collections are source's renamed,
-    in the same order.  Each relation of source whose collection misses
-    axis must hold in fan as it stands.  With no axis and no renaming, fan
-    is source in other coordinates and shares source's relation cache, so
-    a relation either one solves serves both.  What source has not found
-    is computed on fan when first asked, as on any fan.
+    in the same order.  Only the relations whose collection misses axis
+    are copied; each must hold in fan as it stands.  fan finds the rest
+    when first asked, as any fan does.
     """
     found = source.__dict__  # the cached_property values source has filled
     if "_collections" in found:
-        fan.__dict__["_collections"] = found["_collections"] if not renamed else tuple(
+        fan.__dict__["_collections"] = tuple(
             frozenset(renamed.get(n, n) for n in c) for c in found["_collections"]
         )
-    relations = found.get("_relations")
-    if relations is not None:
-        fan.__dict__["_relations"] = relations if not axis else {
-            fs: rel for fs, rel in relations.items() if not fs & axis
+    if "_relations" in found:
+        fan.__dict__["_relations"] = {
+            fs: rel for fs, rel in found["_relations"].items() if not fs & axis
         }
 
 
@@ -570,8 +562,6 @@ def _walk_to_sum(fan: Fan, members: Sequence[int], total: Vector):
     """
     cones, rows, masks, facets = fan._cone_rays, fan._inverses, fan._cone_masks, fan._facets
     j = fan._cone_index(fan.rays[i].name for i in members[:-1])
-    if j < 0:
-        return None
     for _ in cones:
         coords = [sum(map(mul, row, total)) for row in rows[j]]
         low = min(coords)
@@ -884,7 +874,7 @@ def _solve_presentation(
 
     for n in names:
         vec = assigned[n]
-        if not any(vec) or not lattice.is_primitive(vec):
+        if not lattice.is_primitive(vec):
             raise InconsistentRelations(
                 f"generator {n} solves to the non-primitive vector {vec}"
             )

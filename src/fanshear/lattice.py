@@ -350,8 +350,7 @@ def linear_feasible(
         if not add(tuple(r), True):
             return False
     for r in weak:
-        if not add(tuple(r), False):
-            return False
+        add(tuple(r), False)  # a weak row is never infeasible
     if not rows:
         return True
     n = len(next(iter(rows)))

@@ -109,6 +109,18 @@ def test_verify_all_tests_few_axes(capsys, monkeypatch):
     assert len(tested) == 50
 
 
+def test_verify_all_walks_to_67_relation_sums(capsys, monkeypatch):
+    # the endpoints solve only their axis relations: every other relation
+    # is copied from the input fan
+    walks = []
+    real = fan_module._walk_to_sum
+    monkeypatch.setattr(
+        fan_module, "_walk_to_sum", lambda *a: walks.append(a) or real(*a)
+    )
+    assert main(["catalog", "verify", "all"]) == 0
+    assert len(walks) == 67
+
+
 def bundle_names_up_to(top):
     """Every bundle(d;...) with twists in {0, 1, 2}: all orders for d <= 5, descending above."""
     for d in range(2, top + 1):

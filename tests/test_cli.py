@@ -246,7 +246,7 @@ def test_deform_explicit_splitting_index(fan_file, tmp_path, capsys):
     assert status == 2
 
 
-@pytest.mark.parametrize("index", ["4", "99", "-1"])
+@pytest.mark.parametrize("index", ["4", "99", "-1", "99999999999999999999999"])
 def test_deform_splitting_index_out_of_range_exits_two(fan_file, tmp_path, capsys, index):
     # X3_0 has four splittings, 0 to 3
     path = fan_file("x.fan", "X3_0")
@@ -329,6 +329,45 @@ def test_deform_without_any_splitting_fails(tmp_path, capsys):
     status, out = run(capsys, "deform", str(path), "--k", "0", "--out", str(tmp_path / "o.fan"))
     assert status == 1
     assert "conditions: violated" in out
+
+
+# dP6 x P1: the hexagon's rays h1..h6 and the poles u, v
+DP6_P1 = (
+    "dim 3\nray h1 1 0 0\nray h2 1 1 0\nray h3 0 1 0\nray h4 -1 0 0\n"
+    "ray h5 -1 -1 0\nray h6 0 -1 0\nray u 0 0 1\nray v 0 0 -1\n"
+    + "".join(f"cone h{i} h{i % 6 + 1} {pole}\n" for pole in "uv" for i in range(1, 7))
+)
+
+
+def test_deform_lists_the_splittings_whose_fiber_is_other(tmp_path, capsys):
+    # the hexagon is neither a projective space nor a bundle over the line
+    path = tmp_path / "dp6p1.fan"
+    path.write_text(DP6_P1)
+    status, out = run(capsys, "split", str(path))
+    assert status == 0
+    assert "splittings: 2" in out.splitlines()
+    assert out.splitlines().count("fiber: Other") == 2
+    out_path = tmp_path / "o.fan"
+    status, out = run(capsys, "deform", str(path), "--k", "0", "--out", str(out_path))
+    assert status == 1
+    assert out.splitlines()[-3:] == [
+        "conditions: violated",
+        "violation: splitting 0: fiber type Other",
+        "violation: splitting 1: fiber type Other",
+    ]
+    assert not out_path.exists()
+
+
+def test_a_fan_of_dimension_one_has_no_splitting(tmp_path, capsys):
+    path = tmp_path / "p1.fan"
+    path.write_text("dim 1\nray a 1\nray b -1\ncone a\ncone b\n")
+    status, out = run(capsys, "split", str(path))
+    assert status == 0
+    assert out.splitlines()[-1] == "splittings: 0"
+    status, out = run(capsys, "deform", str(path), "--k", "0", "--out", str(tmp_path / "o.fan"))
+    assert status == 1
+    assert out.splitlines()[-1] == "conditions: violated"
+    assert "violation" not in out
 
 
 HALF_FAN = "dim 2\nray x 1 0\nray y 0 1\ncone x y\n"
@@ -485,6 +524,12 @@ def test_catalog_show_writes_fan(tmp_path, capsys):
     assert status == 0
     assert "endpoint_type_label: D7" in out
     assert parse_fan((tmp_path / "w41.fan").read_text()) == builtin("W4_1")
+
+
+def test_catalog_show_without_a_name_exits_two(capsys):
+    status, out = run(capsys, "catalog", "show")
+    assert status == 2
+    assert out.splitlines()[-1] == "error: catalog show needs a name"
 
 
 def test_catalog_verify_single(capsys):

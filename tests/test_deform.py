@@ -278,6 +278,24 @@ def test_zero_shear_is_identity():
     assert shear_lower(split, (0, 0)) == split.fan
 
 
+def test_base_fan_and_endpoint_share_no_cache_with_the_source():
+    # as catalog verify uses a splitting: the source's relations first, then
+    # the base fan, which finds nothing of its own; the endpoint takes
+    # copies of the source's collections and of all its relations but the
+    # axis relation
+    source = builtin("X3_0")
+    relations = primitive_relations(source)
+    split = find_splittings(source)[0]
+    assert not {"_collections", "_relations"} & set(vars(split.fan))
+    end = shear_lower(split, (0, 0))
+    found = vars(end)
+    assert found["_collections"] == source._collections
+    assert found["_relations"] is not source._relations
+    assert len(found["_relations"]) == len(relations) - 1
+    assert primitive_relations(end) == relations
+    assert len(source._relations) == len(relations)
+
+
 def test_f3_sheared_to_f1():
     split = next(
         s for s in find_splittings(builtin("hirzebruch(3)")) if endpoint_conditions(s, 1)

@@ -70,6 +70,7 @@ def test_roundtrip_field_by_field():
         ("dim 2\nwat 1\n", "unknown keyword"),
         ("dim 2\ndim 3\n", "duplicate dim"),
         ("", "missing dim"),
+        ("dim 2\n", "no rays"),
     ],
 )
 def test_parse_errors_name_the_line(text, fragment):
@@ -126,6 +127,9 @@ def test_relation_file_without_basis():
         ("dim 5\ndim 2\ngens a b\n", "line 2: duplicate dim line"),
         ("dim 2\ngens a b\ngens a b\n", "line 3: duplicate gens line"),
         ("dim 2\ngens a b\nbasis a b\nbasis a b\n", "line 4: duplicate basis line"),
+        ("dim 2\ngens a b a\n", "line 2: duplicate generator name"),
+        ("dim 2\n", "missing gens line"),
+        ("dim 2\ngens a b c\nrel a+ = 0\n", "line 3: empty term on the left-hand side"),
     ],
 )
 def test_relation_parse_errors(text, fragment):

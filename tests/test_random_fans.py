@@ -57,7 +57,7 @@ from fanshear.deform import (
     split_with_frame,
     star_equivalent,
 )
-from fanshear.divisor import NefAmpleStatus, anticanonical, nef_ample_status
+from fanshear.divisor import NefAmpleStatus, anticanonical, classify_fano, nef_ample_status
 from fanshear.errors import FanError, InconsistentRelations, UnderdeterminedRelations
 from fanshear.fan import (
     Fan,
@@ -178,6 +178,18 @@ def test_subdivided_fans_validate(seed, name, insertions):
         assert status is NefAmpleStatus.NEF_NOT_AMPLE
     else:
         assert status is NefAmpleStatus.NOT_NEF
+
+
+def test_checking_a_subdivided_fan_builds_no_name_tables():
+    # make_fan finds duplicate cones on the cone masks and generator reads
+    # the ray tuple, so check builds no frozenset per cone and no second
+    # table from names to generators
+    fan = random_subdivided_fan(0, "W4_1", 9)
+    assert len(fan.rays) == 16
+    assert is_complete(fan)
+    classify_fano(fan)
+    primitive_relations(fan)
+    assert not {"cone_sets", "_gen_by_name"} & set(vars(fan))
 
 
 # Star subdivisions of the three benchmark bases, grown to 13-14 rays.
