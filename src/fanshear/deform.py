@@ -215,7 +215,7 @@ def _fibration_functional(
     on up: it can only be the row of up in the cone's cached inverse.  One
     dot product per ray off outer (see _is_axis) decides whether that row is one.
     """
-    j = fan._cone_index((up,))
+    j = fan._cone_index(1 << fan._order[up])
     h = fan._inverses[j][fan.max_cones[j].ray_names.index(up)]
     for ray in fan.rays:
         name = ray.name
@@ -271,7 +271,8 @@ def _is_axis(fan: Fan, up: str, down: str, outer: Sequence[str] = ()) -> bool:
     when its equator cone does, and on ker h_outer the row of up is the
     only candidate, as tau spans it (that cone is tau + {a}, a in outer).
     """
-    up_star, down_star = fan._cones_of_ray.get(up, 0), fan._cones_of_ray.get(down, 0)
+    stars, order = fan._cones_of_ray, fan._order
+    up_star, down_star = (stars[order[n]] if n in order else 0 for n in (up, down))
     if up_star & down_star or up_star | down_star != (1 << len(fan.max_cones)) - 1:
         return False
     return _fibration_functional(fan, up, down, outer) is not None
@@ -293,12 +294,12 @@ def _complementary_pairs(fan: Fan, names: Sequence[str]) -> Iterator[tuple[str, 
     rays finds each ray's partners in O(1) instead of testing all pairs.
     """
     full = (1 << len(fan.max_cones)) - 1
-    stars = fan._cones_of_ray
+    stars = [fan._cones_of_ray[fan._order[n]] for n in names]
     by_star: dict[int, list[int]] = {}
-    for i, n in enumerate(names):
-        by_star.setdefault(stars[n], []).append(i)
+    for i, star in enumerate(stars):
+        by_star.setdefault(star, []).append(i)
     for i, x in enumerate(names):
-        for j in by_star.get(full ^ stars[x], ()):
+        for j in by_star.get(full ^ stars[i], ()):
             if j > i:
                 yield x, names[j]
 
@@ -575,8 +576,7 @@ def shear_lower(split: Splitting, q: Sequence[int]) -> Fan:
         raise ResultNotAFan(f"sheared cones do not reglue into a fan: {exc}") from exc
     if not complete:
         raise ResultNotAFan("sheared union is not complete")
-    axis = frozenset(split.upper_names + split.lower_names)
-    _take_complex(result, split.source, axis, {down: fresh})
+    _take_complex(result, split.source, base._ray_mask(split.upper_names + split.lower_names))
     return result
 
 

@@ -6,27 +6,26 @@ constructor; everything downstream may assume its invariants (primitive
 rays, unimodular cones, pairwise intersection in a common face, no
 dangling rays).  A fan whose invariants follow from how it is made is
 built directly, with no make_fan: a splitting's fans, read off a
-validated fan, a sheared endpoint (deform.shear_lower), and a bundle
-fan, smooth and complete in closed form (scroll.bundle_fan); make_fan of
-their rays and cones is the tests' oracle.  No two fans share a cache: a
-sheared endpoint gets copies of what its input fan has found of its
-collections and relations (_take_complex).  Every fan keeps one table of
-cone inverses by cone index, filled when first read: one row reduction
-inverts a cone and pivots across facets invert the cones it reaches.
-Cone coordinates, the certificate, relations, splittings, axis tests and
-frame searches all read it.  A complete fan is accepted in
-O(C*d) by a certificate: its facets pair up on opposite sides and one
-point is covered once.  On a valid fan that certificate is also the
-completeness test.  Any other input, half-fans included, falls back to a
-Fourier-Motzkin test of every pair of cones, in one direction.
-Completeness is its own query: half-fans are fans too.
+validated fan, a sheared endpoint (deform.shear_lower), and a bundle fan,
+smooth and complete in closed form (scroll.bundle_fan); make_fan of their
+rays and cones is the tests' oracle.  A sheared endpoint keeps its input
+fan's ray order, so it takes the collection masks that fan has found, and
+copies of its relations: no fan shares a mutable cache (_take_complex).
+Every fan keeps one table of cone inverses by cone index, filled when
+first read: one row reduction inverts a cone and pivots across facets
+invert the cones it reaches.  Cone coordinates, the certificate,
+relations, splittings, axis tests and frame searches all read it.  A
+complete fan is accepted in O(C*d) by a certificate: its facets pair up
+on opposite sides and one point is covered once.  On a valid fan that
+certificate is also the completeness test.  Any other input, half-fans
+included, falls back to a Fourier-Motzkin test of every pair of cones, in
+one direction.  Completeness is its own query: half-fans are fans too.
 
-A ray set is a primitive collection when no cone holds it but one holds
-it less any one ray, as primitive_relation reads off the cone masks.
-Only the lists, primitive_collections and primitive_relations, run MMCS
-for the minimal transversals of the cone complements, over ray bitmasks
-with no face store.  Each relation is read, in ray and cone indices, in
-the cone that a walk across facets finds holding the collection's sum.
+A primitive collection is a ray mask, bit i for ray i, from MMCS to the
+relation cache: no cone holds it, but one holds it less any one ray.
+Only the lists run MMCS, for the minimal transversals of the cone
+complements, with no face store; only primitive_collections builds name
+sets.  A relation is read in the cone a walk across facets finds.
 
 Isomorphism colours the rays of both fans first.  A ray starts from its
 star size and the labels of its walls (the relation a + b = sum(c_f * f)
@@ -44,7 +43,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, repeat
 from operator import index, mul, sub
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import lattice
 from ._record import frozen
@@ -147,13 +146,13 @@ class Fan:
         return table
 
     @cached_property
-    def _cones_of_ray(self) -> dict[str, int]:
-        """Per ray, the bitmask of the maximal cones (bit j for cone j) holding it."""
-        table = dict.fromkeys(self._order, 0)
-        for j, cone in enumerate(self.max_cones):
-            for n in cone.ray_names:
-                table[n] |= 1 << j
-        return table
+    def _cones_of_ray(self) -> tuple[int, ...]:
+        """Per ray, by index, the bitmask of the maximal cones (bit j for cone j) holding it."""
+        stars = [0] * len(self.rays)
+        for j, rays in enumerate(self._cone_rays):
+            for r in rays:
+                stars[r] |= 1 << j
+        return tuple(stars)
 
     # Per-fan caches behind is_complete, primitive_collections and
     # primitive_relation: they live and die with the fan, and only the
@@ -163,12 +162,18 @@ class Fan:
         return _certified_complete(self)
 
     @cached_property
-    def _collections(self) -> tuple[frozenset[str], ...]:
+    def _collection_masks(self) -> tuple[int, ...]:
         return _minimal_transversals(self)
 
     @cached_property
-    def _relations(self) -> dict[frozenset[str], PrimitiveRelation]:
-        return {}  # per primitive collection its relation, filled by _relation
+    def _collections(self) -> tuple[frozenset[str], ...]:
+        names = self.ray_names()  # the masks as name sets, for primitive_collections only
+        return tuple(frozenset(names[b.bit_length() - 1] for b in _bits(m))
+                     for m in self._collection_masks)
+
+    @cached_property
+    def _relations(self) -> dict[int, PrimitiveRelation]:
+        return {}  # per collection mask its relation, filled by _relation
 
     def generator(self, name: str) -> Vector:
         return self.rays[self._order[name]].generator
@@ -181,13 +186,18 @@ class Fan:
 
     def spans_cone(self, names: Iterable[str]) -> bool:
         """Whether the named rays together span a cone of the fan."""
-        return self._cone_index(names) >= 0
+        names = set(names)
+        return names <= self._order.keys() and self._cone_index(self._ray_mask(names)) >= 0
 
-    def _cone_index(self, names: Iterable[str]) -> int:
-        """The index of the first maximal cone holding every named ray, or -1."""
-        held = (1 << len(self.max_cones)) - 1
-        for n in names:
-            held &= self._cones_of_ray.get(n, 0)
+    def _ray_mask(self, names: Iterable[str]) -> int:
+        """The named rays as a bitmask, bit i for ray i; KeyError for a name that is no ray."""
+        return sum(1 << self._order[n] for n in set(names))
+
+    def _cone_index(self, rays: int) -> int:
+        """The index of the first maximal cone holding every ray of the ray mask, or -1."""
+        held, stars = (1 << len(self.max_cones)) - 1, self._cones_of_ray
+        for ray in _bits(rays):
+            held &= stars[ray.bit_length() - 1]
         return (held & -held).bit_length() - 1
 
     def _inverse_rows(self, names: Sequence[str]) -> lattice.Matrix:
@@ -196,7 +206,7 @@ class Fan:
         names is a maximal cone in any order; row i of the result is the
         coordinate of names[i].
         """
-        j = self._cone_index(names)
+        j = self._cone_index(self._ray_mask(names))
         row_of = dict(zip(self.max_cones[j].ray_names, self._inverses[j]))
         return tuple(row_of[n] for n in names)
 
@@ -294,9 +304,9 @@ def make_fan(
     if len(set(fan._cone_masks)) != len(cone_objs):
         i = next(i for i, m in enumerate(fan._cone_masks) if m in fan._cone_masks[:i])
         raise BadFaceStructure(f"duplicate maximal cone {fan.sort_names(cone_objs[i].ray_names)}")
-    for n, star in fan._cones_of_ray.items():
+    for r, star in zip(ray_objs, fan._cones_of_ray):
         if not star:
-            raise DanglingRay(f"ray {n} belongs to no maximal cone")
+            raise DanglingRay(f"ray {r.name} belongs to no maximal cone")
 
     if fan._is_complete:
         return fan
@@ -438,20 +448,18 @@ def primitive_collections(fan: Fan) -> tuple[frozenset[str], ...]:
     return fan._collections
 
 
-def _minimal_transversals(fan: Fan) -> tuple[frozenset[str], ...]:
-    """The minimal non-faces, in primitive_collections order.
+def _minimal_transversals(fan: Fan) -> tuple[int, ...]:
+    """The minimal non-faces as ray masks, in primitive_collections order.
 
     A non-face meets every cone's complement, so the minimal ones are the
     minimal transversals of the complements, found by MMCS (Murakami and
     Uno, Discrete Appl. Math. 170, 2014) with no face store.
     """
     found: list[int] = []
-    stars = tuple(fan._cones_of_ray.values())
-    _extend(stars, fan._cone_masks, 0, (1 << len(stars)) - 1,
+    _extend(fan._cones_of_ray, fan._cone_masks, 0, (1 << len(fan.rays)) - 1,
             (1 << len(fan.max_cones)) - 1, [], found)
     found.sort(key=lambda m: (m.bit_count(), [b.bit_length() for b in _bits(m)]))
-    names = fan.ray_names()
-    return tuple(frozenset(names[b.bit_length() - 1] for b in _bits(m)) for m in found)
+    return tuple(found)
 
 
 def _extend(stars, cones, chosen: int, candidates: int, uncovered: int,
@@ -486,82 +494,73 @@ def primitive_relation(fan: Fan, collection: Iterable[str]) -> PrimitiveRelation
     Membership is read off the cone masks; cached per fan and collection.
     """
     fs = frozenset(collection)
-    if not _is_collection(fan, fs):
-        shown = fan.sort_names(fs) if fs <= fan._order.keys() else tuple(sorted(fs))
+    rays = fan._ray_mask(fs) if fs <= fan._order.keys() else -1
+    if rays < 0 or not _is_collection(fan, rays):
+        shown = fan.sort_names(fs) if rays >= 0 else tuple(sorted(fs))
         raise NotAPrimitiveCollection(f"{shown} is not a primitive collection")
-    return _relation(fan, fs)
+    return _relation(fan, rays)
 
 
 def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
-    return tuple(_relation(fan, fs) for fs in fan._collections)
+    return tuple(_relation(fan, rays) for rays in fan._collection_masks)
 
 
-def _take_complex(
-    fan: Fan, source: Fan, axis: frozenset[str], renamed: Mapping[str, str]
-) -> None:
+def _take_complex(fan: Fan, source: Fan, axis: int) -> None:
     """Copy to fan the primitive collections and relations that source has found.
 
-    fan must have source's rays in source's order and source's cones, with
-    the rays in renamed renamed, so its collections are source's renamed,
-    in the same order.  Only the relations whose collection misses axis
-    are copied; each must hold in fan as it stands.  fan finds the rest
-    when first asked, as any fan does.
+    fan must have source's rays, some renamed, in source's order, and
+    source's cones, so source's collection masks are fan's.  Only the
+    relations whose mask misses the ray mask axis are copied; each must
+    hold in fan as it stands.  fan finds the rest when first asked.
     """
     found = source.__dict__  # the cached_property values source has filled
-    if "_collections" in found:
-        fan.__dict__["_collections"] = tuple(
-            frozenset(renamed.get(n, n) for n in c) for c in found["_collections"]
-        )
+    if "_collection_masks" in found:
+        fan.__dict__["_collection_masks"] = found["_collection_masks"]
     if "_relations" in found:
         fan.__dict__["_relations"] = {
-            fs: rel for fs, rel in found["_relations"].items() if not fs & axis
+            rays: rel for rays, rel in found["_relations"].items() if not rays & axis
         }
 
 
-def _is_collection(fan: Fan, names: frozenset[str]) -> bool:
-    """Whether names are rays spanning no cone while all but any one of them span one."""
-    return names <= fan._order.keys() and not fan.spans_cone(names) and all(
-        fan.spans_cone(names - {n}) for n in names
-    )
+def _is_collection(fan: Fan, rays: int) -> bool:
+    """Whether the ray mask spans no cone while it spans one less any one ray."""
+    return fan._cone_index(rays) < 0 and all(fan._cone_index(rays ^ r) >= 0 for r in _bits(rays))
 
 
-def _relation(fan: Fan, fs: frozenset[str]) -> PrimitiveRelation:
-    """The relation of a collection, read in the cone _walk_to_sum finds; cached.
+def _relation(fan: Fan, rays: int) -> PrimitiveRelation:
+    """The relation of the collection with ray mask rays, in the cone _walk_to_sum finds.
 
-    _scan_for_sum is the fallback.  Every cone holding the sum gives the
-    same positive coordinates, those of the face holding it inside.
+    Cached per fan by mask; _scan_for_sum is the fallback.  Every cone holding
+    the sum gives the same positive coordinates, those of the face holding it inside.
     """
-    relation = fan._relations.get(fs)
+    relation = fan._relations.get(rays)
     if relation is not None:
         return relation
-    rays = fan.rays
-    members = sorted(map(fan._order.__getitem__, fs))
-    total = tuple(map(sum, zip(*(rays[i].generator for i in members))))
-    found = _walk_to_sum(fan, members, total) or _scan_for_sum(fan, total)
+    gens = fan.rays
+    members = [b.bit_length() - 1 for b in _bits(rays)]
+    total = tuple(map(sum, zip(*(gens[i].generator for i in members))))
+    names = tuple(gens[i].name for i in members)
+    found = _walk_to_sum(fan, rays, total) or _scan_for_sum(fan, total)
     if found is None:
-        raise NoContainingCone(
-            f"sum of {fan.sort_names(fs)} lies in no cone; fan is invalid or incomplete"
-        )
+        raise NoContainingCone(f"sum of {names} lies in no cone; fan is invalid or incomplete")
     j, coords = found
-    support = tuple((rays[i].name, c) for i, c in sorted(zip(fan._cone_rays[j], coords)) if c > 0)
-    relation = fan._relations[fs] = PrimitiveRelation(
-        collection=tuple(rays[i].name for i in members),
-        support=support,
-        degree=len(members) - sum(c for _, c in support),
+    support = tuple((gens[i].name, c) for i, c in sorted(zip(fan._cone_rays[j], coords)) if c > 0)
+    relation = fan._relations[rays] = PrimitiveRelation(
+        names, support, len(members) - sum(c for _, c in support)
     )
     return relation
 
 
-def _walk_to_sum(fan: Fan, members: Sequence[int], total: Vector):
+def _walk_to_sum(fan: Fan, rays: int, total: Vector):
     """A maximal cone holding total, as (cone index, coordinates), or None.
 
-    From the first cone holding the rays members but the last (a face),
-    it crosses the facet of the most negative coordinate (Devillers, Pion
-    and Teillaud, "Walking in a triangulation", 2002), and gives up at a
-    facet not in two cones or after C steps.
+    From the first cone holding the mask's rays but the highest (a face), it
+    crosses the facet of the most negative coordinate (Devillers, Pion and
+    Teillaud, "Walking in a triangulation", 2002), and gives up at a facet
+    not in two cones or after C steps.
     """
     cones, rows, masks, facets = fan._cone_rays, fan._inverses, fan._cone_masks, fan._facets
-    j = fan._cone_index(fan.rays[i].name for i in members[:-1])
+    j = fan._cone_index(rays ^ 1 << rays.bit_length() - 1)
     for _ in cones:
         coords = [sum(map(mul, row, total)) for row in rows[j]]
         low = min(coords)
@@ -647,10 +646,8 @@ def _ray_signatures(fan: Fan) -> list[tuple]:
         for p, (r, c) in enumerate(zip(cones[j], coords)):
             labels[r].append((p == i, c, wall))
         labels[b].append((True, coords[i], wall))
-    stars = fan._cones_of_ray
     return [
-        (stars[r.name].bit_count(), tuple(sorted(own)))
-        for r, own in zip(fan.rays, labels)
+        (star.bit_count(), tuple(sorted(own))) for star, own in zip(fan._cones_of_ray, labels)
     ]
 
 
@@ -803,6 +800,8 @@ def fan_from_relations(
     unique too.  Its solution is F moved by the unimodular map sending c1's
     rays to e1, ..., ed, which passes every check F passed.
     """
+    if dimension < 1:
+        raise ValueError("dimension must be positive")
     names = list(generator_names)
     if len(set(names)) != len(names):
         raise ValueError("duplicate generator names")

@@ -6,6 +6,10 @@ elimination so the tests cross-check the integer row-reduction paths.
 Primitive collections are recomputed by plain subset enumeration, which
 is exponential in the ray count and meant for fans of up to ~14 rays,
 and by a walk over every face, which is exponential in the dimension.
+Primitive relations, and primitive_relation's rejection texts, are
+recomputed by the name-keyed path the library ran before a collection
+became a ray mask: names sorted into indices, the walk's start cone found
+over the cones' name sets.
 Fiber types are recomputed by a full splitting search of the equator and
 by the axis test on the built equator, and equators are revalidated with
 make_fan.  Fan isomorphism and star equivalence are recomputed by
@@ -40,6 +44,7 @@ import re
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from operator import mul
 
 import pytest
 
@@ -50,8 +55,9 @@ from fanshear.deform import (
     FiberKind, FiberType, endpoint, fiber_type, find_splittings, split_with_frame,
 )
 from fanshear.divisor import NefAmpleStatus, class_group
-from fanshear.errors import BadFaceStructure, FanError, InconsistentRelations
+from fanshear.errors import BadFaceStructure, FanError, InconsistentRelations, NoContainingCone
 from fanshear.fan import (
+    PrimitiveRelation,
     Ray,
     _certified_complete,
     fan_from_relations,
@@ -170,6 +176,70 @@ def face_walk_collections(fan):
     return tuple(
         frozenset(n for n, b in zip(names, bits) if b & m) for m in found
     )
+
+
+def relation_by_names(fan, collection):
+    """primitive_relation's result by the name-keyed path the library once ran.
+
+    The names are sorted into ray indices and the sum is found by
+    walk_to_sum_by_names, with the library's _scan_for_sum as the
+    fallback; nothing is cached.
+    """
+    fs = frozenset(collection)
+    rays = fan.rays
+    members = sorted(map(fan._order.__getitem__, fs))
+    total = tuple(map(sum, zip(*(rays[i].generator for i in members))))
+    found = walk_to_sum_by_names(fan, members, total) or fan_module._scan_for_sum(fan, total)
+    if found is None:
+        raise NoContainingCone(
+            f"sum of {fan.sort_names(fs)} lies in no cone; fan is invalid or incomplete"
+        )
+    j, coords = found
+    support = tuple((rays[i].name, c) for i, c in sorted(zip(fan._cone_rays[j], coords)) if c > 0)
+    return PrimitiveRelation(
+        collection=tuple(rays[i].name for i in members),
+        support=support,
+        degree=len(members) - sum(c for _, c in support),
+    )
+
+
+def walk_to_sum_by_names(fan, members, total):
+    """The walk from the first cone whose names hold every member but the last.
+
+    members are sorted ray indices; as (cone index, coordinates), or None
+    at a facet not in two cones or after C steps.
+    """
+    cones, rows, masks, facets = fan._cone_rays, fan._inverses, fan._cone_masks, fan._facets
+    face = {fan.rays[i].name for i in members[:-1]}
+    j = next((k for k, c in enumerate(fan.max_cones) if face <= set(c.ray_names)), -1)
+    for _ in cones:
+        coords = [sum(map(mul, row, total)) for row in rows[j]]
+        low = min(coords)
+        if low >= 0:
+            return j, coords
+        pair = facets[masks[j] ^ (1 << cones[j][coords.index(low)])]
+        if len(pair) != 2:
+            return None
+        j = pair[pair[0][0] == j][0]
+    return None
+
+
+def rejection_by_names(fan, names):
+    """primitive_relation's NotAPrimitiveCollection text for names, or None for a collection.
+
+    Decided on the cones' name sets: known names are shown in ray order,
+    a set with an unknown name sorted.
+    """
+    fs = frozenset(names)
+    cone_sets = [set(c.ray_names) for c in fan.max_cones]
+
+    def spans(s):
+        return any(s <= cs for cs in cone_sets)
+
+    if fs <= fan._order.keys() and not spans(fs) and all(spans(fs - {n}) for n in fs):
+        return None
+    shown = fan.sort_names(fs) if fs <= fan._order.keys() else tuple(sorted(fs))
+    return f"{shown} is not a primitive collection"
 
 
 def candidate_cones_by_combinations(names, dimension, collections):

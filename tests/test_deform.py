@@ -280,16 +280,16 @@ def test_zero_shear_is_identity():
 
 def test_base_fan_and_endpoint_share_no_cache_with_the_source():
     # as catalog verify uses a splitting: the source's relations first, then
-    # the base fan, which finds nothing of its own; the endpoint takes
-    # copies of the source's collections and of all its relations but the
+    # the base fan, which finds nothing of its own; the endpoint takes the
+    # source's collection masks and copies of all its relations but the
     # axis relation
     source = builtin("X3_0")
     relations = primitive_relations(source)
     split = find_splittings(source)[0]
-    assert not {"_collections", "_relations"} & set(vars(split.fan))
+    assert not {"_collection_masks", "_collections", "_relations"} & set(vars(split.fan))
     end = shear_lower(split, (0, 0))
     found = vars(end)
-    assert found["_collections"] == source._collections
+    assert found["_collection_masks"] == source._collection_masks
     assert found["_relations"] is not source._relations
     assert len(found["_relations"]) == len(relations) - 1
     assert primitive_relations(end) == relations

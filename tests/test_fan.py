@@ -811,6 +811,15 @@ def test_inconsistent_relations():
         )
 
 
+@pytest.mark.parametrize("dimension,names,relations", [
+    (0, ["a"], [FormalRelation(("a",), ())]),
+    (-1, ["a", "b"], []),
+])
+def test_relations_need_a_positive_dimension(dimension, names, relations):
+    with pytest.raises(ValueError, match="^dimension must be positive$"):
+        fan_from_relations(dimension, names, relations)
+
+
 def test_underdetermined_relations():
     # x4 appears in no relation, so its generator is not pinned down
     with pytest.raises(UnderdeterminedRelations):

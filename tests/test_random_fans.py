@@ -32,7 +32,9 @@ from conftest import (
     fourier_motzkin_calls,
     nef_ample_status_by_names,
     pairwise_glued,
+    rejection_by_names,
     relabelled_image,
+    relation_by_names,
     solve_fibration_functional,
     star_equivalent_by_frames,
 )
@@ -58,7 +60,9 @@ from fanshear.deform import (
     star_equivalent,
 )
 from fanshear.divisor import NefAmpleStatus, anticanonical, classify_fano, nef_ample_status
-from fanshear.errors import FanError, InconsistentRelations, UnderdeterminedRelations
+from fanshear.errors import (
+    FanError, InconsistentRelations, NotAPrimitiveCollection, UnderdeterminedRelations,
+)
 from fanshear.fan import (
     Fan,
     FormalRelation,
@@ -192,6 +196,17 @@ def test_checking_a_subdivided_fan_builds_no_name_tables():
     assert not {"cone_sets", "_gen_by_name"} & set(vars(fan))
 
 
+def test_checking_a_subdivided_fan_builds_no_collection_name_sets():
+    # check's relations are read off the collection masks, so the
+    # frozensets of names that primitive_collections returns stay unbuilt
+    fan = random_subdivided_fan(0, "W4_1", 9)
+    assert len(fan.rays) == 16
+    classify_fano(fan)
+    primitive_relations(fan)
+    assert "_collection_masks" in vars(fan)
+    assert "_collections" not in vars(fan)
+
+
 # Star subdivisions of the three benchmark bases, grown to 13-14 rays.
 LARGE_SUBDIVIDED_CASES = [
     (seed, name, 14 - rays)
@@ -273,7 +288,7 @@ def test_membership_matches_the_collection_list(corpus):
         for c in collections:
             queries += [c, *(c - {n} for n in c), *(c | {n} for n in names if n not in c)]
         for query in queries:
-            assert fan_module._is_collection(fan, query) == (query in collections)
+            assert fan_module._is_collection(fan, fan._ray_mask(query)) == (query in collections)
 
 
 def test_an_incomplete_fan_tests_each_cone_pair_once():
@@ -484,7 +499,8 @@ def test_complementary_stars_find_the_axes_of_the_pair_scan(corpus):
     # every ordered pair of rays
     axes = equator_axes = 0
     for fan in corpus_and_random_fans(corpus):
-        names, stars = fan.ray_names(), fan._cones_of_ray
+        names = fan.ray_names()
+        stars = dict(zip(names, fan._cones_of_ray))
         full = (1 << len(fan.max_cones)) - 1
         assert list(_complementary_pairs(fan, names)) == [
             (x, y) for x, y in combinations(names, 2)
@@ -561,9 +577,9 @@ def test_sheared_fans_are_make_fans_with_the_complex_found_afresh(corpus, monkey
     walks = []
     real_walk = fan_module._walk_to_sum
     monkeypatch.setattr(
-        fan_module, "_walk_to_sum", lambda f, members, total: walks.append(
-            frozenset(f.rays[i].name for i in members)
-        ) or real_walk(f, members, total)
+        fan_module, "_walk_to_sum", lambda f, rays, total: walks.append(
+            frozenset(r.name for i, r in enumerate(f.rays) if rays >> i & 1)
+        ) or real_walk(f, rays, total)
     )
     sheared = inherited = 0
     for fan in corpus_and_random_fans(corpus):
@@ -586,6 +602,45 @@ def test_sheared_fans_are_make_fans_with_the_complex_found_afresh(corpus, monkey
                     assert got == (primitive_relations(fresh), primitive_collections(fresh))
                     sheared += 1
     assert (sheared, inherited) == (1572, 786)
+
+
+def check_relations_by_names(fan):
+    """The fan's relations, in order, and its rejection texts against the name-keyed oracle."""
+    relations, collections = primitive_relations(fan), primitive_collections(fan)
+    assert relations == tuple(relation_by_names(fan, c) for c in collections)
+    names = fan.ray_names()
+    for c, relation in zip(collections, relations):
+        assert primitive_relation(fan, c) is relation
+        outside = [n for n in names if n not in c][:1]
+        for query in [*(c - {n} for n in c), c.union(outside), c | {"no-such-ray"}]:
+            text = rejection_by_names(fan, query)
+            if text is None:
+                assert primitive_relation(fan, query) is relation
+                continue
+            with pytest.raises(NotAPrimitiveCollection) as caught:
+                primitive_relation(fan, query)
+            assert str(caught.value) == text
+    return len(relations)
+
+
+def test_mask_relations_match_the_name_keyed_path(corpus):
+    # the differential fans, star subdivisions of the benchmark bases grown
+    # to 30 rays, and every endpoint, k = 0, 1, 2, of a fan whose relations
+    # are known, most of them inherited
+    checked = endpoints = 0
+    large = [
+        random_subdivided_fan(seed, name, 30 - rays)
+        for seed, (name, rays) in enumerate([("X3_0", 6), ("W4_1", 7), ("bundle(4;1,0,2)", 6)])
+    ]
+    assert [len(fan.rays) for fan in large] == [30] * 3
+    for fan in [*corpus_and_random_fans(corpus), *large]:
+        checked += check_relations_by_names(fan)
+    for fan in corpus_and_random_fans(corpus):
+        for split in find_splittings(fan):
+            for k in (0, 1, 2):
+                checked += check_relations_by_names(shear_lower(split, shear_vector(split, k)))
+                endpoints += 1
+    assert (checked, endpoints) == (4287, 786)
 
 
 @functools.cache
@@ -789,13 +844,12 @@ def test_relation_walk_matches_the_linear_scan(corpus, monkeypatch):
     for fan in fans:
         for collection in primitive_collections(fan):
             total = tuple(map(sum, zip(*(fan.generator(n) for n in collection))))
-            members = sorted(fan._order[n] for n in collection)
-            found = fan_module._walk_to_sum(fan, members, total)
+            found = fan_module._walk_to_sum(fan, fan._ray_mask(collection), total)
             assert found is not None  # the walk never gives up on these fans
             assert _positive_coordinates(fan, found) == _relation_by_scan(fan, collection)
             walked.append(primitive_relation(fan, collection))
     # with the walk forced to give up, the scan alone yields the same relations
-    monkeypatch.setattr(fan_module, "_walk_to_sum", lambda fan, members, total: None)
+    monkeypatch.setattr(fan_module, "_walk_to_sum", lambda fan, rays, total: None)
     scanned = [
         primitive_relation(rebuilt, collection)
         for fan in fans
@@ -818,7 +872,7 @@ def test_relation_walk_gives_up_at_the_boundary_of_a_half_fan():
         assert primitive_relation(fan, collection).support == tuple(
             (n, support[n]) for n in fan.sort_names(support)
         )
-    assert fan_module._walk_to_sum(fan, [fan._order["w"]], (2, -1)) is None
+    assert fan_module._walk_to_sum(fan, fan._ray_mask({"w"}), (2, -1)) is None
 
 
 def test_candidate_cones_follow_combinations_order(corpus):
